@@ -400,6 +400,7 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
     verdicts = _stable_nodes(indexed, graph)
     for target in sorted(verdicts):
         stable_config = indexed.decode(target)
+        reachers = sorted(graph.backward_closure([target]))
         for element in candidates:
             S = frozenset(element.configuration.support()) | frozenset(
                 q for q in stable_config.support() if stable_config[q] > cap
@@ -412,9 +413,8 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
             )
             needed = 2 * element.size
             # way-point: saturated node that can still reach the target
-            reachers = graph.backward_closure([target])
             way_point = None
-            for node in sorted(reachers):
+            for node in reachers:
                 if min(node) >= needed:
                     way_point = node
                     break

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import TransitionNotEnabled
-from .multiset import EMPTY, Multiset
+from .multiset import Multiset
 from .protocol import PopulationProtocol, Transition
 
 __all__ = [
@@ -104,10 +104,15 @@ def displacement_of(pi: Multiset) -> Multiset:
 
     ``pi`` must map :class:`Transition` objects to natural counts.
     """
-    total = EMPTY
+    # A plain dict, not a Multiset per term: this runs once per basis
+    # element on every realisable-basis cache hit.
+    total = {}
     for transition, count in pi.items():
-        total = total + count * transition.displacement
-    return total
+        for state in (transition.p2, transition.q2):
+            total[state] = total.get(state, 0) + count
+        for state in (transition.p, transition.q):
+            total[state] = total.get(state, 0) - count
+    return Multiset(total)
 
 
 def pseudo_fire(configuration: Multiset, pi: Multiset) -> Multiset:

@@ -29,12 +29,32 @@ vector ``e_i`` whenever the geometric condition
 minimal when ``A t = 0``.  Vectors dominating an already-found minimal
 solution are pruned.  See Contejean & Devie, *An efficient incremental
 algorithm for solving systems of linear Diophantine equations* (1994).
+
+Every vector of generation ``g`` has 1-norm ``g + 1``, so the
+completion runs one generation at a time as a batch of numpy
+operations on an int64 frontier matrix: one matrix product gives all
+defect products ``<A t, A e_i>``, fancy indexing builds the candidates
+``t + e_i`` in frontier-then-coordinate order, a block-wise dominance
+mask prunes them, and a keep-first dedup forms the next frontier.  The
+batch reproduces the vector-at-a-time procedure exactly.  A candidate
+grown from frontier position ``p`` is pruned against the minimal
+solutions of earlier generations plus the current generation's
+zero-defect vectors at positions below ``p`` — the solutions a
+sequential pass would have recorded before reaching ``p``.  Hence the
+basis, the frontier order, the budget boundary and the span counters
+are those of the sequential procedure.  Two distinct vectors of one
+norm never dominate each other, so each recorded solution was checked
+against every minimal solution of lower norm and no closing mutual
+sweep is needed.  Entries are int64: a system whose defect products
+could leave that range raises :class:`OverflowError` instead of
+wrapping.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import SearchBudgetExceeded
 from ..obs import get_tracer, progress
@@ -53,6 +73,12 @@ Vector = Tuple[int, ...]
 Matrix = Sequence[Sequence[int]]
 
 DEFAULT_FRONTIER_BUDGET = 2_000_000
+
+_INT64_LIMIT = 2**63
+
+# Candidates per dominance-mask block: the boolean mask is
+# ``_BLOCK x |minimal|``, whatever the generation's candidate count.
+_BLOCK = 512
 
 
 def _image(matrix: Matrix, vector: Sequence[int]) -> Vector:
@@ -95,6 +121,8 @@ def solve_equalities(
     ------
     SearchBudgetExceeded
         If the completion frontier exceeds the budget.
+    OverflowError
+        If a generation's defect products could exceed the int64 range.
     """
     if not matrix:
         raise ValueError("matrix must have at least one row (use [] rows of correct width)")
@@ -105,70 +133,119 @@ def solve_equalities(
     if num_vars == 0:
         return []
 
-    units: List[Vector] = []
-    unit_images: List[Vector] = []
-    for i in range(num_vars):
-        unit = tuple(1 if j == i else 0 for j in range(num_vars))
-        units.append(unit)
-        unit_images.append(_image(matrix, unit))
-
-    minimal: List[Vector] = []
-    frontier: List[Tuple[Vector, Vector]] = [(u, img) for u, img in zip(units, unit_images)]
+    num_rows = len(matrix)
+    max_coefficient = max(abs(int(a)) for row in matrix for a in row)
+    _check_int64_range(num_rows, max_coefficient, 0)
+    coefficients = np.array(matrix, dtype=np.int64)
+    # Row k of the frontier is a vector t, row k of images is A t.
+    frontier = np.eye(num_vars, dtype=np.int64)
+    images = coefficients.T.copy()
+    minimal = np.zeros((0, num_vars), dtype=np.int64)
     processed = 0
 
     with get_tracer().span(
         "pottier.solve_equalities",
-        rows=len(matrix),
+        rows=num_rows,
         variables=num_vars,
         frontier_budget=frontier_budget,
     ) as span:
         meter = progress(
             "pottier",
             lambda: {"frontier": len(frontier), "minimal": len(minimal)},
+            stride=1,
         )
-        while frontier:
+        generation = 0
+        while len(frontier):
+            _check_int64_range(num_rows, max_coefficient, generation)
             span.add("generations")
-            next_frontier: List[Tuple[Vector, Vector]] = []
-            seen_next = set()
-            for vector, image in frontier:
-                meter.tick()
-                processed += 1
-                if processed > frontier_budget:
-                    span.add("budget_exceeded")
-                    raise SearchBudgetExceeded(
-                        f"Contejean-Devie completion exceeded {frontier_budget} frontier vectors"
-                    )
-                if all(x == 0 for x in image):
-                    if not any(_dominates(vector, m) for m in minimal):
-                        minimal = [m for m in minimal if not _dominates(m, vector)]
-                        minimal.append(vector)
-                    continue
-                for i in range(num_vars):
-                    # Geometric restriction: only grow coordinate i when it
-                    # can reduce the defect, i.e. <A t, A e_i> < 0.
-                    dot = sum(a * b for a, b in zip(image, unit_images[i]))
-                    if dot >= 0:
-                        continue
-                    extended = tuple(v + 1 if j == i else v for j, v in enumerate(vector))
-                    if any(_dominates(extended, m) for m in minimal):
-                        continue
-                    if extended in seen_next:
-                        continue
-                    seen_next.add(extended)
-                    new_image = tuple(a + b for a, b in zip(image, unit_images[i]))
-                    next_frontier.append((extended, new_image))
-            frontier = next_frontier
+            meter.tick(len(frontier))
+            processed += len(frontier)
+            if processed > frontier_budget:
+                span.add("budget_exceeded")
+                raise SearchBudgetExceeded(
+                    f"Contejean-Devie completion exceeded {frontier_budget} frontier vectors"
+                )
+            solved = ~images.any(axis=1)
+            # Zero-defect vectors are minimal unless they dominate a
+            # solution of an earlier (lower-norm) generation.
+            found_at = np.flatnonzero(solved)
+            earlier = np.full(len(minimal), -1)
+            found_at = found_at[~_dominating(frontier[found_at], found_at, minimal, earlier)]
+            # Geometric restriction: grow coordinate i of t only when it
+            # can reduce the defect, i.e. <A t, A e_i> < 0.  np.nonzero
+            # walks row-major, so candidates come in sequential order.
+            growing = np.flatnonzero(~solved)
+            rows, coordinates = np.nonzero(images[growing] @ coefficients < 0)
+            grown_from = growing[rows]
+            candidates = frontier[grown_from]
+            candidates[np.arange(len(candidates)), coordinates] += 1
+            candidate_images = images[grown_from] + coefficients.T[coordinates]
+            # A candidate grown from position p is pruned by the earlier
+            # generations' solutions and by this generation's below p.
+            solution_found_at = np.concatenate([earlier, found_at])
+            minimal = np.concatenate([minimal, frontier[found_at]])
+            kept = ~_dominating(candidates, grown_from, minimal, solution_found_at)
+            candidates, candidate_images = candidates[kept], candidate_images[kept]
+            first = _first_occurrences(candidates)
+            frontier, images = candidates[first], candidate_images[first]
+            generation += 1
         meter.finish()
         span.add("frontier_vectors", processed)
         span.add("minimal_solutions", len(minimal))
 
-    # A final sweep: during the run, vectors were only pruned against
-    # minimal solutions found *so far*; prune mutually.
-    result = []
-    for vector in minimal:
-        if not any(v != vector and _dominates(vector, v) for v in minimal):
-            result.append(vector)
-    return sorted(result)
+    return sorted(map(tuple, minimal.tolist()))
+
+
+def _check_int64_range(num_rows: int, max_coefficient: int, generation: int) -> None:
+    """Refuse a generation whose defect products could overflow int64.
+
+    Vectors of generation ``g`` have 1-norm ``g + 1``, so each entry of
+    ``A t`` is at most ``max|a_ij| (g + 1)`` in absolute value and each
+    product ``<A t, A e_i>`` at most ``rows max|a_ij|^2 (g + 1)``.
+    """
+    if num_rows * max_coefficient**2 * (generation + 1) >= _INT64_LIMIT:
+        raise OverflowError(
+            f"Contejean-Devie generation {generation} could exceed the int64 limit "
+            f"2**63 ({num_rows} rows, max |a_ij| = {max_coefficient})"
+        )
+
+
+def _dominating(
+    candidates: np.ndarray,
+    grown_from: np.ndarray,
+    solutions: np.ndarray,
+    found_at: np.ndarray,
+) -> np.ndarray:
+    """Mask of the candidates ``>=`` some solution visible to them.
+
+    Solution ``k`` is visible to candidate ``c`` when
+    ``found_at[k] < grown_from[c]``.  The mask is built block by block
+    and column by column, so temporaries stay ``_BLOCK x len(solutions)``.
+    """
+    dominated = np.zeros(len(candidates), dtype=bool)
+    if not len(solutions):
+        return dominated
+    solution_columns = solutions.T.copy()
+    for start in range(0, len(candidates), _BLOCK):
+        stop = start + _BLOCK
+        mask = found_at[None, :] < grown_from[start:stop, None]
+        for column, bound in zip(candidates.T, solution_columns):
+            mask &= column[start:stop, None] >= bound[None, :]
+        dominated[start:stop] = mask.any(axis=1)
+    return dominated
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    # One short bytes key per row, in the narrowest dtype holding these
+    # naturals.  A dict keeps the first index per key in order; it is as
+    # fast here as np.unique, which sorts, and it keeps peak memory lower.
+    narrow = rows.astype(np.min_scalar_type(rows.max(initial=0)))
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * rows.shape[1])))
+    first = {}
+    for index, key in enumerate(keys.ravel().tolist()):
+        first.setdefault(key, index)
+    return np.fromiter(first.values(), dtype=np.int64, count=len(first))
 
 
 def solve_inequalities(

@@ -85,14 +85,7 @@ def is_potentially_realisable(protocol: PopulationProtocol, pi: Multiset) -> boo
     For protocols with leaders: ``L(q) + Delta_pi(q) >= 0`` for all
     ``q != x`` (the input coordinate is still free).
     """
-    x = input_state(protocol)
-    displacement = displacement_of(pi)
-    for q in protocol.states:
-        if q == x:
-            continue
-        if protocol.leaders[q] + displacement[q] < 0:
-            return False
-    return True
+    return _minimal_input(protocol, displacement_of(pi)) is not None
 
 
 def minimal_input_for(protocol: PopulationProtocol, pi: Multiset) -> Optional[int]:
@@ -100,11 +93,7 @@ def minimal_input_for(protocol: PopulationProtocol, pi: Multiset) -> Optional[in
 
     ``None`` when ``pi`` is not potentially realisable at all.
     """
-    if not is_potentially_realisable(protocol, pi):
-        return None
-    x = input_state(protocol)
-    displacement = displacement_of(pi)
-    return max(0, -(protocol.leaders[x] + displacement[x]))
+    return _minimal_input(protocol, displacement_of(pi))
 
 
 def witness_configuration(protocol: PopulationProtocol, pi: Multiset, i: Optional[int] = None) -> Multiset:
@@ -113,13 +102,26 @@ def witness_configuration(protocol: PopulationProtocol, pi: Multiset, i: Optiona
     Uses the minimal input when ``i`` is omitted.  Raises ``ValueError``
     for unrealisable ``pi`` or insufficient ``i``.
     """
+    displacement = displacement_of(pi)
     if i is None:
-        i = minimal_input_for(protocol, pi)
+        i = _minimal_input(protocol, displacement)
         if i is None:
             raise ValueError("multiset is not potentially realisable")
+    return _witness(protocol, pi, displacement, i)
+
+
+def _minimal_input(protocol: PopulationProtocol, displacement: Multiset) -> Optional[int]:
+    """:func:`minimal_input_for`, given ``Delta_pi`` instead of ``pi``."""
     x = input_state(protocol)
-    base = protocol.leaders + Multiset.singleton(x, i)
-    result = base + displacement_of(pi)
+    for q in protocol.states:
+        if q != x and protocol.leaders[q] + displacement[q] < 0:
+            return None
+    return max(0, -(protocol.leaders[x] + displacement[x]))
+
+
+def _witness(protocol: PopulationProtocol, pi: Multiset, displacement: Multiset, i: int) -> Multiset:
+    """:func:`witness_configuration` for a given ``i``, given ``Delta_pi`` too."""
+    result = protocol.leaders + Multiset.singleton(input_state(protocol), i) + displacement
     if not result.is_natural:
         raise ValueError(f"input {i} is insufficient to realise {pi.pretty()}")
     return result
@@ -140,11 +142,12 @@ class RealisableBasisElement:
 
     def __init__(self, protocol: PopulationProtocol, pi: Multiset):
         self.pi = pi
-        i = minimal_input_for(protocol, pi)
+        displacement = displacement_of(pi)
+        i = _minimal_input(protocol, displacement)
         if i is None:
             raise ValueError(f"{pi.pretty()} is not potentially realisable")
         self.input_size = i
-        self.configuration = witness_configuration(protocol, pi, i)
+        self.configuration = _witness(protocol, pi, displacement, i)
 
     @property
     def size(self) -> int:

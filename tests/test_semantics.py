@@ -98,6 +98,15 @@ class TestParikh:
         d = displacement_of(pi)
         assert d == Multiset({"u": -4, "v": 2, "z": 2})
 
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    def test_displacement_of_sums_transition_displacements(self, counts):
+        transitions = flat_threshold(4).transitions + (T_COMBINE, T_SPREAD)
+        pi = Multiset(dict(zip(transitions, counts)))
+        expected = EMPTY
+        for transition, count in pi.items():
+            expected = expected + count * transition.displacement
+        assert displacement_of(pi) == expected
+
     def test_lemma_5_1_i(self):
         """If C --sigma--> C' then C ==parikh(sigma)==> C'."""
         c = Multiset({"u": 4})
