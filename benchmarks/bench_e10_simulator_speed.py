@@ -3,7 +3,7 @@
 Reproduction-brief context: pure-Python per-interaction simulation
 cannot reach chemically interesting population sizes.  This bench
 quantifies the ladder: the agent-list baseline, the exact count-based
-sampler, and the tau-leaping batch simulator, in interactions/second
+sampler, and the tau-leap engine at one trial, in interactions/second
 and in wall-clock time to a fixed amount of parallel time.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from repro import binary_threshold
 from repro.fmt import render_table, section
-from repro.simulation import AgentListScheduler, BatchScheduler, CountScheduler
+from repro.simulation import AgentListScheduler, CountScheduler, VectorEnsembleScheduler
 
 PROTOCOL = binary_threshold(8)
 
@@ -38,13 +38,13 @@ def drive_count(n: int, interactions: int) -> dict:
     return scheduler.instrumentation.snapshot().as_dict()
 
 
-def drive_batch(n: int, interactions: int) -> dict:
-    scheduler = BatchScheduler(PROTOCOL, seed=0, epsilon=0.05)
+def drive_tau_leap(n: int, interactions: int) -> dict:
+    scheduler = VectorEnsembleScheduler(PROTOCOL, trials=1, seed=0, epsilon=0.05)
     scheduler.reset(n)
     done = 0
     leap = max(1, int(0.05 * n))
     while done < interactions:
-        done += scheduler.leap(min(leap, interactions - done))
+        done += int(scheduler.leap([min(leap, interactions - done)])[0])
     return scheduler.instrumentation.snapshot().as_dict()
 
 
@@ -61,8 +61,8 @@ def test_e10_count(benchmark, n):
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
-def test_e10_batch(benchmark, n):
-    benchmark.extra_info["instrumentation"] = benchmark(drive_batch, n, 5 * n)
+def test_e10_tau_leap(benchmark, n):
+    benchmark.extra_info["instrumentation"] = benchmark(drive_tau_leap, n, 5 * n)
 
 
 def test_e10_report():
@@ -73,9 +73,9 @@ def test_e10_report():
         for name, driver in (
             ("agent list", drive_agent_list),
             ("count", drive_count),
-            ("batch", drive_batch),
+            ("tau-leap", drive_tau_leap),
         ):
-            if name != "batch" and n > 10_000:
+            if name != "tau-leap" and n > 10_000:
                 timings[name] = None
                 continue
             t0 = time.perf_counter()
@@ -87,15 +87,15 @@ def test_e10_report():
                 budget,
                 *(
                     f"{timings[k]:.3f}s" if timings[k] is not None else "(skipped)"
-                    for k in ("agent list", "count", "batch")
+                    for k in ("agent list", "count", "tau-leap")
                 ),
             ]
         )
     print(section("E10 — simulator ladder: wall clock for 2 units of parallel time"))
-    print(render_table(["n", "interactions", "agent list", "count-based", "batch"], rows))
-    # The batch simulator must dominate at scale.
+    print(render_table(["n", "interactions", "agent list", "count-based", "tau-leap"], rows))
+    # The tau-leap engine must dominate at scale.
     t0 = time.perf_counter()
-    drive_batch(1_000_000, 1_000_000)
-    batch_big = time.perf_counter() - t0
-    print(f"batch at n=10^6: 10^6 interactions in {batch_big:.2f}s")
-    assert batch_big < 30
+    drive_tau_leap(1_000_000, 1_000_000)
+    leap_big = time.perf_counter() - t0
+    print(f"tau-leap at n=10^6: 10^6 interactions in {leap_big:.2f}s")
+    assert leap_big < 30

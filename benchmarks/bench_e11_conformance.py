@@ -4,9 +4,9 @@ The parallel-time experiments (E9, E10) trust three different samplers
 of one stochastic semantics.  E11 is the trust anchor: every scheduler
 is chi-squared-tested against the *analytic* one-step distribution,
 swept for trajectory invariants under fixed seeds, and the two exact
-samplers are differentially compared under matched seeds.  The batch
-scheduler's closed-form leap distribution is additionally compared
-against the analytic pair distribution exactly (max abs error 0).
+samplers are differentially compared under matched seeds.  The
+tau-leap engine's closed-form pair distribution is additionally
+compared against the analytic one exactly (max abs error 0).
 
 This gate is the template for every future fast backend: a new sampler
 joins the ladder only once it passes the same report.
@@ -58,7 +58,7 @@ def test_e11_report():
                 report.population,
                 report.samples,
                 f"{worst_p:.3f}",
-                f"{report.batch_distribution_error:.1e}",
+                f"{report.vector_distribution_error:.1e}",
                 checked,
                 "PASS" if report.ok else "FAIL",
             ]
@@ -66,7 +66,7 @@ def test_e11_report():
     print(section("E11 — scheduler conformance (chi-squared + invariant sweeps)"))
     print(
         render_table(
-            ["protocol", "n", "samples", "min p-value", "batch dist err", "steps checked", "verdict"],
+            ["protocol", "n", "samples", "min p-value", "leap dist err", "steps checked", "verdict"],
             rows,
         )
     )

@@ -83,7 +83,12 @@ from .protocols import (
     modulo_protocol,
     negation,
 )
-from .simulation import BatchScheduler, CountScheduler, measure_convergence, record_trace
+from .simulation import (
+    CountScheduler,
+    VectorEnsembleScheduler,
+    measure_convergence,
+    record_trace,
+)
 
 __version__ = "1.0.0"
 
@@ -143,7 +148,7 @@ __all__ = [
     "gap_table",
     # simulation
     "CountScheduler",
-    "BatchScheduler",
+    "VectorEnsembleScheduler",
     "measure_convergence",
     "record_trace",
 ]

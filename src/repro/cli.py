@@ -521,15 +521,19 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
     # from the emitted artifact alone.
     root_seed = args.seed if args.seed is not None else 0
     population = protocol.initial_configuration(inputs).size
-    result = run_ensemble(
-        protocol,
-        inputs,
-        trials=args.trials,
-        max_parallel_time=args.max_steps / max(1, population),
-        seed=root_seed,
-        jobs=args.jobs,
-        engine=args.engine,
-    )
+    try:
+        result = run_ensemble(
+            protocol,
+            inputs,
+            trials=args.trials,
+            max_parallel_time=args.max_steps / max(1, population),
+            seed=root_seed,
+            jobs=args.jobs,
+            engine=args.engine,
+        )
+    except OverflowError as error:  # the vector engine's int64 limits
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.json:
         payload = {
             "protocol": protocol.name,

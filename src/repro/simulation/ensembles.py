@@ -179,7 +179,7 @@ def run_ensemble(
     seeds stay ``seed + trial``, so the aggregate is identical for any
     worker count.
 
-    ``engine="vector"`` switches to the vectorised batch scheduler
+    ``engine="vector"`` switches to the vectorised tau-leap engine
     (see the module docstring): dramatically faster at large
     populations, statistically equivalent, and deterministic for a
     fixed ``seed`` — but a different sampler consuming one RNG stream,
@@ -207,7 +207,7 @@ def run_ensemble(
     aggregate = Instrumentation()
     population = protocol.initial_configuration(inputs).size
     # Ceil, not truncate: a positive time budget must simulate at least
-    # one interaction (mirrors the batch scheduler's budget fix).
+    # one interaction (the same rule as the vector engine's run()).
     budget = max(1, math.ceil(max_parallel_time * population))
     if chunk_size is None:
         chunk_size = default_chunk_size(trials, jobs)

@@ -17,7 +17,7 @@ Two exact samplers are provided:
   ``p != q`` and ``c_p * (c_p - 1)`` for ``p = q``).  O(|Q|^2) per
   interaction, independent of the population size — the first rung of
   the "simulation is too slow for large populations" ladder (the
-  batched :mod:`repro.simulation.fast` is the second).
+  tau-leaping :mod:`repro.simulation.vectorized` is the second).
 
 Both samplers produce identically distributed runs (chi-squared
 smoke-tested in the suite) and support seeding for reproducibility.

@@ -8,8 +8,8 @@ full count trajectory of a run at a configurable resolution:
   with accessors for single-state trajectories, consensus fraction and
   a compact text rendering (sparkline-style) for terminal inspection;
 * :func:`record_time_series` — drive a :class:`CountScheduler` (exact)
-  or :class:`BatchScheduler` (tau-leaping) and sample every
-  ``resolution`` units of parallel time.
+  or a one-trial :class:`VectorEnsembleScheduler` (tau-leaping) and
+  sample every ``resolution`` units of parallel time.
 
 The examples use this to show the two phases of threshold protocols
 (combining, then the acceptance epidemic); tests use it to assert
@@ -18,13 +18,14 @@ conservation laws hold along entire trajectories, not just endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
-from .fast import BatchScheduler
 from .scheduler import CountScheduler, _is_silent_consensus
+from .vectorized import VectorEnsembleScheduler
 
 __all__ = ["TimeSeries", "record_time_series"]
 
@@ -104,32 +105,42 @@ def record_time_series(
 ) -> TimeSeries:
     """Simulate and sample the configuration every ``resolution`` units.
 
-    ``use_batch=True`` switches to the tau-leaping simulator (for large
-    populations); otherwise the exact count-based scheduler is used.
+    ``use_batch=True`` switches to the tau-leaping engine at
+    ``trials=1`` (for large populations); otherwise the exact
+    count-based scheduler is used.  As in the schedulers' ``run``, the
+    budget ``max_parallel_time * n`` must be positive and finite and is
+    rounded up, so it always covers at least one interaction.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
+    if not (math.isfinite(max_parallel_time) and max_parallel_time > 0):
+        raise ValueError(
+            f"max_parallel_time must be positive and finite, got {max_parallel_time}"
+        )
     series = TimeSeries(protocol=protocol)
     if use_batch:
-        scheduler = BatchScheduler(protocol, seed=seed)
+        scheduler = VectorEnsembleScheduler(protocol, trials=1, seed=seed)
     else:
         scheduler = CountScheduler(protocol, seed=seed)
     scheduler.reset(inputs)
     n = scheduler.population
-    series.record(0.0, scheduler.configuration)
 
+    def configuration() -> Multiset:
+        return scheduler.configuration(0) if use_batch else scheduler.configuration
+
+    series.record(0.0, configuration())
     steps_per_sample = max(1, int(resolution * n))
-    total_budget = int(max_parallel_time * n)
+    total_budget = max(1, math.ceil(max_parallel_time * n))
     done = 0
     while done < total_budget:
-        if stop_on_silent_consensus and _is_silent_consensus(protocol, scheduler.configuration):
+        if stop_on_silent_consensus and _is_silent_consensus(protocol, configuration()):
             break
         chunk = min(steps_per_sample, total_budget - done)
         if use_batch:
-            done += scheduler.leap(chunk)
+            scheduler.leap([chunk])
         else:
             for _ in range(chunk):
                 scheduler.step()
-            done += chunk
-        series.record(done / n, scheduler.configuration)
+        done += chunk
+        series.record(done / n, configuration())
     return series

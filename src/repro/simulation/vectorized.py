@@ -1,10 +1,13 @@
-"""Vectorised ensemble simulation: a whole ``--trials`` batch per step.
+"""Tau-leap simulation: a whole ``--trials`` batch per step.
 
-The paper's lower bounds live in the large-``n`` regime, and the
-ensemble path is where large populations hurt most: ``run_ensemble``
-steps every trial through a per-event Python loop, so 64 trials at
-``n = 10^6`` cost tens of millions of interpreter iterations.  This
-module rebuilds the ensemble struct-of-arrays:
+The paper's lower bounds live in the large-``n`` regime, where exact
+per-interaction simulation needs ``Theta(n log n)`` Python iterations
+per run.  Population protocols are chemical reaction networks, so the
+remedy from stochastic kinetics applies: **tau-leaping**, advancing
+``epsilon * n`` interactions at a time from a multinomial draw over the
+pair distribution.  This module is the repo's one tau-leap engine; a
+single trajectory is an ensemble with ``trials=1``.  It is laid out
+struct-of-arrays:
 
 * the whole ensemble is one ``(trials, states)`` int64 count matrix;
 * every trial advances **simultaneously** — pair weights are computed
@@ -21,19 +24,20 @@ module rebuilds the ensemble struct-of-arrays:
   falls back to the exact scalar sampler for that one step, so every
   intermediate row of the matrix is a legal configuration.
 
-As in :class:`~repro.simulation.fast.BatchScheduler`, the tau-leap
-approximation touches only *timing statistics* (order ``epsilon``);
-invariants are exact: population is conserved per trial at every step,
-counts never go negative, and all pair probabilities are computed in
-exact integer arithmetic with one final division (float64 subtraction
-of ``n(n-1)``-sized products silently corrupts small inert masses once
-``n`` passes ``~10^8``).
+The tau-leap approximation touches only *timing statistics* (order
+``epsilon``); invariants are exact: population is conserved per trial
+at every step, counts never go negative, and all pair probabilities
+are computed in exact integer arithmetic with one final division
+(float64 subtraction of ``n(n-1)``-sized products silently corrupts
+small inert masses once ``n`` passes ``~10^8``).  Pair weights are
+int64 while ``n(n-1)`` fits; above that the same expression runs on
+Python ints, so there is no population ceiling short of the int64
+count matrix itself.
 
 Convergence detection (silent consensus) and verdict extraction are
 vectorised too: enabled-transition masks and output-consensus checks
-are evaluated for the whole ensemble between leap rounds, at the same
-per-``epsilon * n``-interactions cadence the scalar batch scheduler
-uses.
+are evaluated for the whole ensemble between leap rounds, once every
+``epsilon * n`` interactions.
 """
 
 from __future__ import annotations
@@ -52,10 +56,14 @@ from .instrumentation import Instrumentation, InstrumentationSnapshot
 
 __all__ = ["VectorEnsembleScheduler", "VectorRunResult"]
 
-# n(n-1) must fit in int64 for the vectorised weight arithmetic; the
-# exact-integer Python path in the scalar BatchScheduler has no such
-# ceiling, so very large populations fall back there.
-_MAX_POPULATION = 3_000_000_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# Largest population whose pair weights n(n-1) fit int64.  Up to it a
+# leap weighs pairs in int64; above it, in exact Python ints.
+_MAX_INT64_PAIRS = (1 + math.isqrt(4 * _INT64_MAX + 1)) // 2
+# run() leaps at most epsilon * n <= n interactions at a time, and a
+# leap of k moves a count by at most 2k, so a checked update stays in
+# [-2n, 3n]: populations up to a third of int64 are exact.
+_MAX_POPULATION = _INT64_MAX // 3
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,9 @@ class VectorEnsembleScheduler:
     """Simultaneous tau-leaping of an entire trial ensemble.
 
     One scheduler instance owns one ``(trials, states)`` count matrix;
-    :meth:`run` is the ensemble analogue of
-    :meth:`BatchScheduler.run <repro.simulation.fast.BatchScheduler.run>`
-    and feeds :func:`repro.simulation.ensembles.run_ensemble` via
-    ``engine="vector"``.
+    :meth:`run` feeds :func:`repro.simulation.ensembles.run_ensemble`
+    via ``engine="vector"``, and ``trials=1`` drives a single
+    large-population trajectory (``record_time_series(use_batch=True)``).
     """
 
     def __init__(
@@ -135,7 +142,7 @@ class VectorEnsembleScheduler:
         self._single_classes = np.nonzero(single)[0]
         self._single_rows = self._outcome_start[single]
         self._multi_classes = [int(p) for p in np.nonzero(~single)[0]]
-        # Scalar-fallback view: outcome rows per class, as in BatchScheduler.
+        # Scalar-fallback view: outcome rows per class.
         self._pair_outcomes: List[np.ndarray] = [
             self._outcomes[s : s + w]
             for s, w in zip(self._outcome_start, self._outcome_width)
@@ -159,14 +166,15 @@ class VectorEnsembleScheduler:
 
     def reset(self, inputs: Union[int, Mapping, Multiset]) -> None:
         """Initialise every trial to ``IC(inputs)``."""
-        row = np.array(self.indexed.initial_counts(inputs), dtype=np.int64)
-        n = int(row.sum())
+        row = self.indexed.initial_counts(inputs)
+        n = sum(row)
         if n > _MAX_POPULATION:
-            raise ProtocolError(
-                f"population {n} exceeds the vector engine's int64 pair-weight "
-                f"range (max {_MAX_POPULATION}); use the scalar BatchScheduler"
+            raise OverflowError(
+                f"population {n} does not fit the vector engine's int64 count "
+                f"matrix (max {_MAX_POPULATION} agents, a third of the int64 "
+                "range, so that a leap's update cannot overflow)"
             )
-        self.counts = np.tile(row, (self.trials, 1))
+        self.counts = np.tile(np.array(row, dtype=np.int64), (self.trials, 1))
         self._population = n
         self.instrumentation.clear()
 
@@ -182,11 +190,12 @@ class VectorEnsembleScheduler:
     def pair_distribution(self):
         """The one-step pair distribution shared by every trial.
 
-        Same contract as :meth:`BatchScheduler.pair_distribution
-        <repro.simulation.fast.BatchScheduler.pair_distribution>` —
-        ``(keys, probabilities, inert)`` computed in exact integer
-        arithmetic from trial 0's counts — so the conformance harness
-        can hold the vector engine to the analytic one-step law.
+        Returns ``(keys, probabilities, inert)``: the registered
+        unordered state pairs, their meeting probabilities, and the
+        probability mass of inert pairs (pairs with no registered
+        transition), computed in exact integer arithmetic from trial
+        0's counts, so the conformance harness can hold the engine to
+        the analytic one-step law.
         """
         n = self._population
         if n < 2:
@@ -215,11 +224,12 @@ class VectorEnsembleScheduler:
         acceptance — this method never mutates ``self.counts``.
         """
         c = self.counts
+        n = self._population
+        if n > _MAX_INT64_PAIRS:
+            c = c.astype(object)  # n(n-1) overflows int64: exact Python ints
         ci = c[:, self._pair_i]
         cj = c[:, self._pair_j]
-        # int64 exact: reset() bounds the population so n(n-1) fits.
         weights = np.where(self._pair_self, ci * (ci - 1), 2 * ci * cj)
-        n = self._population
         total = n * (n - 1)
         pvals = np.empty((self.trials, len(self._pair_keys) + 1), dtype=np.float64)
         pvals[:, :-1] = weights
@@ -241,9 +251,9 @@ class VectorEnsembleScheduler:
     def _exact_step(self, trial: int) -> None:
         """Exact scalar interaction for one near-absorption trial.
 
-        Mirrors :meth:`BatchScheduler._exact_step`: one draw over all
-        ``n(n-1)`` ordered pairs with exact integer weights (inert
-        meetings included, per the pair law).
+        One draw over all ``n(n-1)`` ordered pairs with exact integer
+        weights (inert meetings included, per the pair law).  A sampled
+        pair is present, so firing it never drives a count negative.
         """
         self.instrumentation.add("exact_steps")
         c = self.counts[trial]
@@ -252,7 +262,10 @@ class VectorEnsembleScheduler:
             for i, j in self._pair_keys
         ]
         n = self._population
-        pick = int(self.rng.integers(n * (n - 1)))
+        # Two distinct agents: the first uniform over n, the second over
+        # the other n - 1.  Their ordered-pair index is uniform on
+        # [0, n(n-1)), and each draw stays in int64 at any population.
+        pick = int(self.rng.integers(n)) * (n - 1) + int(self.rng.integers(n - 1))
         for index, weight in enumerate(weights):
             if pick < weight:
                 outcomes = self._pair_outcomes[index]
@@ -279,7 +292,7 @@ class VectorEnsembleScheduler:
 
         Returns the interactions actually performed per trial, which
         always equals ``request`` (the exact fallback guarantees
-        progress, as in the scalar scheduler).
+        progress).
         """
         if self._population < 2:
             raise ProtocolError("population must have at least two agents")
@@ -375,10 +388,11 @@ class VectorEnsembleScheduler:
     ) -> VectorRunResult:
         """Run every trial up to ``max_parallel_time`` units of parallel time.
 
-        The consensus check runs between leap rounds — every
-        ``epsilon * n`` interactions, the same cadence as the scalar
-        batch scheduler — and converged trials are masked out of all
-        further leaping while the rest of the ensemble continues.
+        The consensus check runs between leap rounds, every
+        ``epsilon * n`` interactions, and converged trials are masked
+        out of all further leaping while the rest of the ensemble
+        continues.  The budget is ``max_parallel_time * n`` rounded up,
+        so any positive budget performs at least one interaction.
         """
         if not (math.isfinite(max_parallel_time) and max_parallel_time > 0):
             raise ValueError(
@@ -388,6 +402,11 @@ class VectorEnsembleScheduler:
         n = self._population
         leap_size = max(1, int(self.epsilon * n))
         budget = max(1, math.ceil(max_parallel_time * n))
+        if budget * self.trials > _INT64_MAX:
+            raise OverflowError(
+                f"interaction budget {budget} x {self.trials} trials does not fit "
+                f"the vector engine's int64 counters (max {_INT64_MAX} per ensemble)"
+            )
         done = np.zeros(self.trials, dtype=np.int64)
         converged = np.zeros(self.trials, dtype=bool)
         conv_times = np.zeros(self.trials, dtype=np.float64)

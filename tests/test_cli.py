@@ -111,7 +111,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "overall: PASS" in out
-        assert "agent-list" in out and "count" in out and "batch" in out
+        assert "agent-list" in out and "count" in out and "vector" in out
 
     def test_conformance_rejects_zero_samples(self):
         # regression: samples=0 used to render a vacuous all-ok report
@@ -126,5 +126,5 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert {r["scheduler"] for r in payload["first_step"]} == {
-            "agent-list", "count", "batch", "vector",
+            "agent-list", "count", "vector",
         }

@@ -115,10 +115,9 @@ class TestHarness:
             majority, {"x": 5, "y": 3}, samples=600, trajectory_steps=150
         )
         assert report.ok, report.render()
-        assert report.batch_distribution_error < 1e-9
         assert report.vector_distribution_error < 1e-9
-        # pair+delta per exact sampler, delta for batch and vector
-        assert len(report.first_step) == 6
+        # pair+delta per exact sampler, delta for the tau-leap engine
+        assert len(report.first_step) == 5
 
     def test_flat_threshold_passes(self, flat3):
         report = check_conformance(flat3, 6, samples=600, trajectory_steps=150)
@@ -142,7 +141,7 @@ class TestHarness:
         report = check_conformance(threshold4, 5, samples=400, trajectory_steps=100)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is True
-        assert len(payload["first_step"]) == 6
+        assert len(payload["first_step"]) == 5
         assert payload["population"] == 5
 
     def test_broken_scheduler_is_caught(self, threshold4):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.simulation import (
-    BatchScheduler,
     CountScheduler,
     Instrumentation,
+    VectorEnsembleScheduler,
     run_ensemble,
     run_with_faults,
 )
@@ -104,12 +104,14 @@ class TestSchedulerInstrumentation:
         assert scheduler.instrumentation.snapshot().counter("interactions") == 0
 
     def test_batch_run_reports_leaps(self, threshold4):
-        result = BatchScheduler(threshold4, seed=1).run(1000, max_parallel_time=5000)
+        result = VectorEnsembleScheduler(threshold4, trials=4, seed=1).run(
+            1000, max_parallel_time=5000
+        )
         snapshot = result.instrumentation
         assert snapshot is not None
         assert snapshot.counter("leap_calls") >= 1
-        assert snapshot.counter("leap_interactions") == result.interactions
-        assert snapshot.counter("interactions") == result.interactions
+        assert snapshot.counter("leap_interactions") == result.interactions.sum()
+        assert snapshot.counter("interactions") == result.interactions.sum()
 
     def test_ensemble_aggregates(self, threshold4):
         result = run_ensemble(threshold4, 6, trials=5, max_parallel_time=500, seed=1)

@@ -1,4 +1,4 @@
-"""Tests for the simulators: exact schedulers, batch leaps, convergence, traces."""
+"""Tests for the simulators: exact schedulers, convergence, traces."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.simulation.convergence import (
     fit_nlogn,
     measure_convergence,
 )
-from repro.simulation.fast import BatchScheduler
 from repro.simulation.scheduler import AgentListScheduler, CountScheduler
 from repro.simulation.trace import record_trace
 
@@ -104,103 +103,6 @@ class TestCountScheduler:
             wins["list"] += majority.output_of(l.configuration) == 1
         # x has an absolute majority of active pairs; both should mostly accept
         assert abs(wins["count"] - wins["list"]) <= 12
-
-
-class TestBatchScheduler:
-    def test_population_conserved(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
-        scheduler.reset(1000)
-        for _ in range(20):
-            scheduler.leap(100)
-            assert scheduler.population == 1000
-            assert (scheduler.counts >= 0).all()
-
-    def test_converges_large_population(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=1)
-        result = scheduler.run(100_000, max_parallel_time=5000)
-        assert result.converged
-        assert threshold4.output_of(result.configuration) == 1
-
-    def test_rejects_below_threshold(self):
-        # a leader collecting 5 inputs sees only 3: converges to reject
-        protocol = leader_unary_threshold(5)
-        scheduler = BatchScheduler(protocol, seed=1)
-        result = scheduler.run(3, max_parallel_time=5000)
-        assert result.converged
-        assert protocol.output_of(result.configuration) == 0
-
-    def test_epsilon_validation(self, threshold4):
-        with pytest.raises(ValueError):
-            BatchScheduler(threshold4, epsilon=0)
-
-    def test_small_population_too(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
-        result = scheduler.run(8, max_parallel_time=5000)
-        assert result.converged
-
-    def test_leap_zero(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
-        scheduler.reset(100)
-        assert scheduler.leap(0) == 0
-
-    def test_leap_advances_exactly_requested(self, threshold4):
-        # with the exact-step fallback, a leap can never under-deliver
-        scheduler = BatchScheduler(threshold4, seed=7)
-        scheduler.reset(50)
-        for requested in (1, 3, 10, 25):
-            assert scheduler.leap(requested) == requested
-
-    def test_rejected_single_step_still_advances(self, threshold4):
-        """Regression: a rejected single-interaction leap returned 0,
-        which would loop ``run`` forever; it must fall back to an exact
-        step over enabled pairs instead."""
-
-        class _RiggedRng:
-            """Delegates to the real generator except for one rigged
-            multinomial draw that drives a count negative."""
-
-            def __init__(self, real, rigged_sample):
-                self._real = real
-                self._rigged = rigged_sample
-
-            def multinomial(self, n, probabilities):
-                if self._rigged is not None:
-                    sample, self._rigged = self._rigged, None
-                    return sample
-                return self._real.multinomial(n, probabilities)
-
-            def __getattr__(self, name):
-                return getattr(self._real, name)
-
-        import numpy as np
-
-        scheduler = BatchScheduler(threshold4, seed=0)
-        scheduler.reset(10)
-        # initially only 2^0 is populated: hit a disabled pair whose net
-        # displacement pushes an empty state's count negative
-        empty_pair = next(
-            index
-            for index, outcomes in enumerate(scheduler._pair_outcomes)
-            if any((scheduler.counts + outcome < 0).any() for outcome in outcomes)
-        )
-        rigged = np.zeros(len(scheduler._pair_keys) + 1, dtype=np.int64)
-        rigged[empty_pair] = 1
-        scheduler.rng = _RiggedRng(scheduler.rng, rigged)
-
-        advanced = scheduler.leap(1)
-        assert advanced == 1
-        assert scheduler.population == 10
-        assert (scheduler.counts >= 0).all()
-        snapshot = scheduler.instrumentation.snapshot()
-        assert snapshot.counter("leap_rejections") == 1
-        assert snapshot.counter("leap_fallbacks") == 1
-        assert snapshot.counter("exact_steps") == 1
-
-    def test_run_result_carries_leap_counters(self, threshold4):
-        result = BatchScheduler(threshold4, seed=1).run(500, max_parallel_time=5000)
-        assert result.converged
-        assert result.instrumentation.counter("leap_calls") >= 1
-        assert result.instrumentation.counter("leap_interactions") == result.interactions
 
 
 class TestConvergence:

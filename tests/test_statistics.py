@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import binary_threshold, majority_protocol
@@ -45,6 +47,20 @@ class TestRecordTimeSeries:
     def test_invalid_resolution(self, threshold4):
         with pytest.raises(ValueError):
             record_time_series(threshold4, 4, max_parallel_time=10, resolution=0)
+
+    @pytest.mark.parametrize("use_batch", [False, True])
+    def test_small_budget_rounds_up(self, use_batch):
+        """Regression: int() truncation turned max_parallel_time=0.01 at
+        n = 8 into a series with no interaction at all."""
+        series = record_time_series(
+            binary_threshold(4), 8, max_parallel_time=0.01, seed=0, use_batch=use_batch
+        )
+        assert series.times == [0.0, 1 / 8]
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.inf, math.nan])
+    def test_invalid_budget(self, threshold4, bad):
+        with pytest.raises(ValueError, match="max_parallel_time"):
+            record_time_series(threshold4, 8, max_parallel_time=bad)
 
     def test_value_conservation_along_trajectory(self):
         """The binary threshold's encoded value is invariant pre-acceptance."""

@@ -9,14 +9,17 @@ Three layers:
   but deterministic outcomes must agree exactly and stochastic ones
   statistically (chi-squared homogeneity via the repo's own
   ``chi_squared_sf``);
-* large-population precision regressions for the exact-integer
-  pair-weight arithmetic (populations where float64 subtraction of
-  ``n(n-1)``-sized products provably loses the inert mass).
+* large-population regressions: the exact-integer pair-weight
+  arithmetic (populations where float64 subtraction of
+  ``n(n-1)``-sized products provably loses the inert mass), and runs
+  past the int64 range of ``n(n-1)``, where the engine weighs pairs in
+  Python ints.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,16 +27,17 @@ from hypothesis import given
 
 from repro import ProtocolBuilder, binary_threshold, majority_protocol
 from repro.cli import main
-from repro.core.errors import ProtocolError
 from repro.core.multiset import Multiset
 from repro.core.protocol import PopulationProtocol, Transition
+from repro.protocols.leaders import leader_unary_threshold
 from repro.simulation import (
-    BatchScheduler,
     CountScheduler,
     VectorEnsembleScheduler,
+    analytic_delta_distribution,
     chi_squared_sf,
     run_ensemble,
 )
+from repro.simulation.conformance import _chi_squared_test
 from repro.simulation.scheduler import _is_silent_consensus
 from repro.testing import count_matrices
 
@@ -58,9 +62,17 @@ class TestVectorScheduler:
         assert (scheduler.counts.sum(axis=1) == 6).all()
 
     def test_population_guard(self, threshold4):
+        """A population the int64 count matrix cannot hold is an error
+        naming the limit, not numpy's "Python int too large to convert
+        to C long" from a cast."""
         scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
-        with pytest.raises(ProtocolError, match="int64"):
-            scheduler.reset(4_000_000_000)
+        with pytest.raises(OverflowError, match="int64"):
+            scheduler.reset(10**19)
+
+    def test_budget_guard(self, threshold4):
+        scheduler = VectorEnsembleScheduler(threshold4, trials=4, seed=0)
+        with pytest.raises(OverflowError, match="int64"):
+            scheduler.run(6, max_parallel_time=10**20 / 6)
 
     def test_leap_request_validated(self, threshold4):
         scheduler = VectorEnsembleScheduler(threshold4, trials=3, seed=0)
@@ -89,6 +101,10 @@ class TestVectorScheduler:
         scheduler2 = VectorEnsembleScheduler(threshold4, trials=4, seed=1)
         scheduler2.reset(30)
         assert (scheduler.counts[0] == scheduler2.counts[0]).all()
+        # an all-zero request is a no-op for the whole ensemble
+        before = scheduler.counts.copy()
+        assert (scheduler.leap(np.zeros(4, dtype=np.int64)) == 0).all()
+        assert (scheduler.counts == before).all()
 
     def test_run_deterministic_for_fixed_seed(self, threshold4):
         results = [
@@ -102,14 +118,34 @@ class TestVectorScheduler:
         assert (results[0].parallel_times == results[1].parallel_times).all()
         assert results[0].verdicts == results[1].verdicts
 
-    def test_run_converges_to_correct_verdict(self, threshold4):
-        result = VectorEnsembleScheduler(threshold4, trials=10, seed=0).run(
-            40, max_parallel_time=500
+    @pytest.mark.parametrize(
+        "protocol, n, verdict",
+        [
+            (binary_threshold(4), 40, 1),
+            (binary_threshold(4), 8, 1),
+            (binary_threshold(4), 100_000, 1),
+            # a leader collecting 5 inputs sees only 3: converges to reject
+            (leader_unary_threshold(5), 3, 0),
+            # n(n-1) overflows int64: the leap weighs pairs in Python ints
+            (binary_threshold(8), 4 * 10**9, 1),
+            (binary_threshold(8), 10**12, 1),
+        ],
+        ids=[
+            "binary4-n40", "binary4-n8", "binary4-n1e5", "leader-unary5-n3",
+            "binary8-n4e9", "binary8-n1e12",
+        ],
+    )
+    def test_run_converges_to_correct_verdict(self, protocol, n, verdict):
+        result = VectorEnsembleScheduler(protocol, trials=10, seed=0).run(
+            n, max_parallel_time=500
         )
         assert result.converged.all()
-        assert result.verdicts == (1,) * 10
+        assert result.verdicts == (verdict,) * 10
         assert (result.parallel_times > 0).all()
-        assert result.instrumentation.counter("runs") == 10
+        snapshot = result.instrumentation
+        assert snapshot.counter("runs") == 10
+        assert snapshot.counter("leap_interactions") == result.interactions.sum()
+        assert snapshot.counter("interactions") == result.interactions.sum()
 
     def test_run_validates_time_budget(self, threshold4):
         scheduler = VectorEnsembleScheduler(threshold4, trials=2, seed=0)
@@ -117,11 +153,13 @@ class TestVectorScheduler:
             with pytest.raises(ValueError):
                 scheduler.run(10, max_parallel_time=bad)
 
-    def test_rejected_single_step_falls_back_to_exact(self, threshold4):
-        """The vector analogue of the scalar rigged-RNG regression: a
-        trial whose single-interaction leap is rejected must advance
-        via one exact scalar step, leaving the other trials' batched
-        path untouched."""
+    @pytest.mark.parametrize("n", [10, 4 * 10**9, 10**12])
+    def test_rejected_single_step_falls_back_to_exact(self, threshold4, n):
+        """A trial whose single-interaction leap is rejected must
+        advance via one exact scalar step, leaving the other trials'
+        batched path untouched.  Past n ~ 3.04e9 a single draw over
+        n(n-1) ordered pairs would leave int64; the exact step draws
+        the two agents separately."""
 
         class _RiggedRng:
             def __init__(self, real, rigged_sample):
@@ -138,7 +176,7 @@ class TestVectorScheduler:
                 return getattr(self._real, name)
 
         scheduler = VectorEnsembleScheduler(threshold4, trials=2, seed=0)
-        scheduler.reset(10)
+        scheduler.reset(n)
         # initially only the lowest power state is populated: find a
         # class whose outcome drives some count of the initial row
         # negative, and rig trial 0 to hit it while trial 1 stays inert
@@ -154,12 +192,30 @@ class TestVectorScheduler:
 
         advanced = scheduler.leap(np.ones(2, dtype=np.int64))
         assert (advanced == 1).all()
-        assert (scheduler.counts.sum(axis=1) == 10).all()
+        assert (scheduler.counts.sum(axis=1) == n).all()
         assert (scheduler.counts >= 0).all()
         snapshot = scheduler.instrumentation.snapshot()
         assert snapshot.counter("leap_rejections") == 1
         assert snapshot.counter("leap_fallbacks") == 1
         assert snapshot.counter("exact_steps") == 1
+
+    def test_exact_step_follows_the_pair_law(self):
+        """The fallback step's two-draw pair pick, chi-squared against
+        the analytic one-step displacement law (every majority rule is
+        enabled in this configuration)."""
+        protocol = majority_protocol()
+        configuration = Multiset({"A": 3, "B": 2, "a": 2, "b": 1})
+        row = np.array(protocol.indexed().encode(configuration), dtype=np.int64)
+        scheduler = VectorEnsembleScheduler(protocol, trials=1, seed=0)
+        scheduler.reset({"x": 5, "y": 3})
+        deltas: Counter = Counter()
+        for _ in range(2000):
+            scheduler.counts[0] = row
+            scheduler._exact_step(0)
+            deltas[tuple(int(v) for v in scheduler.counts[0] - row)] += 1
+        expected = analytic_delta_distribution(protocol, configuration)
+        result = _chi_squared_test("exact-step", "delta", deltas, expected, 2000, 1e-3)
+        assert result.passed, result
 
 
 class TestVectorisedPredicates:
@@ -315,9 +371,11 @@ class TestLargePopulationPrecision:
         assert total - w_aa - w_ab == 2  # exact integer identity
         assert float(total) - float(w_aa) - float(w_ab) != 2.0
 
-    def test_batch_pair_distribution_is_exact(self):
-        n = self.N
-        scheduler = BatchScheduler(_two_state_gap_protocol(), seed=0)
+    @pytest.mark.parametrize("n", [10**9, 4 * 10**9, 10**12])
+    def test_vector_pair_distribution_is_exact(self, n):
+        scheduler = VectorEnsembleScheduler(
+            _two_state_gap_protocol(), trials=2, seed=0
+        )
         scheduler.reset({"x": n - 2, "y": 2})
         keys, probabilities, inert = scheduler.pair_distribution()
         assert inert == 2 / (n * (n - 1))
@@ -326,30 +384,15 @@ class TestLargePopulationPrecision:
         assert by_key[("a", "a")] == (n - 2) * (n - 3) / (n * (n - 1))
         assert by_key[("a", "b")] == 4 * (n - 2) / (n * (n - 1))
 
-    def test_vector_pair_distribution_is_exact(self):
-        n = self.N
-        scheduler = VectorEnsembleScheduler(
-            _two_state_gap_protocol(), trials=2, seed=0
-        )
-        scheduler.reset({"x": n - 2, "y": 2})
-        keys, probabilities, inert = scheduler.pair_distribution()
-        assert inert == 2 / (n * (n - 1))
-        by_key = dict(zip(keys, probabilities))
-        assert by_key[("a", "a")] == (n - 2) * (n - 3) / (n * (n - 1))
-
 
 class TestBudgetRegressions:
     def test_small_positive_budget_performs_an_interaction(self, threshold4):
         """Regression: int() truncation turned max_parallel_time=0.01 on
         a small population into a zero-interaction 'result'."""
-        result = BatchScheduler(threshold4, seed=0).run(8, max_parallel_time=0.01)
-        assert result.interactions >= 1
-
-    def test_batch_rejects_bad_budgets(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                scheduler.run(8, max_parallel_time=bad)
+        result = VectorEnsembleScheduler(threshold4, trials=1, seed=0).run(
+            8, max_parallel_time=0.01
+        )
+        assert result.interactions[0] >= 1
 
     def test_count_scheduler_rejects_bad_max_steps(self, threshold4):
         scheduler = CountScheduler(threshold4, seed=0)
@@ -384,3 +427,17 @@ class TestCliVectorEngine:
         assert payload["convergence_rate"] == 1.0
         assert payload["verdicts"] == {"1": 8}
         assert payload["instrumentation"]["counters"]["runs"] == 8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["binary:4", "--input", "6", "--trials", "4", "--max-steps", str(10**20)],
+            ["binary:8", "--input", str(10**19), "--trials", "2"],
+        ],
+        ids=["budget", "population"],
+    )
+    def test_int64_overflow_is_an_error(self, argv, capsys):
+        code = main(["simulate", *argv, "--engine", "vector"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "int64" in err
