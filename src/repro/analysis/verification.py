@@ -58,7 +58,11 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Result of sweeping a protocol over a family of inputs."""
+    """Result of sweeping a protocol over a family of inputs.
+
+    ``largest_graph`` is the node count of the largest reachability
+    graph explored, over every checked input (the failing one included).
+    """
 
     protocol_name: str
     predicate: str
@@ -94,6 +98,13 @@ def verify_input(
     ``expected`` is the predicate's value (0/1); the check is the
     bottom-SCC consensus criterion described in the module docstring.
     """
+    return _check_input(protocol, inputs, expected, node_budget)[0]
+
+
+def _check_input(
+    protocol: PopulationProtocol, inputs, expected: int, node_budget: int
+) -> Tuple[Optional[Counterexample], int]:
+    """:func:`verify_input`'s verdict and the size of the graph it explored."""
     indexed = protocol.indexed()
     initial = protocol.initial_configuration(inputs)
     graph = ReachabilityGraph.from_roots(protocol, [indexed.encode(initial)], node_budget=node_budget)
@@ -110,8 +121,8 @@ def verify_input(
                         f"bottom SCC of size {len(component)} contains {indexed.decode(config).pretty()} "
                         f"with output {indexed.output_of(config)} != expected {expected}"
                     ),
-                )
-    return None
+                ), len(graph)
+    return None, len(graph)
 
 
 def _coerce_input(protocol: PopulationProtocol, inputs) -> Multiset:
@@ -155,8 +166,9 @@ def verify_protocol(
     checked = 0
     for inputs in all_inputs(protocol.variables, max_input_size, min_input_size):
         expected = 1 if predicate.evaluate(inputs) else 0
-        counterexample = verify_input(protocol, inputs, expected, node_budget=node_budget)
+        counterexample, size = _check_input(protocol, inputs, expected, node_budget)
         checked += 1
+        largest = max(largest, size)
         if counterexample is not None:
             return VerificationReport(
                 protocol_name=protocol.name,

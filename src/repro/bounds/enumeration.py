@@ -16,7 +16,15 @@ and this module does so:
 * :func:`threshold_behaviour` — the verdict pattern of a protocol over
   inputs ``2 .. max_input``; returns the threshold it *appears* to
   compute, or ``None`` for non-threshold behaviour (no consensus, or a
-  non-monotone verdict pattern);
+  non-monotone verdict pattern).  A single-input protocol whose
+  coverable states (:meth:`PopulationProtocol.coverable_states`) all
+  share one output ``b`` is decided without any reachability search:
+  every configuration reachable from any ``IC(i)`` populates only
+  coverable states, so it is a ``b``-consensus, and so is every bottom
+  SCC — the protocol rejects every input (``b = 0``) or accepts every
+  input (``b = 1``, threshold 2).  Such protocols are common (144 of
+  the 216 at ``n = 2``) and never raise
+  :class:`~repro.core.errors.SearchBudgetExceeded`;
 * :func:`busy_beaver_search` — the largest apparent threshold over the
   enumeration, with every winner cross-examined by a Section 4
   pumping certificate.  ``jobs > 1`` distributes contiguous chunks of
@@ -36,6 +44,7 @@ which is beyond this module's scope and flagged in the result).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -57,6 +66,7 @@ __all__ = [
     "BusyBeaverChunk",
     "fold_threshold_candidates",
     "merge_busy_beaver_chunks",
+    "MAX_WITNESSES",
 ]
 
 
@@ -83,20 +93,18 @@ def protocol_at(n: int, index: int) -> PopulationProtocol:
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside enumeration of size {total}")
     states = tuple(range(n))
-    pairs = list(itertools.combinations_with_replacement(states, 2))
-    k = len(pairs)
+    table = _transition_table(n)
+    k = len(table)
     post_block = k ** k
     output_block = post_block * (2 ** n)
     input_state, rest = divmod(index, output_block)
     output_bits, posts_code = divmod(rest, post_block)
     outputs = tuple((output_bits >> (n - 1 - i)) & 1 for i in range(n))
-    post_indices = []
-    for position in range(k):
-        post_indices.append(posts_code // (k ** (k - 1 - position)) % k)
-    transitions = tuple(
-        Transition(p, q, *pairs[choice])
-        for (p, q), choice in zip(pairs, post_indices)
-    )
+    choices = []
+    for _ in range(k):  # last pre-pair varies fastest: decode it first
+        posts_code, choice = divmod(posts_code, k)
+        choices.append(choice)
+    transitions = tuple(row[choice] for row, choice in zip(table, reversed(choices)))
     return PopulationProtocol(
         states=states,
         transitions=transitions,
@@ -105,6 +113,19 @@ def protocol_at(n: int, index: int) -> PopulationProtocol:
         output={s: b for s, b in zip(states, outputs)},
         name=f"enum[{n}]#{index + 1}",
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _transition_table(n: int) -> Tuple[Tuple[Transition, ...], ...]:
+    """``table[i][j]``: the transition taking the ``i``-th pre-pair to the ``j``-th pair.
+
+    Pairs are the unordered pairs over ``0 .. n-1`` in
+    ``combinations_with_replacement`` order.  :func:`protocol_at` picks
+    one row entry per pre-pair instead of building its ``Transition``
+    objects; they are frozen, so every protocol can share them.
+    """
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    return tuple(tuple(Transition(p, q, *post) for post in pairs) for p, q in pairs)
 
 
 def all_deterministic_protocols(n: int) -> Iterator[PopulationProtocol]:
@@ -153,7 +174,22 @@ def threshold_behaviour(
     returned value is the first accepted input.  ``None`` when some
     input has no consensus, the pattern is non-monotone, or every input
     is rejected (the threshold, if any, lies beyond the bound).
+
+    A single-input protocol whose coverable states all output the same
+    ``b`` is decided before any search.  Every configuration reachable
+    from ``IC(i)`` populates coverable states only, so every bottom SCC
+    is a ``b``-consensus and the verdict is ``b`` for every input: the
+    result is ``2`` for ``b = 1`` and ``None`` for ``b = 0``, exactly
+    what the per-input loop returns, but without building a graph — so
+    a decided protocol never raises ``SearchBudgetExceeded``.  Other
+    protocols (several input variables, ``max_input < 2``, coverable
+    states of both outputs) take the loop of two ``verify_input`` calls
+    per input.
     """
+    if max_input >= 2 and len(protocol.input_mapping) == 1:
+        outputs = {protocol.output[state] for state in protocol.coverable_states()}
+        if len(outputs) == 1:
+            return 2 if outputs == {1} else None
     verdicts: List[int] = []
     for i in range(2, max_input + 1):
         # verdict = the consensus all bottom SCCs agree on, else None
@@ -280,7 +316,7 @@ def _search_chunk(task: TaskEnvelope) -> BusyBeaverChunk:
             candidates(),
             # Chunks keep the full witness budget: the merge step cuts
             # down to max_witnesses globally, in enumeration order.
-            max_witnesses=_CHUNK_MAX_WITNESSES,
+            max_witnesses=MAX_WITNESSES,
         )
         meter.finish()
         span.add("enumerated", stop - start)
@@ -292,9 +328,9 @@ def _search_chunk(task: TaskEnvelope) -> BusyBeaverChunk:
     )
 
 
-#: Witnesses a chunk retains.  Must be >= every max_witnesses callers
-#: use, so the global merge never misses an in-order witness.
-_CHUNK_MAX_WITNESSES = 8
+#: Witnesses a chunk retains, and so the largest ``max_witnesses`` a
+#: search accepts: the global merge must never miss an in-order witness.
+MAX_WITNESSES = 8
 
 
 def busy_beaver_search(
@@ -317,9 +353,9 @@ def busy_beaver_search(
     evaluated on a process pool; the merged result is identical to the
     serial one for every ``jobs``/``chunk_size`` combination.
     """
-    if max_witnesses > _CHUNK_MAX_WITNESSES:
+    if not 1 <= max_witnesses <= MAX_WITNESSES:
         raise ValueError(
-            f"max_witnesses must be <= {_CHUNK_MAX_WITNESSES}, got {max_witnesses}"
+            f"max_witnesses must be in 1..{MAX_WITNESSES}, got {max_witnesses}"
         )
     total = count_deterministic_protocols(n)
     evaluated = min(total, enumeration_budget)

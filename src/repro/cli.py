@@ -190,6 +190,16 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _witness_count(text: str) -> int:
+    """argparse type for ``bb --max-witnesses``: 1 up to the search's cap."""
+    from .bounds.enumeration import MAX_WITNESSES
+
+    value = _positive_int(text)
+    if value > MAX_WITNESSES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_WITNESSES}, got {value}")
+    return value
+
+
 # Output-file flags checked open-and-fail-fast before any work starts:
 # a multi-hour search must not die at the final write because the
 # artifact directory never existed.
@@ -1378,10 +1388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("states", type=int, help="number of states n (n <= 2 is fast)")
     p.add_argument("--max-input", type=int, default=8,
                    help="verdicts are exact for inputs up to this size")
-    p.add_argument("--max-witnesses", type=int, default=3)
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--max-witnesses", type=_witness_count, default=3,
+                   help="winning protocols to report (1 to 8)")
+    p.add_argument("--budget", type=_nonneg_int, default=1_000_000,
                    help="stop enumerating after this many protocols")
-    p.add_argument("--chunk-size", type=int, default=None,
+    p.add_argument("--chunk-size", type=_positive_int, default=None,
                    help="protocols per work chunk (default: auto from --jobs)")
     p.add_argument("--json", action="store_true", help="emit the machine-readable result")
     _add_jobs_flag(p)

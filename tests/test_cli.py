@@ -128,3 +128,41 @@ class TestCommands:
         assert {r["scheduler"] for r in payload["first_step"]} == {
             "agent-list", "count", "vector",
         }
+
+
+class TestBusyBeaverArguments:
+    """`repro bb` rejects out-of-range flags at parse time with exit 2.
+
+    Regression: --max-witnesses 0/-1 printed one witness anyway, and
+    --max-witnesses 9, --budget -5 and --chunk-size 0 died with a
+    ValueError traceback.
+    """
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-witnesses", "0"),
+            ("--max-witnesses", "-1"),
+            ("--max-witnesses", "9"),
+            ("--budget", "-5"),
+            ("--chunk-size", "0"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bb", "2", flag, value, "--json"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be" in captured.err
+
+    def test_zero_budget_keeps_the_historical_tally(self, capsys):
+        assert main(["bb", "2", "--budget", "0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["protocols_enumerated"] == 1
+        assert payload["witnesses"] == []
+
+    def test_max_witnesses_bounds_are_accepted(self, capsys):
+        for cap, expected in (("1", 1), ("8", 8)):
+            assert main(["bb", "2", "--max-witnesses", cap, "--json"]) == 0
+            assert len(json.loads(capsys.readouterr().out)["witnesses"]) == expected

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import verify_protocol
+from repro.analysis.verification import verify_input
 from repro.bounds.enumeration import (
     all_deterministic_protocols,
     busy_beaver_search,
+    count_deterministic_protocols,
+    protocol_at,
     threshold_behaviour,
 )
+from repro.core.errors import ConfigurationError
 from repro.protocols.intervals import (
     exact_predicate,
     exact_protocol,
@@ -18,6 +24,9 @@ from repro.protocols.intervals import (
     upper_bound_predicate,
     upper_bound_protocol,
 )
+from repro.protocols.leaders import leader_unary_threshold
+from repro.protocols.leroux import leroux_leader_threshold
+from repro.protocols.majority import majority_protocol
 from repro.protocols.threshold_binary import binary_threshold
 
 
@@ -102,6 +111,89 @@ class TestThresholdBehaviour:
 
         parity = modulo_protocol({"x": 1}, 0, 2)
         assert threshold_behaviour(parity, max_input=6) is None
+
+
+def _searched_behaviour(protocol, max_input):
+    """The reference: ``threshold_behaviour`` as a loop over every input.
+
+    Two exact ``verify_input`` checks per input and no shortcut; the
+    decided-without-search path must agree with it on every protocol.
+    """
+    verdicts = []
+    for i in range(2, max_input + 1):
+        if verify_input(protocol, i, expected=1) is None:
+            verdicts.append(1)
+        elif verify_input(protocol, i, expected=0) is None:
+            verdicts.append(0)
+        else:
+            return None
+    first_accept = None
+    for i, verdict in zip(range(2, max_input + 1), verdicts):
+        if verdict == 1 and first_accept is None:
+            first_accept = i
+        if verdict == 0 and first_accept is not None:
+            return None
+    return first_accept
+
+
+def _decidable_without_search(protocol):
+    return len({protocol.output[s] for s in protocol.coverable_states()}) == 1
+
+
+def _differential_cases():
+    for max_input in (2, 5, 8):
+        for protocol in all_deterministic_protocols(2):
+            yield protocol, max_input
+    rng = random.Random(14)
+    for n, samples in ((3, 200), (4, 50)):
+        total = count_deterministic_protocols(n)
+        for _ in range(samples):
+            yield protocol_at(n, rng.randrange(total)), 8
+    yield leader_unary_threshold(3), 8
+    yield leroux_leader_threshold(2), 8
+
+
+class TestThresholdShortcut:
+    """Deciding from the coverable outputs equals the full input loop."""
+
+    def test_matches_the_searched_verdicts(self):
+        decided_verdicts = set()
+        decided = searched = 0
+        for protocol, max_input in _differential_cases():
+            expected = _searched_behaviour(protocol, max_input)
+            assert threshold_behaviour(protocol, max_input) == expected, (
+                protocol.name, max_input,
+            )
+            if _decidable_without_search(protocol):
+                decided += 1
+                decided_verdicts.add(expected)
+            else:
+                searched += 1
+        # The sample exercises both paths, and both verdicts of the shortcut.
+        assert decided > 100 and searched > 100
+        assert decided_verdicts == {None, 2}
+
+    def test_multi_input_protocols_still_raise(self):
+        from repro.protocols.builders import ProtocolBuilder
+
+        # Every coverable state outputs 1, but integer inputs stay undefined.
+        unanimous = (
+            ProtocolBuilder("two-input unanimous")
+            .state("a", output=1)
+            .state("b", output=1)
+            .rule("a", "b", "a", "a")
+            .input("x", "a")
+            .input("y", "b")
+            .build()
+        )
+        for protocol in (unanimous, majority_protocol()):
+            with pytest.raises(ConfigurationError):
+                threshold_behaviour(protocol, max_input=4)
+
+    def test_below_the_first_input_is_none(self):
+        always_accepts = protocol_at(1, 1)  # one state, output 1
+        assert threshold_behaviour(always_accepts, max_input=2) == 2
+        assert threshold_behaviour(always_accepts, max_input=1) is None
 
 
 class TestBusyBeaverSearch:

@@ -277,6 +277,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             busy_beaver_search(2, max_witnesses=9)
 
+    @pytest.mark.parametrize("max_witnesses", [0, -1])
+    def test_max_witnesses_floor(self, max_witnesses):
+        # regression: a new best reset the list to one witness whatever the cap
+        with pytest.raises(ValueError):
+            busy_beaver_search(2, max_witnesses=max_witnesses)
+
 
 # ----------------------------------------------------------------------
 # Conformance, ensembles, convergence — differential

@@ -72,7 +72,7 @@ from repro.testing import renamings
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "scenarios.json")
 
-SCENARIO_GOLDEN_VERSION = 1
+SCENARIO_GOLDEN_VERSION = 2
 
 _SMALLEST = [
     (scenario.name, scenario.smallest.label) for scenario in SCENARIOS.values()

@@ -11,6 +11,7 @@ from repro.core.multiset import Multiset
 from repro.core.predicates import majority
 from repro.protocols.builders import ProtocolBuilder
 from repro.protocols.majority import majority_protocol
+from repro.reachability.graph import ReachabilityGraph
 
 
 class TestAllInputs:
@@ -75,6 +76,20 @@ class TestVerifyProtocol:
 
         report = verify_protocol(majority, majority_predicate(), max_input_size=6)
         assert report.ok
+
+    @pytest.mark.parametrize("eta,checked", [(4, 5), (5, 3)])
+    def test_largest_graph_is_the_biggest_explored(self, threshold4, eta, checked):
+        """Regression: largest_graph was never updated and always read 0."""
+        report = verify_protocol(threshold4, counting(eta), max_input_size=6)
+        assert report.inputs_checked == checked  # eta=5 fails on input 4
+        indexed = threshold4.indexed()
+        sizes = [
+            len(ReachabilityGraph.from_roots(
+                threshold4, [indexed.encode(threshold4.initial_configuration(i))]
+            ))
+            for i in range(2, 2 + checked)
+        ]
+        assert report.largest_graph == max(sizes) > 0
 
 
 class TestBrokenProtocolsAreCaught:
