@@ -25,17 +25,25 @@ a worst-case safety net, not a prediction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
-from .stable import StableSlice, is_stable, stable_slice
+from ..obs import get_tracer
+from .stable import is_stable, stable_slice
 
 __all__ = ["BasisElement", "check_basis_element", "infer_basis", "covers"]
 
 State = Hashable
+
+# Rows of the subsumption mask built at once: temporaries stay
+# ``_BLOCK x len(elements)`` booleans (the idiom of ``pottier._dominating``).
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,22 @@ def check_basis_element(
     overall claim ``B + N^S subseteq SC_b`` is checked only up to
     ``depth`` — callers must treat a ``True`` as bounded evidence, not
     proof.  Points of size < 2 (not configurations) are skipped.
+    Raises ``ValueError`` for a negative ``depth``.
     """
-    S = sorted(set(S), key=str)
-    for v in _pump_vectors(S, depth):
-        candidate = B + v
-        if candidate.size < 2:
-            continue
-        if not is_stable(protocol, candidate, b, node_budget=node_budget):
+    if depth < 0:
+        raise ValueError(f"pump depth must be >= 0, got {depth}")
+    return _pumps_stay_stable(
+        B, S, depth, lambda point: is_stable(protocol, point, b, node_budget=node_budget)
+    )
+
+
+def _pumps_stay_stable(
+    B: Multiset, S: Iterable[State], depth: int, stable: Callable[[Multiset], bool]
+) -> bool:
+    """``stable(B + v)`` for every ``v in N^S``, ``|v| <= depth``, of size >= 2."""
+    for v in _pump_vectors(sorted(set(S), key=str), depth):
+        point = B + v
+        if point.size >= 2 and not stable(point):
             return False
     return True
 
@@ -150,48 +167,83 @@ def infer_basis(
     the overflowing states as ``S``; with realistic caps the pumpable
     direction set must be *searched*, which the subset enumeration does
     (supports are tiny, so this is cheap).  Candidates failing the
-    bounded pumping check are discarded; survivors subsumed by another
-    element are pruned.
+    bounded pumping check of :func:`check_basis_element` are discarded;
+    the checks share one stability memo, so each point ``B + v`` is
+    explored once per call.  Survivors subsumed by another element are
+    pruned in one vectorised pass (:func:`_subsumed`); the rest keep
+    their candidate order.
 
     The trivial candidate ``(C, {})`` is always present, so the result
     covers every inspected slice; the pumpable elements provide the
     generalisation to larger sizes (checked by :func:`covers`).
+    Raises ``ValueError`` for a negative ``cap`` or ``pump_depth``.
     """
-    candidates: Dict[Tuple[Multiset, FrozenSet[State]], None] = {}
-    for size in slice_sizes:
-        sl = stable_slice(protocol, size, node_budget=node_budget)
-        for config in sl.stable_multisets(b):
-            support = sorted(config.support(), key=str)
-            for r in range(len(support) + 1):
-                for subset in itertools.combinations(support, r):
-                    S = frozenset(subset)
-                    B = Multiset(
-                        {q: min(c, cap) if q in S else c for q, c in config.items()}
-                    )
-                    candidates.setdefault((B, S))
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    if pump_depth < 0:
+        raise ValueError(f"pump depth must be >= 0, got {pump_depth}")
+    with get_tracer().span("basis.infer", b=b, protocol=protocol.name) as span:
+        candidates: Dict[Tuple[Multiset, FrozenSet[State]], None] = {}
+        for size in slice_sizes:
+            sl = stable_slice(protocol, size, node_budget=node_budget)
+            for config in sl.stable_multisets(b):
+                support = sorted(config.support(), key=str)
+                for r in range(len(support) + 1):
+                    for subset in itertools.combinations(support, r):
+                        S = frozenset(subset)
+                        B = Multiset(
+                            {q: min(c, cap) if q in S else c for q, c in config.items()}
+                        )
+                        candidates.setdefault((B, S))
 
-    verified: List[BasisElement] = []
-    for B, S in candidates:
-        if check_basis_element(protocol, B, S, b, pump_depth, node_budget=node_budget):
-            verified.append(BasisElement(B=B, S=S, b=b, verified_depth=pump_depth))
-
-    # Prune subsumed elements: (B, S) is subsumed by (B', S') when
-    # B + N^S is contained in B' + N^S', i.e. S <= S' and B - B' in N^S'.
-    def subsumes(big: BasisElement, small: BasisElement) -> bool:
-        difference = small.B - big.B
-        return small.S <= big.S and difference.is_natural and difference.supported_on(big.S)
-
-    pruned: List[BasisElement] = []
-    for index, element in enumerate(verified):
-        subsumed = any(
-            subsumes(other, element)
-            and not (subsumes(element, other) and index < other_index)
-            for other_index, other in enumerate(verified)
-            if other_index != index
+        stable = functools.lru_cache(maxsize=None)(
+            lambda point: is_stable(protocol, point, b, node_budget=node_budget)
         )
-        if not subsumed:
-            pruned.append(element)
-    return pruned
+        verified = [
+            BasisElement(B=B, S=S, b=b, verified_depth=pump_depth)
+            for B, S in candidates
+            if _pumps_stay_stable(B, S, pump_depth, stable)
+        ]
+        kept = [verified[i] for i in np.flatnonzero(~_subsumed(verified, protocol.states))]
+        span.add("candidates", len(candidates))
+        span.add("points_checked", stable.cache_info().currsize)
+        span.add("verified", len(verified))
+        span.add("kept", len(kept))
+    return kept
+
+
+def _subsumed(elements: Sequence[BasisElement], states: Sequence[State]) -> np.ndarray:
+    """Mask of the elements whose family lies inside another element's.
+
+    ``B + N^S`` is the box of configurations between ``B`` and its upper
+    corner ``U`` (``B`` with omega on ``S``).  A box contains another iff
+    its lower corner is below and its upper corner above the other's:
+    ``B' <= B`` and ``U <= U'``, i.e. ``S <= S'`` and ``B - B'`` lies in
+    ``N^S'``.  Mutual containment would force equal ``(B, S)``, which
+    distinct elements never have, so every contained element goes.
+    Omega is encoded as one more than the largest entry of any ``B``.
+    The mask is built block by block and state by state, so temporaries
+    stay ``_BLOCK x len(elements)``.
+    """
+    count = len(elements)
+    subsumed = np.zeros(count, dtype=bool)
+    if not count:
+        return subsumed
+    vectors = [element.B.to_vector(states) for element in elements]
+    omega = max(map(max, vectors)) + 1
+    dtype = np.min_scalar_type(omega)
+    lower = np.array(vectors, dtype=dtype)
+    in_S = np.array([[q in element.S for q in states] for element in elements])
+    upper = np.where(in_S, omega, lower).astype(dtype)
+    for start in range(0, count, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, count))
+        mask = np.ones((len(rows), count), dtype=bool)
+        mask[np.arange(len(rows)), rows] = False  # an element never prunes itself
+        for low, up in zip(lower.T, upper.T):
+            mask &= low[None, :] <= low[rows, None]
+            mask &= up[rows, None] <= up[None, :]
+        subsumed[rows] = mask.any(axis=1)
+    return subsumed
 
 
 def covers(

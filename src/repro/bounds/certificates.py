@@ -98,6 +98,7 @@ class PumpingCertificate:
         """Verify the certificate; raises :class:`CertificateError` on failure."""
         protocol = self.protocol
         _require(self.b >= 1, "pump amount b must be >= 1 (b = 0 certifies nothing)")
+        _require(self.B.is_natural, f"B = {self.B.pretty()} is not natural")
         x = input_state(protocol)
 
         initial = protocol.initial_configuration(self.a)
@@ -164,6 +165,7 @@ class SaturationCertificate:
         protocol = self.protocol
         _require(protocol.is_leaderless, "Lemma 5.2 certificates require a leaderless protocol")
         _require(self.b >= 1, "pump amount b must be >= 1 (b = 0 certifies nothing)")
+        _require(self.B.is_natural, f"B = {self.B.pretty()} is not natural")
         x = input_state(protocol)
 
         initial = protocol.initial_configuration(self.a)

@@ -25,6 +25,8 @@ experiment E6/E7 report next to the astronomical theoretical values.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -349,8 +351,11 @@ def section5_certificate(
 
     The protocol is first restricted to its coverable states (the
     paper's standing "wlog"); the returned certificate references the
-    restricted, semantically equivalent protocol.
+    restricted, semantically equivalent protocol.  Raises
+    ``ValueError`` for a negative ``cap``.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     protocol = protocol.restricted_to_coverable()
     indexed = protocol.indexed()
     x = input_state(protocol)
@@ -391,7 +396,17 @@ _BUDGET_EXCEEDED = object()
 
 
 def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
-    """One input size of the Section 5 search (see :func:`section5_certificate`)."""
+    """One input size of the Section 5 search (see :func:`section5_certificate`).
+
+    Targets are the stable nodes in sorted order.  A candidate's
+    way-point is the first reacher of the target (in sorted order)
+    that is ``2|pi|``-saturated.  The running maximum of the reachers'
+    saturation levels ``min(node)`` is non-decreasing, so it is
+    computed once per target and bisected per candidate.  Candidates
+    come sorted by size, so the first one that no reacher saturates
+    ends the target's scan; ``B`` and ``S`` are built only for
+    candidates with a way-point.
+    """
     initial = indexed.encode(protocol.initial_configuration(a))
     try:
         graph = ReachabilityGraph.from_roots(protocol, [initial], node_budget=node_budget)
@@ -401,7 +416,16 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
     for target in sorted(verdicts):
         stable_config = indexed.decode(target)
         reachers = sorted(graph.backward_closure([target]))
+        saturation = list(itertools.accumulate(map(min, reachers), max))
         for element in candidates:
+            position = bisect.bisect_left(saturation, 2 * element.size)
+            if position == len(reachers):
+                break
+            way_point = reachers[position]
+            path_a = graph.shortest_path(initial, way_point)
+            path_b = graph.shortest_path(way_point, target)
+            if path_a is None or path_b is None:
+                continue
             S = frozenset(element.configuration.support()) | frozenset(
                 q for q in stable_config.support() if stable_config[q] > cap
             )
@@ -411,19 +435,6 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
                     for q, c in stable_config.items()
                 }
             )
-            needed = 2 * element.size
-            # way-point: saturated node that can still reach the target
-            way_point = None
-            for node in reachers:
-                if min(node) >= needed:
-                    way_point = node
-                    break
-            if way_point is None:
-                continue
-            path_a = graph.shortest_path(initial, way_point)
-            path_b = graph.shortest_path(way_point, target)
-            if path_a is None or path_b is None:
-                continue
             certificate = SaturationCertificate(
                 protocol=protocol,
                 a=a,

@@ -64,6 +64,13 @@ class TestBrokenPumpingCertificates:
         with pytest.raises(CertificateError):
             broken.check()
 
+    def test_unnatural_base_rejected(self, valid_s4):
+        # Karp-Miller puts omega on S, so a negative B there used to pass
+        state = next(iter(valid_s4.S))
+        broken = dataclasses.replace(valid_s4, B=Multiset({state: -1}))
+        with pytest.raises(CertificateError, match="not natural"):
+            broken.check()
+
     def test_wrong_support_rejected(self, valid_s4):
         if not valid_s4.S:
             pytest.skip("certificate has empty pump support")
@@ -77,6 +84,12 @@ class TestBrokenSaturationCertificates:
     def test_zero_pump_rejected(self, valid_s5):
         broken = dataclasses.replace(valid_s5, b=0)
         with pytest.raises(CertificateError, match="b = 0"):
+            broken.check()
+
+    def test_unnatural_base_rejected(self, valid_s5):
+        state = next(iter(valid_s5.S))
+        broken = dataclasses.replace(valid_s5, B=Multiset({state: -1}))
+        with pytest.raises(CertificateError, match="not natural"):
             broken.check()
 
     def test_leaders_rejected(self):

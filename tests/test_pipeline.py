@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro import binary_threshold, flat_threshold
+from repro import binary_threshold, double_exp_threshold, flat_threshold
+from repro.bounds import pipeline
+from repro.bounds.certificates import SaturationCertificate
 from repro.bounds.pipeline import (
     build_stable_sequence,
     section4_certificate,
     section5_certificate,
 )
+from repro.core.errors import CertificateError, SearchBudgetExceeded
 from repro.core.multiset import Multiset
 from repro.core.semantics import fire_sequence
+from repro.obs import RecordingExporter, set_tracer
+from repro.obs.tracer import Tracer
 from repro.protocols.leaders import leader_unary_threshold
+from repro.reachability.graph import ReachabilityGraph
 from repro.reachability.pseudo import input_state
 
 
@@ -112,3 +118,91 @@ class TestSection5:
         assert certificate is not None
         certificate.check()
         assert certificate.a >= 2
+
+    def test_negative_cap_rejected(self):
+        # cap -1 used to yield a "checked" certificate with B = (-1*2^2)
+        with pytest.raises(ValueError, match="cap"):
+            section5_certificate(binary_threshold(4), max_input=14, cap=-1)
+
+
+def reference_section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
+    """The linear way-point scan that the bisected ``_section5_attempt`` replaced."""
+    initial = indexed.encode(protocol.initial_configuration(a))
+    try:
+        graph = ReachabilityGraph.from_roots(protocol, [initial], node_budget=node_budget)
+    except SearchBudgetExceeded:
+        return pipeline._BUDGET_EXCEEDED
+    verdicts = pipeline._stable_nodes(indexed, graph)
+    for target in sorted(verdicts):
+        stable_config = indexed.decode(target)
+        reachers = sorted(graph.backward_closure([target]))
+        for element in candidates:
+            S = frozenset(element.configuration.support()) | frozenset(
+                q for q in stable_config.support() if stable_config[q] > cap
+            )
+            B = Multiset({q: min(c, cap) if q in S else c for q, c in stable_config.items()})
+            needed = 2 * element.size
+            way_point = None
+            for node in reachers:
+                if min(node) >= needed:
+                    way_point = node
+                    break
+            if way_point is None:
+                continue
+            path_a = graph.shortest_path(initial, way_point)
+            path_b = graph.shortest_path(way_point, target)
+            if path_a is None or path_b is None:
+                continue
+            certificate = SaturationCertificate(
+                protocol=protocol,
+                a=a,
+                b=element.input_size,
+                B=B,
+                S=S,
+                path_to_saturated=pipeline._path_transitions(indexed, path_a),
+                path_to_stable=pipeline._path_transitions(indexed, path_b),
+                pi=element.pi,
+            )
+            try:
+                span.add("certificates_checked")
+                certificate.check(node_budget=node_budget)
+                return certificate
+            except CertificateError:
+                continue
+    return None
+
+
+def _traced_section5(protocol, max_input):
+    """(certificate, counters of the ``pipeline.section5`` span)."""
+    exporter = RecordingExporter()
+    tracer = Tracer([exporter])
+    previous = set_tracer(tracer)
+    try:
+        certificate = section5_certificate(protocol, max_input=max_input)
+    finally:
+        tracer.close()
+        set_tracer(previous)
+    (span,) = [r for r in exporter.records if r["name"] == "pipeline.section5"]
+    return certificate, span["counters"]
+
+
+class TestSection5Differential:
+    """Bisected way-points find the certificates of the linear scan."""
+
+    CASES = {
+        "binary:2": (lambda: binary_threshold(2), 14),
+        "binary:3": (lambda: binary_threshold(3), 14),
+        "binary:4": (lambda: binary_threshold(4), 14),
+        "binary:5": (lambda: binary_threshold(5), 14),  # no certificate
+        "flat:2": (lambda: flat_threshold(2), 12),
+        "flat:3": (lambda: flat_threshold(3), 12),
+        "double-exp:1": (lambda: double_exp_threshold(1), 12),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_certificate_and_counters(self, name, monkeypatch):
+        build, max_input = self.CASES[name]
+        found = _traced_section5(build(), max_input)
+        assert (found[0] is None) == (name == "binary:5")
+        monkeypatch.setattr(pipeline, "_section5_attempt", reference_section5_attempt)
+        assert found == _traced_section5(build(), max_input)
