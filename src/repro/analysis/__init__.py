@@ -4,7 +4,7 @@ from .basis import BasisElement, check_basis_element, covers, infer_basis, prove
 from .concentration import ConcentrationWitness, best_concentration, reachable_stable_configurations
 from .expected_time import ExpectedTime, expected_convergence_time, transition_matrix
 from .minimisation import greedy_minimise, merge_states
-from .symmetry import are_isomorphic, automorphisms, canonical_key
+from ..symmetry import are_isomorphic, automorphisms, canonical_key
 from .invariants import (
     conserved_value,
     explains_conservation,

@@ -19,27 +19,23 @@ The cache therefore addresses results by two digests:
   only between calls with identical presentation.  The fingerprint
   still travels in every entry as the protocol's identity.
 
-The normal form is computed by iterative colour refinement (outputs,
-leader counts and input variables seed the colours; transition-role
-signatures refine them) followed by a minimum-signature search over
-the orderings that respect the final colour classes.  The classes are
-isomorphism-invariant, so minimising within them is exact; the search
-is abandoned (``canonical_form`` returns ``None``) when the class
-sizes make it exceed ``permutation_budget``, in which case the
-fingerprint degrades to a presentation-based one — still a valid
+The normal form is the canonical signature of :mod:`repro.symmetry`:
+colour refinement followed by a minimum-signature search over the
+orderings that respect the colour classes.  When the classes leave
+too many orderings to search (``canonical_form`` returns ``None``),
+the fingerprint degrades to a presentation-based one — still a valid
 cache address, merely not shared across renamings.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import math
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
 from ..core.errors import ReproError
 from ..core.protocol import PopulationProtocol
+from ..symmetry import search
 
 __all__ = [
     "NORMAL_FORM_VERSION",
@@ -59,8 +55,6 @@ fingerprints so an accidental change fails loudly.  The documented
 procedure for a deliberate change lives in docs/tutorial.md §12.
 """
 
-DEFAULT_PERMUTATION_BUDGET = 40_320  # 8! — every <= 8-state symmetric class
-
 
 class UncacheableProtocolError(ReproError):
     """The protocol cannot be serialised unambiguously (e.g. two states
@@ -68,104 +62,18 @@ class UncacheableProtocolError(ReproError):
     the cache and compute directly."""
 
 
-def _rank(values: Dict[Hashable, Any]) -> Dict[Hashable, int]:
-    """Replace comparable colour values by their dense sorted ranks."""
-    order = {value: rank for rank, value in enumerate(sorted(set(values.values())))}
-    return {key: order[value] for key, value in values.items()}
-
-
-def _refined_colors(protocol: PopulationProtocol) -> Dict[Hashable, int]:
-    """Stable colouring of the states, invariant under renaming.
-
-    Seed colour: ``(output, leader count, sorted input variables)``.
-    Refinement: each round appends, per state, the sorted multiset of
-    its transition roles ``(pre colours, post colours, occurrences of
-    the state in pre, in post)``.  Colour classes only ever split, so
-    the loop stops as soon as the class count stops growing.
-    """
-    variables_of: Dict[Hashable, List[str]] = {s: [] for s in protocol.states}
-    for variable, target in protocol.input_mapping.items():
-        variables_of[target].append(str(variable))
-    seed = {
-        s: (protocol.output[s], protocol.leaders[s], tuple(sorted(variables_of[s])))
-        for s in protocol.states
-    }
-    # Each transition touches at most four states; iterating incident
-    # transitions per state keeps a refinement round at O(|T|), not
-    # O(|Q| * |T|) (the difference is minutes on compiled protocols).
-    incident: Dict[Hashable, List[Tuple[Any, int, int]]] = {s: [] for s in protocol.states}
-    for t in protocol.transitions:
-        for s in {t.p, t.q, t.p2, t.q2}:
-            s_pre = (t.p == s) + (t.q == s)
-            s_post = (t.p2 == s) + (t.q2 == s)
-            incident[s].append((t, s_pre, s_post))
-    colors = _rank(seed)
-    while True:
-        signatures: Dict[Hashable, Any] = {}
-        for s in protocol.states:
-            roles = []
-            for t, s_pre, s_post in incident[s]:
-                pre = tuple(sorted((colors[t.p], colors[t.q])))
-                post = tuple(sorted((colors[t.p2], colors[t.q2])))
-                roles.append((pre, post, s_pre, s_post))
-            signatures[s] = (colors[s], tuple(sorted(roles)))
-        refined = _rank(signatures)
-        if len(set(refined.values())) == len(set(colors.values())):
-            return refined
-        colors = refined
-
-
-def _encode_order(
-    protocol: PopulationProtocol, order: Tuple[Hashable, ...]
-) -> Tuple[Any, ...]:
-    """The comparable signature of one candidate state ordering."""
-    index = {s: i for i, s in enumerate(order)}
-    outputs = tuple(protocol.output[s] for s in order)
-    leaders = tuple(protocol.leaders[s] for s in order)
-    inputs = tuple(sorted((str(v), index[s]) for v, s in protocol.input_mapping.items()))
-    transitions = tuple(
-        sorted(
-            (
-                tuple(sorted((index[t.p], index[t.q]))),
-                tuple(sorted((index[t.p2], index[t.q2]))),
-            )
-            for t in protocol.transitions
-        )
-    )
-    return (outputs, leaders, inputs, transitions)
-
-
-def canonical_form(
-    protocol: PopulationProtocol,
-    permutation_budget: int = DEFAULT_PERMUTATION_BUDGET,
-) -> Optional[Dict[str, Any]]:
+def canonical_form(protocol: PopulationProtocol) -> Optional[Dict[str, Any]]:
     """The renaming/reordering-invariant normal form, or ``None``.
 
-    ``None`` means the colour classes left more than
-    ``permutation_budget`` candidate orderings — the caller falls back
-    to a presentation-based fingerprint rather than blowing up.
+    ``None`` means the colour classes leave more than
+    :data:`repro.symmetry.MAX_CANDIDATES` orderings to search — the
+    caller falls back to a presentation-based fingerprint rather than
+    blowing up.
     """
-    colors = _refined_colors(protocol)
-    classes: Dict[int, List[Hashable]] = {}
-    for s in protocol.states:
-        classes.setdefault(colors[s], []).append(s)
-    ordered_classes = [classes[color] for color in sorted(classes)]
-    candidates = 1
-    for members in ordered_classes:
-        candidates *= math.factorial(len(members))
-        if candidates > permutation_budget:
-            return None
-
-    best: Optional[Tuple[Any, ...]] = None
-    for combo in itertools.product(
-        *(itertools.permutations(members) for members in ordered_classes)
-    ):
-        order = tuple(s for group in combo for s in group)
-        signature = _encode_order(protocol, order)
-        if best is None or signature < best:
-            best = signature
-    assert best is not None  # protocols have >= 1 state
-    outputs, leaders, inputs, transitions = best
+    found = search(protocol)
+    if found is None:
+        return None
+    outputs, leaders, inputs, transitions = found.canonical
     return {
         "n": len(protocol.states),
         "outputs": list(outputs),
@@ -220,22 +128,17 @@ def presentation_digest(protocol: PopulationProtocol) -> str:
     return cached
 
 
-def protocol_fingerprint(
-    protocol: PopulationProtocol,
-    permutation_budget: int = DEFAULT_PERMUTATION_BUDGET,
-) -> str:
+def protocol_fingerprint(protocol: PopulationProtocol) -> str:
     """The content address: SHA-256 hex digest of the normal form.
 
     Isomorphic protocols (equal up to state renaming; transition order
     never matters) share a fingerprint, except for the rare
-    budget-fallback case documented on :func:`canonical_form`.
+    search-limit fallback documented on :func:`canonical_form`.
     """
-    memoise = permutation_budget == DEFAULT_PERMUTATION_BUDGET
-    if memoise:
-        cached = getattr(protocol, "_fingerprint_cache", None)
-        if cached is not None:
-            return cached
-    form = canonical_form(protocol, permutation_budget=permutation_budget)
+    cached = getattr(protocol, "_fingerprint_cache", None)
+    if cached is not None:
+        return cached
+    form = canonical_form(protocol)
     if form is None:
         payload = {
             "v": NORMAL_FORM_VERSION,
@@ -245,8 +148,7 @@ def protocol_fingerprint(
     else:
         payload = {"v": NORMAL_FORM_VERSION, "normal_form": "canonical", "form": form}
     digest = _digest("repro-protocol-nf", payload)
-    if memoise:
-        object.__setattr__(protocol, "_fingerprint_cache", digest)
+    object.__setattr__(protocol, "_fingerprint_cache", digest)
     return digest
 
 

@@ -43,9 +43,10 @@ from typing import Iterator, List, Optional
 from .analysis.verification import verify_protocol
 from .bounds.pipeline import section4_certificate, section5_certificate
 from .cache import CacheStore, active_store, protocol_fingerprint, use_store
-from .core.errors import ReproError
+from .core.errors import ConfigurationError, ReproError
 from .core.multiset import Multiset
 from .core.parser import parse_predicate
+from .core.predicates import Predicate
 from .core.protocol import PopulationProtocol
 from .io import dumps, loads, to_dot
 from .obs import (
@@ -139,20 +140,44 @@ def _parse_input(text: str) -> Multiset:
     return Multiset(counts)
 
 
+def _parse_predicate_argument(
+    text: str, protocol: Optional[PopulationProtocol] = None
+) -> Predicate:
+    """Parse a predicate argument; with ``protocol``, check its variables."""
+    try:
+        predicate = parse_predicate(text)
+    except ValueError as error:
+        raise SystemExit(f"error: predicate {text!r}: {error}")
+    if protocol is not None:
+        unknown = [v for v in predicate.variables() if v not in protocol.input_mapping]
+        if unknown:
+            raise SystemExit(
+                f"error: predicate {text!r}: {protocol.name} has no input "
+                f"{', '.join(map(str, unknown))} "
+                f"(its inputs: {', '.join(map(str, protocol.input_mapping))})"
+            )
+    return predicate
+
+
 # ----------------------------------------------------------------------
 # Observability plumbing
 # ----------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1, rejected with a clean message."""
+def _int_at_least(text: str, minimum: int, note: str = "") -> int:
+    """An argparse integer >= ``minimum``, rejected with a clean message."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}{note}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    return _int_at_least(text, 1)
 
 
 def _positive_float(text: str) -> float:
@@ -168,26 +193,17 @@ def _positive_float(text: str) -> float:
 
 def _jobs_count(text: str) -> int:
     """argparse type for ``--jobs``: an integer >= 0 (0 = all cores)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = all cores), got {value}"
-        )
-    return value
+    return _int_at_least(text, 0, " (0 = all cores)")
 
 
 def _nonneg_int(text: str) -> int:
     """argparse type: an integer >= 0 (``runs gc --max-runs 0`` is valid)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _int_at_least(text, 0)
+
+
+def _max_input(text: str) -> int:
+    """argparse type for ``--max-input``: a population needs two agents."""
+    return _int_at_least(text, 2, " (a population needs two agents)")
 
 
 def _witness_count(text: str) -> int:
@@ -445,7 +461,7 @@ def _caching(args) -> Iterator[None]:
 
 
 def _cmd_compile(args) -> int:
-    predicate = parse_predicate(args.predicate)
+    predicate = _parse_predicate_argument(args.predicate)
     protocol = compile_predicate(predicate)
     if args.trim:
         protocol = protocol.restricted_to_coverable()
@@ -467,7 +483,7 @@ def _cmd_describe(args) -> int:
 
 def _cmd_verify(args) -> int:
     protocol = resolve_protocol(args.protocol)
-    predicate = parse_predicate(args.predicate)
+    predicate = _parse_predicate_argument(args.predicate, protocol)
     report = verify_protocol(protocol, predicate, max_input_size=args.max_input)
     if report.ok:
         print(f"OK: {protocol.name} computes {predicate} (all {report.inputs_checked} inputs "
@@ -481,6 +497,10 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     protocol = resolve_protocol(args.protocol)
     inputs = _parse_input(args.input)
+    try:
+        protocol.initial_configuration(inputs)
+    except ConfigurationError as error:
+        raise SystemExit(f"error: --input {args.input!r}: {error}")
     if args.max_steps < 1:
         raise SystemExit(f"error: --max-steps must be >= 1, got {args.max_steps}")
     if args.trials is not None:
@@ -641,7 +661,9 @@ def _cmd_analyze(args) -> int:
     if args.protocol is None:
         raise SystemExit("error: analyze requires a protocol (or --resume RUN)")
     protocol = resolve_protocol(args.protocol)
-    predicate = parse_predicate(args.predicate) if args.predicate else None
+    predicate = (
+        _parse_predicate_argument(args.predicate, protocol) if args.predicate else None
+    )
     print(
         full_report(
             protocol,
@@ -1344,7 +1366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exactly verify a protocol against a predicate")
     p.add_argument("protocol")
     p.add_argument("predicate")
-    p.add_argument("--max-input", type=int, default=10)
+    p.add_argument("--max-input", type=_max_input, default=10)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("simulate", help="run the uniform random scheduler")
@@ -1386,7 +1408,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded busy-beaver search: enumerate all n-state protocols",
     )
     p.add_argument("states", type=int, help="number of states n (n <= 2 is fast)")
-    p.add_argument("--max-input", type=int, default=8,
+    p.add_argument("--max-input", type=_max_input, default=8,
                    help="verdicts are exact for inputs up to this size")
     p.add_argument("--max-witnesses", type=_witness_count, default=3,
                    help="winning protocols to report (1 to 8)")
@@ -1419,7 +1441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the recorded run's own arguments)",
     )
     p.add_argument("predicate", nargs="?", default=None, help="optional predicate to verify against")
-    p.add_argument("--max-input", type=int, default=8)
+    p.add_argument("--max-input", type=_max_input, default=8)
     p.add_argument(
         "--node-budget",
         type=int,
@@ -1430,8 +1452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quotient",
         action="store_true",
-        help="dedup symmetric configurations in the coverability section "
-        "(same limits and verdicts, exponentially fewer expansions)",
+        help="expand each configuration of the coverability section once, "
+        "up to protocol automorphisms (same limits and verdicts, fewer "
+        "expansions)",
     )
     p.add_argument(
         "--checkpoint-interval",

@@ -16,11 +16,13 @@ wall with three independently switchable mechanisms:
   ``nodes``, same ``limits`` — while exposing round boundaries for
   sharding and checkpointing.
 
-* **Symmetry quotient** (``quotient=True``).  Root-fixing protocol
-  automorphisms are computed from the cache's colour-refinement classes
-  (:func:`repro.cache.fingerprint._refined_colors`); a configuration is
-  enqueued only if its canonical form (minimum over the group orbit)
-  has never been enqueued before.  Branches still carry *genuine*
+* **Quotient** (``quotient=True``).  A configuration is enqueued only
+  if its canonical form (minimum over the orbit of the root-fixing
+  protocol automorphisms, :func:`repro.symmetry.search`) has never been
+  enqueued before.  Most of the saving is the exact dedup of the
+  visited set: on ``flat:8`` the group is the identity, yet expansions
+  drop from 13,668 to 45.  Orbit canonicalisation adds to that only
+  when the group is non-trivial.  Branches still carry *genuine*
   ancestor chains — acceleration never compares against a permuted
   configuration, which keeps ω-introduction sound.  The exploration
   becomes an exact-dedup subtree of the classic tree; completeness
@@ -29,8 +31,7 @@ wall with three independently switchable mechanisms:
   replayed through the automorphism from there.  At finalisation the
   node set is closed under the group orbit before taking maximal
   elements, so ``limits`` is the same minimal antichain (the clover)
-  the unquotiented run produces — bit-identical limits and verdicts,
-  exponentially fewer expansions.
+  the unquotiented run produces — bit-identical limits and verdicts.
 
 * **Sharding** (``jobs>1``).  Each round's frontier is split into
   contiguous chunks expanded by :func:`repro.parallel.run_tasks`
@@ -52,14 +53,12 @@ wall with three independently switchable mechanisms:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -74,12 +73,12 @@ from ..obs import progress
 from ..obs.runs import current_run
 from ..parallel import run_tasks
 from ..parallel.pool import chunk_ranges, default_chunk_size, resolve_jobs, worker_pool
+from ..symmetry import search
 
 __all__ = [
     "OMEGA",
     "ExtendedConfig",
     "Permutation",
-    "DEFAULT_SYMMETRY_BUDGET",
     "CHECKPOINT_ANALYSIS",
     "CHECKPOINT_SCHEMA_VERSION",
     "apply_permutation",
@@ -98,7 +97,6 @@ ExtendedConfig = Tuple[Union[int, float], ...]
 Permutation = Tuple[int, ...]
 """A state-index permutation ``p`` acting on configs by ``c[j] -> c[p[j]]``."""
 
-DEFAULT_SYMMETRY_BUDGET = 5_040  # 7! — candidate permutations tried, tops
 CHECKPOINT_ANALYSIS = "coverability.checkpoint"
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -132,88 +130,33 @@ def canonical_config(config: ExtendedConfig, group: Sequence[Permutation]) -> Ex
     return min(apply_permutation(perm, config) for perm in group)
 
 
-def _transition_profile(indexed: IndexedProtocol) -> Dict[Tuple[Tuple[int, int], Tuple[int, ...]], int]:
-    profile: Dict[Tuple[Tuple[int, int], Tuple[int, ...]], int] = {}
-    for k in indexed.non_silent:
-        key = (indexed.pre_pairs[k], indexed.deltas[k])
-        profile[key] = profile.get(key, 0) + 1
-    return profile
-
-
 def configuration_symmetries(
     protocol: Union[PopulationProtocol, IndexedProtocol],
     roots: Sequence[ExtendedConfig],
-    symmetry_budget: int = DEFAULT_SYMMETRY_BUDGET,
 ) -> Tuple[Permutation, ...]:
     """Protocol automorphisms (as index permutations) fixing every root.
 
-    Candidates permute states only within their colour-refinement class
-    (the same invariant the cache fingerprint uses), then are filtered
-    by exact preservation of the non-silent transition multiset and of
-    each root configuration.  The survivors form a permutation group —
-    closed under composition and inverse by construction — returned in
-    the ``c[j] -> c[perm[j]]`` action convention, identity first.
-
-    When the candidate count exceeds ``symmetry_budget`` the search is
-    skipped entirely and only the identity is returned: a smaller group
-    merely weakens the quotient, never its soundness.
+    The automorphisms come from :func:`repro.symmetry.search`, the same
+    search the cache fingerprint uses.  Those that fix every root form
+    a permutation group, returned in the ``c[j] -> c[perm[j]]`` action
+    convention, identity first.  Above the search limit only the
+    identity is returned: a smaller group merely weakens the quotient,
+    never its soundness.
     """
     indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
-    base = indexed.protocol
-    n = indexed.n
-    identity: Permutation = tuple(range(n))
-    if n <= 1:
-        return (identity,)
-
-    from ..cache.fingerprint import _refined_colors
-
-    colors = _refined_colors(base)
-    classes: Dict[int, List[int]] = {}
-    for state, color in colors.items():
-        classes.setdefault(color, []).append(indexed.index[state])
-    blocks = [sorted(members) for _, members in sorted(classes.items())]
-
-    candidates = 1
-    for block in blocks:
-        candidates *= math.factorial(len(block))
-        if candidates > symmetry_budget:
-            return (identity,)
-    if candidates <= 1:
-        return (identity,)
-
-    profile = _transition_profile(indexed)
-    roots_t = [tuple(root) for root in roots]
+    found = search(indexed.protocol)
+    if found is None:
+        return (tuple(range(indexed.n)),)
     group: List[Permutation] = []
-    for images in itertools.product(*(itertools.permutations(block) for block in blocks)):
-        sigma = [0] * n  # sigma[i]: the state index i is renamed to
-        for block, image in zip(blocks, images):
-            for source, target in zip(block, image):
-                sigma[source] = target
-        mapped: Dict[Tuple[Tuple[int, int], Tuple[int, ...]], int] = {}
-        for k in indexed.non_silent:
-            i, j = indexed.pre_pairs[k]
-            pair = (sigma[i], sigma[j])
-            if pair[0] > pair[1]:
-                pair = (pair[1], pair[0])
-            delta = indexed.deltas[k]
-            image_delta = [0] * n
-            for idx in range(n):
-                image_delta[sigma[idx]] = delta[idx]
-            key = (pair, tuple(image_delta))
-            mapped[key] = mapped.get(key, 0) + 1
-        if mapped != profile:
-            continue
-        # Action convention: image[j] = c[sigma^-1(j)], so store the inverse.
-        perm = [0] * n
-        for idx in range(n):
-            perm[sigma[idx]] = idx
+    for renaming in found.automorphisms:
+        # Renaming state s to t moves the count of s to t: image[t] = c[s].
+        perm = [0] * indexed.n
+        for state, image in renaming.items():
+            perm[indexed.index[image]] = indexed.index[state]
         perm_t = tuple(perm)
-        if all(apply_permutation(perm_t, root) == root for root in roots_t):
+        if all(apply_permutation(perm_t, root) == tuple(root) for root in roots):
             group.append(perm_t)
-    group.sort()
-    if identity not in group:  # pragma: no cover - identity always survives
-        group.insert(0, identity)
-    return tuple(group)
+    return tuple(sorted(group))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +392,6 @@ class KarpMillerFrontier:
         jobs: int = 1,
         quotient: bool = False,
         checkpoint_interval: Optional[int] = None,
-        symmetry_budget: int = DEFAULT_SYMMETRY_BUDGET,
         expansion_budget: Optional[int] = None,
     ) -> None:
         self.indexed = (
@@ -466,14 +408,13 @@ class KarpMillerFrontier:
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
         self.checkpoint_interval = checkpoint_interval
-        self.symmetry_budget = symmetry_budget
         # The node budget bounds *distinct* labels, not work: a tree of
         # 45 nodes can cost 10^5+ branch expansions (flat:8).  Callers
         # exploring adversarial protocols (property tests) can bound
         # the work itself.
         self.expansion_budget = expansion_budget
         self.group: Tuple[Permutation, ...] = (
-            configuration_symmetries(self.indexed, self.roots, symmetry_budget)
+            configuration_symmetries(self.indexed, self.roots)
             if quotient
             else (tuple(range(self.indexed.n)),)
         )

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import saturation_sequence, stable_slice
-from repro.analysis.symmetry import are_isomorphic
 from repro.bounds.pipeline import section4_certificate, section5_certificate
 from repro.cache import (
     CACHE_SCHEMA_VERSION,
@@ -36,6 +35,7 @@ from repro.cache import (
     protocol_fingerprint,
     use_store,
 )
+from repro.cache import fingerprint as fingerprint_module
 from repro.cache.store import payload_checksum
 from repro.cli import main
 from repro.core.protocol import PopulationProtocol
@@ -43,7 +43,9 @@ from repro.obs import get_metrics
 from repro.protocols import binary_threshold, flat_threshold
 from repro.reachability.coverability import OMEGA, karp_miller
 from repro.reachability.pseudo import input_state, realisable_basis
+from repro.symmetry import canonical_key
 from repro.testing import protocols, renamings
+from tests.test_symmetry import brute_force_key, sink_twins
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fingerprints.json")
 
@@ -89,11 +91,15 @@ class TestFingerprintProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_collision_iff_isomorphic(self, data):
-        """On small protocols the fingerprint is a complete invariant."""
+        """On small protocols the fingerprint is a complete invariant.
+
+        Isomorphism is decided by the brute-force oracle over all state
+        orderings, not by the search the fingerprint itself runs.
+        """
         a = data.draw(protocols())
         b = data.draw(protocols())
-        assert (protocol_fingerprint(a) == protocol_fingerprint(b)) == are_isomorphic(
-            a, b
+        assert (protocol_fingerprint(a) == protocol_fingerprint(b)) == (
+            brute_force_key(a) == brute_force_key(b)
         )
 
     def test_distinct_outputs_distinct_fingerprint(self):
@@ -116,10 +122,21 @@ class TestFingerprintProperties:
         assert presentation_digest(renamed) != presentation_digest(protocol)
 
     def test_canonical_form_budget_fallback(self):
-        """A tiny permutation budget forces the presentation normal form."""
-        protocol = binary_threshold(4)
-        assert canonical_form(protocol) is not None
-        assert canonical_form(protocol, permutation_budget=0) is None
+        """Nine interchangeable states (9! > 8! orderings) force the
+        presentation normal form."""
+        assert canonical_form(binary_threshold(4)) is not None
+        protocol = sink_twins(9)
+        assert canonical_form(protocol) is None
+        assert protocol_fingerprint(protocol) == fingerprint_module._digest(
+            "repro-protocol-nf",
+            {
+                "v": NORMAL_FORM_VERSION,
+                "normal_form": "presentation",
+                "form": fingerprint_module.presentation_form(protocol),
+            },
+        )
+        with pytest.raises(ValueError, match="too many"):
+            canonical_key(protocol)
 
 
 class TestGoldenFingerprints:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -166,3 +167,90 @@ class TestBusyBeaverArguments:
         for cap, expected in (("1", 1), ("8", 8)):
             assert main(["bb", "2", "--max-witnesses", cap, "--json"]) == 0
             assert len(json.loads(capsys.readouterr().out)["witnesses"]) == expected
+
+
+class TestMaxInputBound:
+    """`--max-input` below 2 is a usage error (exit 2): a population
+    needs two agents.
+
+    Regression: `verify ... --max-input 1` printed `OK` over zero
+    inputs, `bb 2 --max-input -1` reported no threshold protocol and
+    `analyze ... --max-input -2` printed an empty convergence table,
+    all with exit 0.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "binary:4", "x >= 4", "--max-input", "1"],
+            ["bb", "2", "--max-input", "-1"],
+            ["analyze", "binary:4", "--max-input", "-2"],
+        ],
+        ids=["verify", "bb", "analyze"],
+    )
+    def test_below_two_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-input: must be >= 2" in captured.err
+
+    def test_two_is_accepted(self, capsys):
+        assert main(["verify", "binary:2", "x >= 2", "--max-input", "2"]) == 0
+        assert "OK" in capsys.readouterr().out
+
+
+class TestArgumentMistakes:
+    """Predicate and input mistakes end in one `error:` line, exit 1.
+
+    Regression: a malformed predicate or a one-agent `simulate` input
+    ended in a traceback, and `verify binary:4 "y >= 4"` answered
+    `FAIL on input (4*x)` for a variable the protocol has no input for.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "binary:10", "x >="], "error: predicate 'x >='"),
+            (["analyze", "binary:4", "x >="], "error: predicate 'x >='"),
+            (["compile", "x >="], "error: predicate 'x >='"),
+            (["verify", "binary:4", "y >= 4"], "has no input y"),
+            (["analyze", "binary:4", "y >= 4"], "has no input y"),
+            (["simulate", "binary:4", "--input", "1"], "at least two agents"),
+        ],
+        ids=[
+            "verify-syntax",
+            "analyze-syntax",
+            "compile-syntax",
+            "verify-unknown-variable",
+            "analyze-unknown-variable",
+            "simulate-one-agent",
+        ],
+    )
+    def test_one_error_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code.startswith("error: ")
+        assert message in excinfo.value.code
+        assert capsys.readouterr().out == ""
+
+    def test_error_line_exits_one(self):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, REPRO_NO_RUNS="1", REPRO_NO_CACHE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", "binary:4", "y >= 4"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.strip().splitlines() == [
+            "error: predicate 'y >= 4': binary_threshold(eta=4) has no input y "
+            "(its inputs: x)"
+        ]

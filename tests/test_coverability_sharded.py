@@ -38,8 +38,11 @@ the clover and should be explainable from the engine change.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
+import math
 import os
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +54,12 @@ from repro import (
     leader_unary_threshold,
     majority_protocol,
     modulo_protocol,
+)
+from repro import symmetry
+from repro.bounds.enumeration import (
+    all_deterministic_protocols,
+    count_deterministic_protocols,
+    protocol_at,
 )
 from repro.core.errors import SearchBudgetExceeded
 from repro.core.multiset import Multiset
@@ -76,6 +85,7 @@ from repro.testing import renamings
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "coverability_trees.json")
 KM_GOLDEN_VERSION = 1
+NONTRIVIAL_ENUMERATED = 6  # root-fixing groups beyond the identity, n = 2 and 3
 
 
 # --------------------------------------------------------------------- corpus
@@ -264,6 +274,99 @@ class TestQuotientDifferential:
             assume(False)
         assert frozenset(quot.limits) == frozenset(plain.limits)
         assert set(quot.nodes) <= set(plain.nodes)
+
+
+# ------------------------------------------------------- quotient group pin
+
+
+def reference_symmetries(protocol, roots, budget=5_040):
+    """The frontier group as it was computed before :mod:`repro.symmetry`.
+
+    Candidates permute states within their colour classes and are kept
+    when they preserve the non-silent ``(pre pair, delta)`` multiset and
+    fix every root.  A structural automorphism preserves that multiset,
+    so the shared search can only return a subgroup of this one; the
+    differential below pins that the two groups are equal.
+    """
+    indexed = protocol.indexed()
+    n = indexed.n
+    identity = tuple(range(n))
+    colors = symmetry._refined_colors(protocol)
+    classes = {}
+    for state, color in colors.items():
+        classes.setdefault(color, []).append(indexed.index[state])
+    blocks = [sorted(members) for _, members in sorted(classes.items())]
+    if math.prod(math.factorial(len(block)) for block in blocks) > budget:
+        return (identity,)
+
+    def profile(sigma):
+        counts = {}
+        for k in indexed.non_silent:
+            i, j = indexed.pre_pairs[k]
+            delta = [0] * n
+            for idx in range(n):
+                delta[sigma[idx]] = indexed.deltas[k][idx]
+            key = (tuple(sorted((sigma[i], sigma[j]))), tuple(delta))
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    own = profile(identity)
+    group = []
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        sigma = [0] * n
+        for block, image in zip(blocks, images):
+            for source, target in zip(block, image):
+                sigma[source] = target
+        if profile(sigma) != own:
+            continue
+        perm = [0] * n
+        for idx in range(n):
+            perm[sigma[idx]] = idx
+        perm = tuple(perm)
+        if all(apply_permutation(perm, tuple(root)) == tuple(root) for root in roots):
+            group.append(perm)
+    return tuple(sorted(group))
+
+
+class TestQuotientGroupPinned:
+    """The shared automorphism search gives the frontier the same group."""
+
+    @staticmethod
+    def _nontrivial(cases):
+        count = 0
+        for protocol, roots in cases:
+            group = configuration_symmetries(protocol, roots)
+            assert group == reference_symmetries(protocol, roots), protocol.name
+            assert group[0] == tuple(range(protocol.num_states))
+            count += len(group) > 1
+        return count
+
+    def test_enumerated_protocols(self):
+        rng = random.Random(16)
+        total = count_deterministic_protocols(3)
+        enumerated = list(all_deterministic_protocols(2)) + [
+            protocol_at(3, rng.randrange(total)) for _ in range(3_000)
+        ]
+        cases = [(protocol, [omega_root(protocol)]) for protocol in enumerated]
+        assert self._nontrivial(cases) == NONTRIVIAL_ENUMERATED
+
+    def test_corpus(self):
+        cases = [(protocol, roots) for _, protocol, roots in CORPUS]
+        assert self._nontrivial(cases) == 1  # the twin
+
+    def test_automorphism_moving_a_root_is_dropped(self):
+        protocol = twin()
+        root = (2, 1, 0)  # one agent already in A: the A <-> B swap moves it
+        assert self._nontrivial([(protocol, [root])]) == 0
+        plain = karp_miller(protocol, [root], node_budget=1_000)
+        quotiented = karp_miller(protocol, [root], node_budget=1_000, quotient=True)
+        assert frozenset(quotiented.limits) == frozenset(plain.limits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_generated_protocols(self, data):
+        protocol = data.draw(random_protocols(max_states=4))
+        self._nontrivial([(protocol, [omega_root(protocol)])])
 
 
 # -------------------------------------------------------------- kill / resume

@@ -477,10 +477,8 @@ class TestCliRecording:
         assert runlog.list_runs(runs_dir) == []
 
     def test_unwritable_output_leaves_no_debris(self, runs_dir, tmp_path):
-        from repro.core.parser import PredicateSyntaxError
-
         target = str(tmp_path / "out.json")
-        with pytest.raises(PredicateSyntaxError):
+        with pytest.raises(SystemExit, match="error: predicate 'x >>> nonsense'"):
             # Valid path probe, then the handler aborts on a bad
             # predicate: the probe must not have left an empty file.
             main(["compile", "x >>> nonsense", "-o", target])
