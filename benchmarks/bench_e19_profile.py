@@ -1,31 +1,31 @@
 """E19 — differential work profiles: aggregation cost and blame quality.
 
 The profile layer (``repro.obs.profile``) turns a recorded span forest
-into a deterministic per-path aggregate, and the attribution pipeline
-re-runs drifted ledger workloads under the tracer to name the guilty
-subtree.  Both sit on the CI critical path (every ``bench compare
---attribute`` on a red ledger), so E19 pins:
+into a deterministic per-path aggregate.  The ledger's traced pass
+(``repro.obs.ledger.trace_workload``) stores that aggregate's work
+counts in every entry, and attribution reads them back to name the
+guilty subtree of a drift without running anything.  Both sit on the
+CI critical path (every ``bench run`` and every red ``bench compare``),
+so E19 pins:
 
 * **Aggregation throughput** — ``build_profile`` over the synthetic
   sharded-frontier trace the ``obs.profile_aggregate`` ledger workload
-  uses (1000 spans, 360 of them pool/task plumbing), and over a real
-  recorded trace (a traced ``enumeration.bb2`` run), asserting the
-  deterministic path/splice counts each time.
+  uses (1000 spans, 360 of them pool/task plumbing), and the ledger's
+  traced pass over a real workload (``enumeration.bb2``), asserting
+  the deterministic path/splice counts each time.
 * **Serial ≡ parallel profiles** — the work-count profile of a traced
   workload is bit-identical at ``jobs`` 1 and 2 (the repo's
   determinism contract, measured rather than assumed).
 * **Blame quality** — a deterministically perturbed ``simulate.count``
-  (step budget under the convergence point) must be attributed to the
-  ``simulate.run`` span subtree, end to end, at benchmark time just
-  like in the profile-smoke CI job.
+  (step budget under the convergence point), recorded by the ledger,
+  must be attributed to the ``simulate.run`` span subtree from the two
+  entries alone, just like in the profile-smoke CI job.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.fmt import render_table, section
-from repro.obs import profile as prof
+from repro.obs import profile as prof, run_suite, trace_workload
 from repro.obs.bench import _synthetic_frontier_trace, get_workload
 
 
@@ -40,37 +40,45 @@ def test_e19_aggregate_synthetic_frontier(benchmark):
     }
 
 
-def test_e19_record_real_workload_profile(benchmark):
-    recording = benchmark.pedantic(
-        prof.record_workload_profile,
-        args=("enumeration.bb2",),
+def test_e19_trace_real_workload(benchmark):
+    work, profile = benchmark.pedantic(
+        trace_workload,
+        args=(get_workload("enumeration.bb2"),),
         rounds=1,
         iterations=1,
     )
-    assert recording.work["protocols_enumerated"] == 216
-    assert "bounds.busy_beaver" in recording.profile.work_counts()
+    assert work["protocols_enumerated"] == 216
+    assert "bounds.busy_beaver" in profile.work_counts()
 
 
 def test_e19_profiles_identical_across_jobs():
-    serial = prof.record_workload_profile("enumeration.bb2", jobs=1)
-    parallel = prof.record_workload_profile("enumeration.bb2", jobs=2)
-    assert serial.work == parallel.work
-    assert serial.profile.work_counts() == parallel.profile.work_counts()
+    workload = get_workload("enumeration.bb2")
+    serial_work, serial = trace_workload(workload, jobs=1)
+    parallel_work, parallel = trace_workload(workload, jobs=2)
+    assert serial_work == parallel_work
+    assert serial.work_counts() == parallel.work_counts()
+
+
+def _ledger_entry(monkeypatch, max_steps=None):
+    if max_steps is not None:
+        monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", str(max_steps))
+    artifact = run_suite(
+        "micro",
+        repeats=1,
+        memory=False,
+        workload_filter=lambda w: w.name == "simulate.count",
+    )
+    monkeypatch.delenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", raising=False)
+    return artifact
 
 
 def test_e19_attribution_names_perturbed_subtree(monkeypatch, benchmark):
-    baseline_work = get_workload("simulate.count").run()
-    monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "1600")
-    base = {"workloads": {"simulate.count": {"work": dict(
-        baseline_work, **{"simulate.run.interactions": baseline_work["interactions"]}
-    )}}}
-    new = {"workloads": {"simulate.count": {"work": {
-        "interactions": 1600, "converged": 0, "simulate.run.interactions": 1600,
-    }}}}
+    base = _ledger_entry(monkeypatch)
+    new = _ledger_entry(monkeypatch, max_steps=1600)
     attribution = benchmark.pedantic(
         prof.attribute_work_drift, args=(base, new), rounds=1, iterations=1
     )
-    assert "simulate.run" in attribution.guilty_paths()
+    assert attribution.guilty_paths() == ["simulate.run"]
 
 
 def test_e19_report():
@@ -86,14 +94,14 @@ def test_e19_report():
             profile.spliced_count,
         ]
     )
-    recording = prof.record_workload_profile("enumeration.bb2")
+    _, traced = trace_workload(get_workload("enumeration.bb2"))
     rows.append(
         [
             "enumeration.bb2 (traced)",
-            recording.profile.span_count + recording.profile.spliced_count,
-            recording.profile.span_count,
-            len(recording.profile.paths),
-            recording.profile.spliced_count,
+            traced.span_count + traced.spliced_count,
+            traced.span_count,
+            len(traced.paths),
+            traced.spliced_count,
         ]
     )
     print(section("E19 — work-profile aggregation (spans → paths)"))

@@ -54,6 +54,8 @@ from .obs import (
     JsonlExporter,
     SpanExporter,
     Tracer,
+    attribute_work_drift,
+    build_profile,
     get_metrics,
     disable_progress,
     enable_progress,
@@ -799,14 +801,18 @@ def _cmd_profile_record(args) -> int:
             "bench workload",
             file=sys.stderr,
         )
+        from .cache.store import cache_disabled
+        from .obs import get_workload, ledger
+
         try:
-            recording = prof.record_workload_profile(
-                args.target, jobs=resolve_jobs(args.jobs)
-            )
+            workload = get_workload(args.target)
         except KeyError as error:
             raise SystemExit(f"error: {error.args[0]}")
-        profile = recording.profile
-        profile.meta["work"] = recording.work
+        jobs = resolve_jobs(args.jobs)
+        with cache_disabled():
+            workload.run(jobs=jobs)  # the ledger's warm-up, never recorded
+            work, profile = ledger.trace_workload(workload, jobs=jobs)
+        profile.meta["work"] = work
     prof.write_profile(args.out, profile)
     print(
         f"profile: {len(profile.paths)} paths from {profile.span_count} spans "
@@ -974,8 +980,7 @@ def _cmd_runs_show(args) -> int:
     events = runlog.iter_events(os.path.join(directory, runlog.EVENTS_NAME))
     trace_path = os.path.join(directory, runlog.TRACE_NAME)
     spans = load_trace(trace_path) if os.path.exists(trace_path) else []
-    known = {s.span_id for s in spans if s.span_id is not None}
-    orphans = sum(1 for s in spans if s.parent_id is not None and s.parent_id not in known)
+    orphans = build_profile(spans).orphan_count
     print(f"run: {run_id}")
     print(f"status: {status}" + (" (inferred: PID gone, never finalized)" if stale else ""))
     print(f"command: repro {' '.join(manifest.get('argv', []))}")
@@ -1160,19 +1165,17 @@ def _cmd_bench_compare(args) -> int:
     except ledger.LedgerError as error:
         raise SystemExit(f"error: {error}")
     print(report.render())
-    if args.attribute:
-        from .obs import profile as prof
-
-        attribution = prof.attribute_work_drift(
-            base, new, jobs=resolve_jobs(args.jobs)
-        )
+    # Every entry stores its work per span path, so naming the path of
+    # a work drift reads the two artifacts and runs nothing.
+    attribution = attribute_work_drift(base, new)
+    if attribution.entries:
         print()
         print(attribution.render())
-        if args.attribution_out:
-            with open(args.attribution_out, "w") as handle:
-                json.dump(attribution.as_dict(), handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            print(f"attribution written to {args.attribution_out}", file=sys.stderr)
+    if args.attribution_out:
+        with open(args.attribution_out, "w") as handle:
+            json.dump(attribution.as_dict(), handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        print(f"attribution written to {args.attribution_out}", file=sys.stderr)
     if report.ok(args.fail_on):
         return 0
     kinds = sorted({f.kind for f in report.regressions()})
@@ -1671,7 +1674,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_flag(pb)
     _add_obs_flags(pb)
-    pb.set_defaults(handler=_cmd_bench_run)
+    # The ledger runs every workload under cache_disabled(), so no
+    # ambient store is resolved: the session's cache report must not
+    # credit it with the hits of the cache workloads' private stores.
+    pb.set_defaults(handler=_cmd_bench_run, no_cache=True)
 
     pb = bench_sub.add_parser(
         "compare", help="diff two artifacts; non-zero exit on regression"
@@ -1700,18 +1706,12 @@ def build_parser() -> argparse.ArgumentParser:
         "work-count drift / missing workloads (CI shared-runner policy)",
     )
     pb.add_argument(
-        "--attribute",
-        action="store_true",
-        help="re-run drifted workloads under the tracer and name the span "
-        "subtrees whose work counts moved",
-    )
-    pb.add_argument(
         "--attribution-out",
         default=None,
         metavar="FILE",
-        help="also write the attribution report as JSON (for CI artifacts)",
+        help="also write the work-drift attribution (the span paths whose "
+        "counters moved) as JSON, for CI artifacts",
     )
-    _add_jobs_flag(pb)
     pb.set_defaults(handler=_cmd_bench_compare)
 
     pb = bench_sub.add_parser(
@@ -1734,7 +1734,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_flag(pb)
     _add_obs_flags(pb)
-    pb.set_defaults(handler=_cmd_bench_baseline)
+    pb.set_defaults(handler=_cmd_bench_baseline, no_cache=True)
 
     pb = bench_sub.add_parser("list", help="list registered workloads")
     pb.add_argument(

@@ -15,15 +15,17 @@ This package makes them observable from three angles:
 * :mod:`repro.obs.metrics` — the counters/timers layer shared with the
   simulators (grown out of ``repro.simulation.instrumentation``, which
   remains as a back-compat re-export), with a process-wide registry;
-* :mod:`repro.obs.summary` — reading traces back and rendering the
-  per-span table behind ``repro trace summarize``;
-* :mod:`repro.obs.profile` — deterministic hierarchical work profiles
-  aggregated from trace spans (per-path self/total time and counters),
-  profile diffing, and span-level regression attribution behind
-  ``repro profile`` and ``repro bench compare --attribute``;
+* :mod:`repro.obs.summary` — reading traces back, and the per-span-name
+  table behind ``repro trace summarize`` (a view of the profile fold);
+* :mod:`repro.obs.profile` — the one fold of recorded spans:
+  deterministic hierarchical work profiles (per-path self/total time
+  and counters), profile diffing, and span-level regression
+  attribution from stored work paths, behind ``repro profile`` and
+  ``repro bench compare``;
 * :mod:`repro.obs.bench` / :mod:`repro.obs.ledger` — the benchmark
   workload registry and the persistent performance ledger behind
-  ``repro bench run / compare / baseline``;
+  ``repro bench run / compare / baseline``; the ledger's traced pass
+  is the one place a workload runs under a recording tracer;
 * :mod:`repro.obs.runs` / :mod:`repro.obs.report` — the flight
   recorder: a persistent run registry every CLI invocation records
   into (manifest, event stream, run-local trace; crash/kill capture)
@@ -53,6 +55,7 @@ from .ledger import (
     environment_fingerprint,
     load_artifact,
     run_suite,
+    trace_workload,
     write_artifact,
 )
 from .metrics import (
@@ -82,7 +85,6 @@ from .profile import (
     build_profile,
     diff_profiles,
     load_profile,
-    record_workload_profile,
     render_profile,
     to_folded,
     to_speedscope,
@@ -160,7 +162,6 @@ __all__ = [
     "build_profile",
     "diff_profiles",
     "load_profile",
-    "record_workload_profile",
     "render_profile",
     "attribute_work_drift",
     "to_folded",
@@ -174,6 +175,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "LedgerError",
     "run_suite",
+    "trace_workload",
     "write_artifact",
     "load_artifact",
     "environment_fingerprint",

@@ -24,9 +24,10 @@ A workload is deliberately more than a timed closure:
 
 Work counts recorded by span counters (``coverability.karp_miller``
 adds ``nodes``; the Pottier completion adds ``frontier_vectors``) are
-*also* captured: the ledger runs one instrumented pass per workload
-under a live tracer and merges the ``spans`` registry entry into the
-workload's own counts.
+*also* captured: the ledger's traced pass runs each workload once
+under a recording tracer, folds the spans into a profile, and adds
+every counter to the workload's own counts under its span-qualified
+name — and keeps the same counters per span path.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def _simulate_count() -> Dict[str, int]:
 
     # Chaos hook for the profile-smoke CI job: overriding the step
     # budget below the pinned-seed convergence point (3200 interactions)
-    # forces deterministic work drift that `bench compare --attribute`
-    # must trace back to the `simulate.run` span subtree.
+    # forces deterministic work drift that `bench compare` must trace
+    # back to the `simulate.run` span subtree.
     max_steps = 200_000
     raw = os.environ.get("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS")
     if raw:

@@ -10,19 +10,24 @@ detection.
 
 Measurement protocol, per workload:
 
-1. **Timing passes** — ``repeats`` runs under the *null* tracer (the
+1. **Warm-up** — one unrecorded run (imports, caches; the cache
+   ``*_warm`` workloads fill their directory here).
+2. **Timing passes** — ``repeats`` runs under the *null* tracer (the
    production configuration), reduced to median and MAD.  Median/MAD
    rather than mean/stddev because shared runners produce heavy-tailed
    timing noise; a single descheduling event must not poison the
    artifact.
-2. **One instrumented pass** — under a live (exporter-less) tracer
-   with ``tracemalloc`` running: captures the deterministic work
-   counts (both the workload's own return dict and the span counters
-   folded into the metrics registry), the tracemalloc **peak** over
-   the run, and the net allocation delta.  This pass is never timed —
-   tracemalloc costs an order of magnitude on allocation-heavy code,
-   which is exactly why memory observation is a separate pass (and
-   off by default in the tracer itself).
+3. **Memory pass** — one run under the null tracer with ``tracemalloc``
+   running: the tracemalloc **peak** over the run and the net
+   allocation delta.  Never timed — tracemalloc costs an order of
+   magnitude on allocation-heavy code — and skipped with
+   ``memory=False``.
+4. **Traced pass** (:func:`trace_workload`) — one run under a live
+   tracer whose spans are folded by :func:`repro.obs.profile.build_profile`:
+   the deterministic work counts (the workload's own return dict plus
+   every span counter, summed into ``<span name>.<counter>`` keys) and
+   the same counters per span path (``work_paths``), which is what lets
+   ``bench compare`` name the path of a drift without re-running.
 
 Comparison semantics (:func:`compare_artifacts`):
 
@@ -47,10 +52,12 @@ import subprocess
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bench import Workload, iter_workloads
-from .metrics import clear_registry, registry_snapshot
+from .exporters import RecordingExporter
+from .metrics import get_metrics
+from .profile import Profile, build_profile
 from .progress import progress
 from .tracer import NULL_TRACER, Tracer, set_tracer
 
@@ -59,6 +66,7 @@ __all__ = [
     "ARTIFACT_KIND",
     "LedgerError",
     "run_suite",
+    "trace_workload",
     "write_artifact",
     "load_artifact",
     "environment_fingerprint",
@@ -68,7 +76,7 @@ __all__ = [
     "DEFAULT_BASELINE_PATH",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ARTIFACT_KIND = "repro-bench-ledger"
 
 # The committed seed baseline CI compares against (repo-relative).
@@ -116,10 +124,66 @@ def _median_mad(samples: Sequence[float]) -> Dict[str, float]:
     return {"median_s": median, "mad_s": mad}
 
 
+def trace_workload(
+    workload: Workload, *, jobs: int = 1
+) -> Tuple[Dict[str, int], Profile]:
+    """The traced pass: run ``workload`` once under a recording tracer.
+
+    Returns the work dict — the workload's own counts, plus each span
+    counter summed over the profile's paths under its span-qualified
+    ``<span name>.<counter>`` key (the workload's own key wins a name
+    clash) — and the run's :class:`~repro.obs.profile.Profile`.  The
+    live tracer also folds its spans into the ``spans`` metrics
+    registry; that entry is put back as it was, so the pass leaves the
+    process's registries as it found them.
+    """
+    recorder = RecordingExporter()
+    tracer = Tracer([recorder])
+    spans = get_metrics("spans")
+    saved = spans.snapshot()
+    previous = set_tracer(tracer)
+    try:
+        own = workload.run(jobs=jobs)
+    finally:
+        tracer.close()
+        set_tracer(previous)
+        spans.clear()
+        spans.merge(saved)
+    profile = build_profile(
+        recorder.records, meta={"workload": workload.name, "jobs": jobs}
+    )
+    work: Dict[str, int] = {}
+    for stats in profile.paths.values():
+        for counter, value in stats.counters.items():
+            key = f"{stats.name}.{counter}"
+            work[key] = work.get(key, 0) + value
+    work.update(own)
+    return work, profile
+
+
+def _memory_pass(workload: Workload, jobs: int) -> Tuple[float, float]:
+    """``(peak_kb, net_kb)`` of one run, as tracemalloc sees it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base_current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        workload.run(jobs=jobs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return (
+        round((peak - base_current) / 1024.0, 1),
+        round((current - base_current) / 1024.0, 1),
+    )
+
+
 def _measure_workload(
     workload: Workload, *, repeats: int, jobs: int, memory: bool
 ) -> Dict[str, Any]:
-    """The two-pass measurement protocol for one workload.
+    """The measurement protocol for one workload (module docstring).
 
     Runs under ``cache_disabled()`` so the ambient analysis cache never
     contaminates timings or work counts; the ``cache.*`` workloads
@@ -130,72 +194,29 @@ def _measure_workload(
     from ..cache.store import cache_disabled
 
     with cache_disabled():
-        return _measure_workload_uncached(
-            workload, repeats=repeats, jobs=jobs, memory=memory
-        )
-
-
-def _measure_workload_uncached(
-    workload: Workload, *, repeats: int, jobs: int, memory: bool
-) -> Dict[str, Any]:
-    # Warm-up (imports, caches) — never recorded.
-    workload.run(jobs=jobs)
-
-    # Timing passes: force the null tracer so we time the production
-    # configuration even when the surrounding CLI run is being traced.
-    previous = set_tracer(NULL_TRACER)
-    times: List[float] = []
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            workload.run(jobs=jobs)
-            times.append(time.perf_counter() - start)
-    finally:
-        set_tracer(previous)
-
-    # Instrumented pass: work counts + memory, never timed.
-    clear_registry()
-    tracer = Tracer()
-    set_tracer(tracer)
-    started_tracemalloc = False
-    peak_kb: Optional[float] = None
-    net_kb: Optional[float] = None
-    try:
-        if memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            started_tracemalloc = True
-        if memory:
-            base_current, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-        work = dict(workload.run(jobs=jobs))
-        if memory:
-            current, peak = tracemalloc.get_traced_memory()
-            peak_kb = round((peak - base_current) / 1024.0, 1)
-            net_kb = round((current - base_current) / 1024.0, 1)
-    finally:
-        tracer.close()
-        set_tracer(previous)
-        if started_tracemalloc:
-            tracemalloc.stop()
-
-    # Span counters recorded inside the pipelines (nodes expanded,
-    # Pottier frontier vectors, saturation rounds) are deterministic
-    # work counts too; fold them in under their span-qualified names.
-    spans = registry_snapshot().get("spans")
-    if spans is not None:
-        for name, value in spans.counters.items():
-            work.setdefault(name, int(value))
-    clear_registry()
-
-    entry: Dict[str, Any] = {
+        # Force the null tracer so we measure the production
+        # configuration even when the surrounding CLI run is traced.
+        previous = set_tracer(NULL_TRACER)
+        try:
+            workload.run(jobs=jobs)  # warm-up, never recorded
+            times: List[float] = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                workload.run(jobs=jobs)
+                times.append(time.perf_counter() - start)
+            peak_kb, net_kb = _memory_pass(workload, jobs) if memory else (None, None)
+        finally:
+            set_tracer(previous)
+        work, profile = trace_workload(workload, jobs=jobs)
+    return {
         "repeats": repeats,
         "times_s": [round(t, 6) for t in times],
         **{k: round(v, 6) for k, v in _median_mad(times).items()},
         "peak_kb": peak_kb,
         "net_kb": net_kb,
         "work": work,
+        "work_paths": profile.work_counts(),
     }
-    return entry
 
 
 def run_suite(
@@ -404,13 +425,14 @@ def compare_artifacts(
         entry_base, entry_new = base_workloads[name], new_workloads[name]
         verdicts: List[str] = []
 
-        # Exact work counts: any drift on a shared key is a hard finding.
+        # Exact work counts: any drift is a hard finding, and so is a
+        # key that appears or vanishes (a counter that stopped counting).
         work_base = entry_base.get("work", {})
         work_new = entry_new.get("work", {})
         drifted = {
-            key: (work_base[key], work_new[key])
-            for key in set(work_base) & set(work_new)
-            if work_base[key] != work_new[key]
+            key: (work_base.get(key, "absent"), work_new.get(key, "absent"))
+            for key in set(work_base) | set(work_new)
+            if work_base.get(key) != work_new.get(key)
         }
         if drifted:
             detail = ", ".join(

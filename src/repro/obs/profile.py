@@ -33,9 +33,12 @@ pretty table:
 On top of the model: folded-stack (``a;b;c value``) and speedscope
 JSON exporters, a schema-versioned profile artifact, a profile diff
 with exact significance on work counts and MAD-robust significance on
-time (the ledger's own rules), and regression *attribution* — re-run a
-drifted workload under a recording tracer and name the guilty span
-subtrees (``repro bench compare --attribute``).
+time (the ledger's own rules), and regression *attribution*: every
+ledger entry stores its traced pass's :meth:`Profile.work_counts` as
+``work_paths``, so ``repro bench compare`` names the span paths whose
+counters moved from the two artifacts alone, without running anything.
+The by-name table behind ``repro trace summarize``
+(:func:`repro.obs.summary.trace_summary`) is a view of this fold too.
 """
 
 from __future__ import annotations
@@ -66,8 +69,6 @@ __all__ = [
     "ProfileFinding",
     "ProfileDiff",
     "diff_profiles",
-    "ProfileRecording",
-    "record_workload_profile",
     "WorkAttribution",
     "AttributionEntry",
     "attribute_work_drift",
@@ -128,6 +129,9 @@ class Profile:
     """A deterministic hierarchical profile aggregated from spans."""
 
     paths: Dict[Tuple[str, ...], PathStats] = field(default_factory=dict)
+    # The spliced-out plumbing spans, by name (keyed by the one-name
+    # path): kept for the trace summary, outside paths and artifacts.
+    plumbing: Dict[Tuple[str, ...], PathStats] = field(default_factory=dict)
     span_count: int = 0
     orphan_count: int = 0
     spliced_count: int = 0
@@ -169,19 +173,19 @@ class Profile:
         return sum(stats.self_us for stats in self.paths.values())
 
 
-def _as_record(record: Any) -> SpanRecord:
-    """Accept :class:`SpanRecord` or a raw JSONL-shaped span dict."""
-    if isinstance(record, SpanRecord):
-        return record
-    return SpanRecord(
-        name=record["name"],
-        span_id=record.get("id"),
-        parent_id=record.get("parent"),
-        depth=int(record.get("depth", 0)),
-        start_us=float(record.get("start_us", 0.0)),
-        dur_us=float(record.get("dur_us", 0.0)),
-        attributes=dict(record.get("attrs", {})),
-        counters={k: int(v) for k, v in record.get("counters", {}).items()},
+def _path_stats(path: Tuple[str, ...], entry: Mapping[str, Any]) -> PathStats:
+    durations = sorted(entry["durations"])
+    median = statistics.median(durations)
+    mad = statistics.median(abs(d - median) for d in durations)
+    return PathStats(
+        path=path,
+        count=entry["count"],
+        total_us=round(entry["total_us"], 3),
+        self_us=round(entry["self_us"], 3),
+        median_us=round(median, 3),
+        mad_us=round(mad, 3),
+        counters=dict(sorted(entry["counters"].items())),
+        mem_peak_kb=entry["mem_peak_kb"],
     )
 
 
@@ -191,13 +195,15 @@ def build_profile(
     """Aggregate finished spans into a :class:`Profile`.
 
     Orphan spans (recorded parent missing from the input — a truncated
-    trace from a killed run) root their own subtree, mirroring
-    ``repro trace summarize``.  Plumbing spans (:data:`PLUMBING_SPANS`)
-    contribute nothing themselves and are spliced out of descendants'
-    paths.  The aggregation is a pure commutative fold, so any
-    permutation of ``records`` yields an identical profile.
+    trace from a killed run) root their own subtree.  Plumbing spans
+    (:data:`PLUMBING_SPANS`) are spliced out of descendants' paths;
+    their own stats go to :attr:`Profile.plumbing` by name.  The
+    aggregation is a pure commutative fold, so any permutation of
+    ``records`` yields an identical profile.
     """
-    spans = [_as_record(r) for r in records]
+    spans = [
+        r if isinstance(r, SpanRecord) else SpanRecord.from_dict(r) for r in records
+    ]
     by_id: Dict[int, SpanRecord] = {
         s.span_id: s for s in spans if s.span_id is not None
     }
@@ -211,7 +217,10 @@ def build_profile(
             )
 
     orphans = 0
-    # Memoised name-path of each known span id, plumbing spliced out.
+    # Memoised name-path of each span, plumbing spliced out.  Keyed by
+    # the record itself, not its id: a corrupt trace (two concatenated
+    # files) can repeat an id, and each span's path must end in its
+    # own name.
     memo: Dict[int, Tuple[str, ...]] = {}
 
     def path_of(span: SpanRecord) -> Tuple[str, ...]:
@@ -223,14 +232,12 @@ def build_profile(
         current: Optional[SpanRecord] = span
         prefix: Tuple[str, ...] = ()
         while current is not None:
-            sid = current.span_id
-            if sid is not None:
-                if sid in memo:
-                    prefix = memo[sid]  # ancestor already resolved
-                    break
-                if sid in seen:
-                    break  # cycle in a corrupt trace: treat as root
-                seen.add(sid)
+            if id(current) in memo:
+                prefix = memo[id(current)]  # ancestor already resolved
+                break
+            if id(current) in seen:
+                break  # cycle in a corrupt trace: treat as root
+            seen.add(id(current))
             chain.append(current)
             parent_id = current.parent_id
             if parent_id is None:
@@ -244,18 +251,18 @@ def build_profile(
         for node in reversed(chain):
             if node.name not in PLUMBING_SPANS:
                 prefix = prefix + (node.name,)
-            if node.span_id is not None:
-                memo[node.span_id] = prefix
+            memo[id(node)] = prefix
         return prefix
 
     accumulator: Dict[Tuple[str, ...], Dict[str, Any]] = {}
-    spliced = 0
+    plumbing: Dict[Tuple[str, ...], Dict[str, Any]] = {}
     for span in spans:
         path = path_of(span)
         if span.name in PLUMBING_SPANS:
-            spliced += 1
-            continue
-        entry = accumulator.setdefault(
+            bucket, path = plumbing, (span.name,)
+        else:
+            bucket = accumulator
+        entry = bucket.setdefault(
             path,
             {
                 "count": 0,
@@ -277,23 +284,10 @@ def build_profile(
         if isinstance(peak, (int, float)) and not isinstance(peak, bool):
             entry["mem_peak_kb"] = max(entry["mem_peak_kb"] or 0.0, float(peak))
 
-    paths: Dict[Tuple[str, ...], PathStats] = {}
-    for path, entry in accumulator.items():
-        durations = sorted(entry["durations"])
-        median = statistics.median(durations)
-        mad = statistics.median(abs(d - median) for d in durations)
-        paths[path] = PathStats(
-            path=path,
-            count=entry["count"],
-            total_us=round(entry["total_us"], 3),
-            self_us=round(entry["self_us"], 3),
-            median_us=round(median, 3),
-            mad_us=round(mad, 3),
-            counters=dict(sorted(entry["counters"].items())),
-            mem_peak_kb=entry["mem_peak_kb"],
-        )
+    spliced = sum(entry["count"] for entry in plumbing.values())
     return Profile(
-        paths=paths,
+        paths={path: _path_stats(path, e) for path, e in accumulator.items()},
+        plumbing={path: _path_stats(path, e) for path, e in plumbing.items()},
         span_count=len(spans) - spliced,
         orphan_count=orphans,
         spliced_count=spliced,
@@ -695,62 +689,12 @@ def diff_profiles(
 
 
 # ----------------------------------------------------------------------
-# Recording a workload under the tracer
+# Regression attribution (`repro bench compare`)
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ProfileRecording:
-    """One workload run traced into a profile, plus its work counts."""
-
-    workload: str
-    jobs: int
-    profile: Profile
-    work: Dict[str, int]
-
-
-def record_workload_profile(name: str, *, jobs: int = 1) -> ProfileRecording:
-    """Run one ledger workload under a recording tracer.
-
-    Mirrors the ledger's instrumented pass: one unrecorded warm-up run
-    (so the cache ``*_warm`` workloads see the directory their ledger
-    measurement would), then one traced run under ``cache_disabled()``,
-    with span counters folded into span-qualified work keys exactly as
-    :func:`repro.obs.ledger._measure_workload` does — the returned
-    ``work`` dict is directly comparable to a ledger artifact entry.
-    """
-    from ..cache.store import cache_disabled
-    from .bench import get_workload
-    from .exporters import RecordingExporter
-    from .metrics import clear_registry, registry_snapshot
-    from .tracer import Tracer, set_tracer
-
-    workload = get_workload(name)
-    with cache_disabled():
-        workload.run(jobs=jobs)  # warm-up, never recorded
-        clear_registry()
-        recorder = RecordingExporter()
-        tracer = Tracer([recorder])
-        previous = set_tracer(tracer)
-        try:
-            work = dict(workload.run(jobs=jobs))
-        finally:
-            tracer.close()
-            set_tracer(previous)
-        spans = registry_snapshot().get("spans")
-        if spans is not None:
-            for key, value in spans.counters.items():
-                work.setdefault(key, int(value))
-        clear_registry()
-    profile = build_profile(
-        recorder.records, meta={"workload": name, "jobs": jobs}
-    )
-    return ProfileRecording(workload=name, jobs=jobs, profile=profile, work=work)
-
-
-# ----------------------------------------------------------------------
-# Regression attribution (`repro bench compare --attribute`)
-# ----------------------------------------------------------------------
+def _or_absent(value: Optional[int]) -> Any:
+    return "absent" if value is None else value
 
 
 @dataclass
@@ -760,20 +704,26 @@ class AttributionEntry:
     workload: str
     key: str
     base_value: Optional[int]
-    fresh_value: Optional[int]
-    paths: List[Tuple[str, str, int]] = field(default_factory=list)
-    # each: (path key, counter name, fresh per-path value)
+    new_value: Optional[int]
+    # each: (path key, counter name, base per-path value, new per-path value)
+    paths: List[Tuple[str, str, Optional[int], Optional[int]]] = field(
+        default_factory=list
+    )
 
     def render_lines(self) -> List[str]:
-        base = "absent" if self.base_value is None else self.base_value
-        fresh = "absent" if self.fresh_value is None else self.fresh_value
-        lines = [f"  {self.key}: baseline {base} -> fresh {fresh}"]
+        lines = [
+            f"  {self.key}: base {_or_absent(self.base_value)} "
+            f"-> new {_or_absent(self.new_value)}"
+        ]
         if self.paths:
-            for path, counter, value in self.paths:
-                lines.append(f"    guilty subtree: {path}  ({counter}={value})")
+            for path, counter, base, new in self.paths:
+                lines.append(
+                    f"    guilty subtree: {path}  "
+                    f"({counter}: {_or_absent(base)} -> {_or_absent(new)})"
+                )
         else:
             lines.append(
-                "    (no span subtree carries this counter — workload-level count)"
+                "    (no span path's counter moved — workload-level count)"
             )
         return lines
 
@@ -782,15 +732,13 @@ class AttributionEntry:
 class WorkAttribution:
     """The full attribution report for one artifact comparison."""
 
-    jobs: int
     entries: List[AttributionEntry] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     def guilty_paths(self) -> List[str]:
         """Every span path named as a drift site, deduplicated."""
         seen: List[str] = []
         for entry in self.entries:
-            for path, _, _ in entry.paths:
+            for path, _, _, _ in entry.paths:
                 if path not in seen:
                     seen.append(path)
         return seen
@@ -798,18 +746,21 @@ class WorkAttribution:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "kind": "repro-work-attribution",
-            "schema": 1,
-            "jobs": self.jobs,
-            "notes": list(self.notes),
+            "schema": 2,
             "entries": [
                 {
                     "workload": e.workload,
                     "key": e.key,
                     "base_value": e.base_value,
-                    "fresh_value": e.fresh_value,
+                    "new_value": e.new_value,
                     "paths": [
-                        {"path": path, "counter": counter, "fresh_value": value}
-                        for path, counter, value in e.paths
+                        {
+                            "path": path,
+                            "counter": counter,
+                            "base_value": base,
+                            "new_value": new,
+                        }
+                        for path, counter, base, new in e.paths
                     ],
                 }
                 for e in self.entries
@@ -817,9 +768,9 @@ class WorkAttribution:
         }
 
     def render(self) -> str:
-        if not self.entries and not self.notes:
+        if not self.entries:
             return "attribution: no work drift to attribute"
-        lines = ["work-drift attribution (fresh re-run under the tracer):"]
+        lines = ["work-drift attribution (from the artifacts' work paths):"]
         by_workload: Dict[str, List[AttributionEntry]] = {}
         for entry in self.entries:
             by_workload.setdefault(entry.workload, []).append(entry)
@@ -827,91 +778,66 @@ class WorkAttribution:
             lines.append(f"{workload}:")
             for entry in by_workload[workload]:
                 lines.extend(entry.render_lines())
-        for note in self.notes:
-            lines.append(f"note: {note}")
         return "\n".join(lines)
 
 
-def _paths_carrying(profile: Profile, key: str) -> List[Tuple[str, str, int]]:
-    """Profile paths whose leaf span qualifies work key ``key``.
+def _paths_carrying(
+    work_paths: Mapping[str, Mapping[str, int]], key: str
+) -> Dict[Tuple[str, str], int]:
+    """``(path, counter) -> value`` for the paths whose leaf qualifies ``key``.
 
     Span names contain dots, so ``simulate.run.interactions`` cannot be
     split blindly — instead every path's leaf name is tried as the span
     prefix and the remainder as the counter name.
     """
-    matches: List[Tuple[str, str, int]] = []
-    for stats in profile.sorted_paths():
-        leaf = stats.name
+    matches: Dict[Tuple[str, str], int] = {}
+    for path, counters in work_paths.items():
+        leaf = path.split(PATH_SEP)[-1]
         if not key.startswith(leaf + "."):
             continue
         counter = key[len(leaf) + 1 :]
-        if counter in stats.counters:
-            matches.append((stats.key, counter, stats.counters[counter]))
+        if counter in counters:
+            matches[(path, counter)] = counters[counter]
     return matches
 
 
 def attribute_work_drift(
-    base_artifact: Mapping[str, Any],
-    new_artifact: Mapping[str, Any],
-    *,
-    jobs: int = 1,
-    workloads: Optional[Sequence[str]] = None,
+    base_artifact: Mapping[str, Any], new_artifact: Mapping[str, Any]
 ) -> WorkAttribution:
-    """Re-run drifted workloads under the tracer and name guilty subtrees.
+    """Name the span paths behind every drifted work key; runs nothing.
 
-    Only workloads whose recorded work counts differ between the two
-    artifacts are re-run (attribution is expensive: one warm-up plus
-    one traced pass each).  The fresh traced run — same pinned seed and
-    inputs as the ledger — is compared against the *baseline* work
-    values; when the fresh run reproduces the baseline instead of the
-    regression, that is reported rather than silently blaming noise.
+    Every ledger entry stores its traced pass's work per span path
+    (``work_paths``), so a drifted span-qualified key is traced to the
+    paths whose counter differs between the two artifacts.  A key no
+    span carries (the workload's own count) gets an entry without
+    paths.
     """
-    from .bench import get_workload
-
-    attribution = WorkAttribution(jobs=jobs)
+    attribution = WorkAttribution()
     base_workloads: Mapping[str, Any] = base_artifact.get("workloads", {})
     new_workloads: Mapping[str, Any] = new_artifact.get("workloads", {})
-    selected = set(workloads) if workloads is not None else None
     for name in sorted(set(base_workloads) & set(new_workloads)):
-        if selected is not None and name not in selected:
-            continue
-        work_base = base_workloads[name].get("work", {})
-        work_new = new_workloads[name].get("work", {})
+        entry_base, entry_new = base_workloads[name], new_workloads[name]
+        work_base = entry_base.get("work", {})
+        work_new = entry_new.get("work", {})
         # Union, not intersection: a work key appearing in or vanishing
         # from a ledger entry is drift exactly like a changed count
         # (diff_profiles treats added/removed work paths the same way).
-        drifted = sorted(
-            key
-            for key in set(work_base) | set(work_new)
-            if work_base.get(key) != work_new.get(key)
-        )
-        if not drifted:
-            continue
-        try:
-            get_workload(name)
-        except KeyError:
-            attribution.notes.append(
-                f"{name}: workload not registered in this build; cannot re-run"
-            )
-            continue
-        recording = record_workload_profile(name, jobs=jobs)
-        for key in drifted:
-            base_value = work_base.get(key)
-            fresh_value = recording.work.get(key)
-            if fresh_value == base_value:
-                shown = "absent" if base_value is None else base_value
-                attribution.notes.append(
-                    f"{name}: {key} matched the baseline on the fresh re-run "
-                    f"({shown}); the recorded drift did not reproduce"
-                )
+        for key in sorted(set(work_base) | set(work_new)):
+            if work_base.get(key) == work_new.get(key):
                 continue
+            paths_base = _paths_carrying(entry_base.get("work_paths", {}), key)
+            paths_new = _paths_carrying(entry_new.get("work_paths", {}), key)
             attribution.entries.append(
                 AttributionEntry(
                     workload=name,
                     key=key,
-                    base_value=base_value,
-                    fresh_value=fresh_value,
-                    paths=_paths_carrying(recording.profile, key),
+                    base_value=work_base.get(key),
+                    new_value=work_new.get(key),
+                    paths=[
+                        (*site, paths_base.get(site), paths_new.get(site))
+                        for site in sorted(set(paths_base) | set(paths_new))
+                        if paths_base.get(site) != paths_new.get(site)
+                    ],
                 )
             )
     return attribution

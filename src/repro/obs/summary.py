@@ -2,8 +2,9 @@
 
 Reads back either exporter format — the JSONL event log or the Chrome
 trace-event JSON — into a common :class:`SpanRecord` list, and renders
-a per-span-name aggregate table: call count, total and *self* wall
-time (total minus direct children, computed from the recorded
+a per-span-name view of the one span fold,
+:func:`repro.obs.profile.build_profile`: call count, total and *self*
+wall time (total minus direct children, computed from the recorded
 parent/child links, so re-entrant span names never double-count), the
 summed per-span counters, and — when the trace was recorded with
 memory spans on — the maximum per-span memory peak.
@@ -37,6 +38,20 @@ class SpanRecord:
     attributes: Dict[str, Any] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "SpanRecord":
+        """One span in the JSONL shape (also :class:`RecordingExporter`'s)."""
+        return cls(
+            name=payload["name"],
+            span_id=payload.get("id"),
+            parent_id=payload.get("parent"),
+            depth=int(payload.get("depth", 0)),
+            start_us=float(payload.get("start_us", 0.0)),
+            dur_us=float(payload.get("dur_us", 0.0)),
+            attributes=dict(payload.get("attrs", {})),
+            counters={k: int(v) for k, v in payload.get("counters", {}).items()},
+        )
+
 
 def _from_jsonl(lines: List[str]) -> List[SpanRecord]:
     records: List[SpanRecord] = []
@@ -53,20 +68,8 @@ def _from_jsonl(lines: List[str]) -> List[SpanRecord]:
             if index == len(lines) - 1:
                 continue
             raise
-        if payload.get("type") != "span":
-            continue
-        records.append(
-            SpanRecord(
-                name=payload["name"],
-                span_id=payload.get("id"),
-                parent_id=payload.get("parent"),
-                depth=int(payload.get("depth", 0)),
-                start_us=float(payload.get("start_us", 0.0)),
-                dur_us=float(payload.get("dur_us", 0.0)),
-                attributes=dict(payload.get("attrs", {})),
-                counters={k: int(v) for k, v in payload.get("counters", {}).items()},
-            )
-        )
+        if payload.get("type") == "span":
+            records.append(SpanRecord.from_dict(payload))
     return records
 
 
@@ -122,82 +125,57 @@ _SORT_KEYS = {
 def trace_summary(records: List[SpanRecord], sort: str = "total") -> Dict[str, Any]:
     """The machine-readable aggregate behind ``trace summarize --json``.
 
-    Returns ``{"spans", "names", "max_depth", "orphans", "has_memory",
-    "rows"}``; each row carries the same quantities the rendered table
-    shows, unformatted (``name``, ``count``, ``total_us``, ``self_us``,
-    ``mean_us``, ``peak_kb``, ``counters``), in the requested sort
-    order — so CI and the attribution pipeline consume summaries
+    A by-name view of :func:`repro.obs.profile.build_profile`: each row
+    groups the profile paths ending in one span name, or the plumbing
+    stats the profile keeps aside for ``parallel.pool`` /
+    ``parallel.task``.  Returns ``{"spans", "names", "max_depth",
+    "orphans", "has_memory", "rows"}``; each row carries the same
+    quantities the rendered table shows, unformatted (``name``,
+    ``count``, ``total_us``, ``self_us``, ``mean_us``, ``peak_kb``,
+    ``counters``), in the requested sort order (ties in order of first
+    appearance) — so CI and the attribution pipeline consume summaries
     without re-parsing JSONL or scraping table text.
     """
+    from .profile import build_profile  # profile.py imports SpanRecord from here
+
     if sort not in _SORT_KEYS:
         raise ValueError(
             f"sort must be one of {sorted(_SORT_KEYS)}, got {sort!r}"
         )
-    if not records:
-        return {
-            "spans": 0,
-            "names": 0,
-            "max_depth": 0,
-            "orphans": 0,
-            "has_memory": False,
-            "rows": [],
-        }
+    profile = build_profile(records)
+    # Keyed in order of first appearance: the stable sort below keeps
+    # that order among ties.
+    groups: Dict[str, List[Any]] = {record.name: [] for record in records}
+    for stats in [*profile.paths.values(), *profile.plumbing.values()]:
+        groups[stats.name].append(stats)
 
-    known_ids = {record.span_id for record in records if record.span_id is not None}
-    orphans = sum(
-        1
-        for record in records
-        if record.parent_id is not None and record.parent_id not in known_ids
-    )
-    child_time: Dict[Optional[int], float] = {}
-    for record in records:
-        if record.parent_id is not None and record.parent_id in known_ids:
-            child_time[record.parent_id] = (
-                child_time.get(record.parent_id, 0.0) + record.dur_us
-            )
-
-    has_memory = any("mem_peak_kb" in record.attributes for record in records)
-    by_name: Dict[str, Dict[str, Any]] = {}
-    for record in records:
-        entry = by_name.setdefault(
-            record.name,
-            {
-                "count": 0,
-                "total_us": 0.0,
-                "self_us": 0.0,
-                "counters": {},
-                "peak_kb": None,
-            },
-        )
-        entry["count"] += 1
-        entry["total_us"] += record.dur_us
-        entry["self_us"] += max(0.0, record.dur_us - child_time.get(record.span_id, 0.0))
-        peak = record.attributes.get("mem_peak_kb")
-        if isinstance(peak, (int, float)):
-            entry["peak_kb"] = max(entry["peak_kb"] or 0.0, float(peak))
-        for key, value in record.counters.items():
-            entry["counters"][key] = entry["counters"].get(key, 0) + value
-
-    sort_key = _SORT_KEYS[sort]
     rows = []
-    for name, entry in sorted(by_name.items(), key=lambda kv: -kv[1][sort_key]):
+    for name, group in groups.items():
+        count = sum(stats.count for stats in group)
+        total_us = sum(stats.total_us for stats in group)
+        peaks = [s.mem_peak_kb for s in group if s.mem_peak_kb is not None]
+        counters: Dict[str, int] = {}
+        for stats in group:
+            for key, value in stats.counters.items():
+                counters[key] = counters.get(key, 0) + value
         rows.append(
             {
                 "name": name,
-                "count": entry["count"],
-                "total_us": round(entry["total_us"], 3),
-                "self_us": round(entry["self_us"], 3),
-                "mean_us": round(entry["total_us"] / entry["count"], 3),
-                "peak_kb": entry["peak_kb"],
-                "counters": dict(sorted(entry["counters"].items())),
+                "count": count,
+                "total_us": round(total_us, 3),
+                "self_us": round(sum(stats.self_us for stats in group), 3),
+                "mean_us": round(total_us / count, 3),
+                "peak_kb": max(peaks) if peaks else None,
+                "counters": dict(sorted(counters.items())),
             }
         )
+    rows.sort(key=lambda row: -row[_SORT_KEYS[sort]])
     return {
         "spans": len(records),
-        "names": len(by_name),
-        "max_depth": max(record.depth for record in records),
-        "orphans": orphans,
-        "has_memory": has_memory,
+        "names": len(rows),
+        "max_depth": max((record.depth for record in records), default=0),
+        "orphans": profile.orphan_count,
+        "has_memory": any(row["peak_kb"] is not None for row in rows),
         "rows": rows,
     }
 

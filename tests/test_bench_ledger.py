@@ -1,11 +1,13 @@
 """Tests for the performance ledger (``repro.obs.bench`` + ``.ledger``).
 
 Covers the workload registry (suites, determinism of work counts), the
-two-pass suite runner (artifact schema, env fingerprint, memory pass),
-artifact IO (schema gating), the MAD-based comparison (injected 2x
-slowdown flagged, jitter not flagged, exact work-count drift always
-flagged), and the ``repro bench run / compare / baseline / list`` CLI
-including its exit codes.
+suite runner (artifact schema, env fingerprint, memory pass, the traced
+pass's work paths, and the process registries it leaves alone), the
+two span folds agreeing on every micro workload, artifact IO (schema
+gating), the MAD-based comparison (injected 2x slowdown flagged,
+jitter not flagged, exact work-count drift always flagged, work keys
+that appear or vanish included), and the ``repro bench run / compare /
+baseline / list`` CLI including its exit codes.
 
 To keep the suite fast, most runner tests use a filtered two-workload
 slice of the micro suite; one end-to-end test runs the real thing.
@@ -25,15 +27,18 @@ from repro.obs import (
     clear_registry,
     compare_artifacts,
     disable_progress,
+    get_metrics,
     get_workload,
     iter_workloads,
     load_artifact,
+    registry_snapshot,
     run_suite,
     set_tracer,
     suite_names,
+    trace_workload,
     write_artifact,
 )
-from repro.obs.bench import SUITE_FULL, SUITE_MICRO, register_workload
+from repro.obs.bench import SUITE_FULL, SUITE_MICRO, Workload, register_workload
 from repro.obs.ledger import DEFAULT_BASELINE_PATH, environment_fingerprint
 
 FAST_WORKLOADS = ("saturation.sequence", "certify.section4")
@@ -131,6 +136,30 @@ class TestRunSuite:
         with pytest.raises(LedgerError, match="selected no workloads"):
             run_suite("micro", workload_filter=lambda w: False)
 
+    def test_entries_store_work_paths(self):
+        artifact = run_suite(
+            "micro",
+            repeats=1,
+            workload_filter=lambda w: w.name == "pottier.realisable_basis",
+        )
+        entry = artifact["workloads"]["pottier.realisable_basis"]
+        assert entry["work_paths"]
+        summed = {}
+        for path, counters in entry["work_paths"].items():
+            for counter, value in counters.items():
+                key = f"{path.split(';')[-1]}.{counter}"
+                summed[key] = summed.get(key, 0) + value
+        assert summed and all(entry["work"][k] == v for k, v in summed.items())
+
+    def test_keeps_what_the_process_recorded(self):
+        # A recorded `bench run` seals its manifest from these registries.
+        get_metrics("cache").add("hits", 3)
+        get_metrics("spans").add("analyze.nodes", 5)
+        tiny_suite(repeats=1)
+        snapshot = registry_snapshot()
+        assert snapshot["cache"].counters["hits"] == 3
+        assert snapshot["spans"].counters == {"analyze.nodes": 5}
+
     def test_restores_tracer_and_registry(self):
         from repro.obs import NULL_TRACER, get_tracer, registry_snapshot
 
@@ -138,6 +167,36 @@ class TestRunSuite:
         assert get_tracer() is NULL_TRACER
         spans = registry_snapshot().get("spans")
         assert spans is None or not spans.counters
+
+
+class TestTwoFoldsAgree:
+    """The ledger sums its span-qualified work keys from the profile;
+    the tracer still folds the same counters into the ``spans``
+    registry, which the e2e harness reads.  Same run, same counters."""
+
+    @pytest.mark.parametrize(
+        "name, jobs",
+        [(w.name, 1) for w in iter_workloads(SUITE_MICRO)] + [("enumeration.bb2", 2)],
+    )
+    def test_profile_sums_equal_registry_counters(self, name, jobs, monkeypatch):
+        seen = {}
+        run = Workload.run
+
+        def spy(self, jobs=1):
+            result = run(self, jobs=jobs)
+            spans = registry_snapshot().get("spans")
+            seen.update(spans.counters if spans is not None else {})
+            return result
+
+        monkeypatch.setattr(Workload, "run", spy)
+        work, profile = trace_workload(get_workload(name), jobs=jobs)
+        summed = {}
+        for stats in profile.paths.values():
+            for counter, value in stats.counters.items():
+                key = f"{stats.name}.{counter}"
+                summed[key] = summed.get(key, 0) + value
+        assert summed == seen
+        assert all(work[key] == value for key, value in summed.items())
 
 
 class TestArtifactIO:
@@ -241,6 +300,28 @@ class TestCompare:
         (finding,) = report.regressions()
         assert finding.kind == "work"
         assert "100 -> 101" in finding.detail
+
+    def test_vanished_work_key_is_drift(self):
+        base = synthetic_artifact(
+            work={"nodes": 25, "coverability.karp_miller.expansions": 1540}
+        )
+        new = synthetic_artifact(work={"nodes": 25})
+        report = compare_artifacts(base, new)
+        assert not report.ok("work")
+        (finding,) = report.regressions()
+        assert finding.kind == "work"
+        assert "coverability.karp_miller.expansions: 1540 -> absent" in finding.detail
+
+    def test_appearing_work_key_is_drift(self):
+        base = synthetic_artifact(work={"nodes": 25})
+        new = synthetic_artifact(
+            work={"nodes": 25, "coverability.karp_miller.expansions": 1540}
+        )
+        report = compare_artifacts(base, new)
+        assert not report.ok("work")
+        (finding,) = report.regressions()
+        assert finding.kind == "work"
+        assert "coverability.karp_miller.expansions: absent -> 1540" in finding.detail
 
     def test_memory_regression_flagged(self):
         base = synthetic_artifact(peak_kb=1024.0)

@@ -7,9 +7,10 @@ and under parallel-worker shard adoption (``parallel.pool`` /
 ``parallel.task`` plumbing is spliced out, so ``--jobs 1/2/4`` yield
 the same work-count profile for the same seed).  The hypothesis suite
 asserts both, the golden fixture pins the diff output against an
-injected synthetic regression, and the attribution tests drive the
-``bench compare --attribute`` path end-to-end using the deterministic
-perturbation hook in the ``simulate.count`` workload.
+injected synthetic regression, and the attribution tests drive
+``bench compare`` end-to-end on an artifact the ledger recorded with
+the deterministic perturbation hook in the ``simulate.count`` workload
+— attribution reads the stored work paths and runs nothing.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cli import main
-from repro.obs import profile as prof
-from repro.obs.summary import load_trace
+from repro.obs import load_artifact, profile as prof, run_suite, trace_workload
+from repro.obs.bench import Workload, get_workload
+from repro.obs.summary import SpanRecord, load_trace, trace_summary
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -130,6 +132,19 @@ class TestAggregation:
         assert sum(
             c.get("n", 0) for c in profile.work_counts().values()
         ) == 1
+
+    def test_repeated_span_ids_keep_their_own_names(self):
+        # Two concatenated trace files: span ids restart at 1.
+        spans = [
+            _span("a", 1, None, 10, {"n": 1}),
+            _span("child", 2, 1, 4),
+            _span("b", 1, None, 20, {"n": 2}),
+        ]
+        profile = prof.build_profile(spans)
+        assert {path[-1] for path in profile.paths} == {"a", "b", "child"}
+        assert profile.paths[("b",)].counters == {"n": 2}
+        summary = trace_summary([SpanRecord.from_dict(s) for s in spans])
+        assert sorted(row["name"] for row in summary["rows"]) == ["a", "b", "child"]
 
     def test_empty_trace(self):
         profile = prof.build_profile([])
@@ -273,14 +288,20 @@ class TestDiff:
 class TestJobsDeterminism:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_work_count_profile_identical_across_jobs(self, jobs):
-        recording = prof.record_workload_profile("enumeration.bb2", jobs=jobs)
-        baseline = prof.record_workload_profile("enumeration.bb2", jobs=1)
-        assert recording.work == baseline.work
-        assert recording.profile.work_counts() == baseline.profile.work_counts()
+        workload = get_workload("enumeration.bb2")
+        work, profile = trace_workload(workload, jobs=jobs)
+        baseline_work, baseline = trace_workload(workload, jobs=1)
+        assert work == baseline_work
+        assert profile.work_counts() == baseline.work_counts()
 
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError, match="unknown workload"):
-            prof.record_workload_profile("no.such.workload")
+            trace_workload(get_workload("no.such.workload"))
+
+
+SEED_BASELINE = os.path.join(
+    os.path.dirname(GOLDEN), "..", "benchmarks", "baselines", "BENCH_seed.json"
+)
 
 
 def _artifact(interactions, converged):
@@ -291,58 +312,98 @@ def _artifact(interactions, converged):
                     "interactions": interactions,
                     "converged": converged,
                     "simulate.run.interactions": interactions,
-                }
+                },
+                "work_paths": {"simulate.run": {"interactions": interactions}},
             }
         }
     }
 
 
+def _perturbed_seed(monkeypatch):
+    """The seed baseline with ``simulate.count`` re-recorded by the
+    ledger under a 1600-step budget (the profile-smoke CI scenario)."""
+    monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "1600")
+    fresh = run_suite(
+        "micro",
+        repeats=1,
+        memory=False,
+        workload_filter=lambda w: w.name == "simulate.count",
+    )
+    monkeypatch.delenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS")
+    seed = load_artifact(SEED_BASELINE)
+    perturbed = json.loads(json.dumps(seed))
+    perturbed["workloads"]["simulate.count"] = fresh["workloads"]["simulate.count"]
+    return seed, perturbed
+
+
+def _forbid_workload_runs(monkeypatch):
+    def spy(self, jobs=1):
+        raise AssertionError(f"workload {self.name} ran during attribution")
+
+    monkeypatch.setattr(Workload, "run", spy)
+
+
 class TestAttribution:
     def test_perturbed_drift_names_the_guilty_subtree(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "1600")
-        attribution = prof.attribute_work_drift(
-            _artifact(3200, 1), _artifact(1600, 0)
-        )
-        assert "simulate.run" in attribution.guilty_paths()
+        seed, perturbed = _perturbed_seed(monkeypatch)
+        _forbid_workload_runs(monkeypatch)
+        attribution = prof.attribute_work_drift(seed, perturbed)
+        assert attribution.guilty_paths() == ["simulate.run"]
         span_entry = next(
             e for e in attribution.entries if e.key == "simulate.run.interactions"
         )
-        assert span_entry.fresh_value == 1600
-        assert ("simulate.run", "interactions", 1600) in span_entry.paths
+        assert (span_entry.base_value, span_entry.new_value) == (3200, 1600)
+        assert span_entry.paths == [("simulate.run", "interactions", 3200, 1600)]
+        own = next(e for e in attribution.entries if e.key == "interactions")
+        assert own.paths == []
         rendered = attribution.render()
-        assert "guilty subtree: simulate.run" in rendered
-
-    def test_unreproduced_drift_becomes_a_note(self):
-        # No perturbation: the fresh re-run matches the baseline, so the
-        # recorded drift must be reported as unreproduced, not blamed.
-        attribution = prof.attribute_work_drift(
-            _artifact(3200, 1), _artifact(1600, 0)
-        )
-        assert attribution.entries == []
-        assert any("did not reproduce" in note for note in attribution.notes)
+        assert "guilty subtree: simulate.run  (interactions: 3200 -> 1600)" in rendered
 
     def test_no_drift_attributes_nothing(self):
         attribution = prof.attribute_work_drift(
             _artifact(3200, 1), _artifact(3200, 1)
         )
         assert attribution.entries == []
-        assert attribution.notes == []
         assert "no work drift" in attribution.render()
 
-    def test_unregistered_workload_is_noted(self):
-        base = {"workloads": {"ghost": {"work": {"n": 1}}}}
-        new = {"workloads": {"ghost": {"work": {"n": 2}}}}
-        attribution = prof.attribute_work_drift(base, new)
-        assert attribution.entries == []
-        assert any("not registered" in note for note in attribution.notes)
+    def test_unregistered_workload_is_attributed_from_stored_paths(self):
+        def ghost(n):
+            return {
+                "workloads": {
+                    "ghost": {
+                        "work": {"ghost.span.n": n},
+                        "work_paths": {"root;ghost.span": {"n": n}, "root": {"m": 1}},
+                    }
+                }
+            }
+
+        attribution = prof.attribute_work_drift(ghost(1), ghost(2))
+        (entry,) = attribution.entries
+        assert (entry.workload, entry.key) == ("ghost", "ghost.span.n")
+        assert entry.paths == [("root;ghost.span", "n", 1, 2)]
+
+    def test_only_the_paths_that_moved_are_named(self):
+        def split(inner):
+            return {
+                "workloads": {
+                    "wl": {
+                        "work": {"km.nodes": 10 + inner},
+                        "work_paths": {"a;km": {"nodes": 10}, "b;km": {"nodes": inner}},
+                    }
+                }
+            }
+
+        attribution = prof.attribute_work_drift(split(5), split(7))
+        assert attribution.guilty_paths() == ["b;km"]
 
     def test_removed_work_key_is_drift(self):
         # A key that vanishes from the ledger entry is drift like any
-        # changed count: the workload is re-run and the key attributed.
+        # changed count, attributed to the path that carried it.
         base = {
             "workloads": {
                 "obs.profile_aggregate": {
-                    "work": {"obs.profile_aggregate.paths": 6, "ghost.counter": 7}
+                    "work": {"obs.profile_aggregate.paths": 6, "ghost.counter": 7},
+                    "work_paths": {"ghost": {"counter": 7}},
                 }
             }
         }
@@ -354,12 +415,13 @@ class TestAttribution:
         attribution = prof.attribute_work_drift(base, new)
         entry = next(e for e in attribution.entries if e.key == "ghost.counter")
         assert entry.base_value == 7
-        assert entry.fresh_value is None
-        assert "baseline 7 -> fresh absent" in attribution.render()
+        assert entry.new_value is None
+        assert entry.paths == [("ghost", "counter", 7, None)]
+        rendered = attribution.render()
+        assert "base 7 -> new absent" in rendered
+        assert "guilty subtree: ghost  (counter: 7 -> absent)" in rendered
 
     def test_malformed_perturb_override_fails_loudly(self, monkeypatch):
-        from repro.obs.bench import get_workload
-
         monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "soon")
         with pytest.raises(ValueError, match="REPRO_BENCH_PERTURB_COUNT_MAX_STEPS"):
             get_workload("simulate.count").fn()
@@ -387,11 +449,17 @@ class TestCli:
 
     def test_record_workload_and_json_show(self, tmp_path, capsys):
         out = str(tmp_path / "p.json")
-        assert main(["profile", "record", "obs.profile_aggregate", "--out", out]) == 0
+        assert main(["profile", "record", "simulate.count", "--out", out]) == 0
         capsys.readouterr()
         assert main(["profile", "show", out, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == prof.PROFILE_KIND
+        # The ledger's traced pass: its work dict and its work paths.
+        work, profile = trace_workload(get_workload("simulate.count"))
+        assert payload["meta"] == {"workload": "simulate.count", "jobs": 1, "work": work}
+        assert payload["paths"]["simulate.run"]["counters"] == (
+            profile.work_counts()["simulate.run"]
+        )
 
     def test_diff_exits_nonzero_on_work_drift(self, capsys):
         base = os.path.join(GOLDEN, "profile_base.jsonl")
@@ -447,30 +515,24 @@ class TestCli:
         assert payload["rows"][0]["counters"] == {"x": 3}
 
     def test_bench_compare_attribute_end_to_end(self, tmp_path, monkeypatch, capsys):
-        """The profile-smoke scenario: perturbed budget → named subtree."""
-        seed_path = os.path.join(
-            os.path.dirname(GOLDEN), "..", "benchmarks", "baselines", "BENCH_seed.json"
-        )
-        with open(seed_path) as handle:
-            base = json.load(handle)
-        drifted = json.loads(json.dumps(base))
-        work = drifted["workloads"]["simulate.count"]["work"]
-        work["interactions"] = 1600
-        work["converged"] = 0
-        work["simulate.run.interactions"] = 1600
+        """The profile-smoke scenario: a perturbed artifact names its
+        subtree, though no workload can run and the override is unset."""
+        seed, perturbed = _perturbed_seed(monkeypatch)
         base_path = str(tmp_path / "base.json")
         new_path = str(tmp_path / "new.json")
-        for path, artifact in ((base_path, base), (new_path, drifted)):
+        for path, artifact in ((base_path, seed), (new_path, perturbed)):
             with open(path, "w") as handle:
                 json.dump(artifact, handle)
-        monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "1600")
+        _forbid_workload_runs(monkeypatch)
+        assert "REPRO_BENCH_PERTURB_COUNT_MAX_STEPS" not in os.environ
         attribution_out = str(tmp_path / "attr.json")
         code = main(
             ["bench", "compare", base_path, new_path, "--fail-on", "work",
-             "--attribute", "--attribution-out", attribution_out]
+             "--attribution-out", attribution_out]
         )
         assert code == 1
         out = capsys.readouterr().out
+        assert "simulate.count: work-count drift" in out
         assert "guilty subtree: simulate.run" in out
         with open(attribution_out) as handle:
             payload = json.load(handle)
@@ -479,6 +541,22 @@ class TestCli:
             entry["paths"] and entry["paths"][0]["path"] == "simulate.run"
             for entry in payload["entries"]
         )
+
+    def test_bench_compare_without_drift_prints_no_attribution(self, tmp_path, capsys):
+        attribution_out = str(tmp_path / "attr.json")
+        assert main(
+            ["bench", "compare", SEED_BASELINE, SEED_BASELINE,
+             "--attribution-out", attribution_out]
+        ) == 0
+        assert "attribution" not in capsys.readouterr().out
+        with open(attribution_out) as handle:
+            assert json.load(handle)["entries"] == []
+
+    def test_bench_compare_attribute_and_jobs_flags_are_gone(self, capsys):
+        for flag in (["--attribute"], ["--jobs", "2"]):
+            with pytest.raises(SystemExit):
+                main(["bench", "compare", SEED_BASELINE, SEED_BASELINE, *flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWorkloadRegistration:
