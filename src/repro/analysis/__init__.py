@@ -11,15 +11,19 @@ from .invariants import (
     invariant_basis,
     is_invariant,
 )
-from .termination import (
-    ConvergenceClass,
-    InputClassification,
-    classify_input,
-    is_silent_protocol,
-)
 from .saturation import SaturationResult, TripledSequence, expanding_transition, saturation_sequence
 from .stable import StableSlice, check_downward_closure, is_stable, stability_of, stable_slice
-from .verification import Counterexample, VerificationReport, all_inputs, verify_input, verify_protocol
+from .verification import (
+    ConvergenceClass,
+    Counterexample,
+    InputClassification,
+    VerificationReport,
+    all_inputs,
+    classify_input,
+    is_silent_protocol,
+    verify_input,
+    verify_protocol,
+)
 
 __all__ = [
     "verify_input",

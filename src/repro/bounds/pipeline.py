@@ -36,7 +36,7 @@ from ..core.errors import CertificateError, ReproError, SearchBudgetExceeded
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, Transition
 from ..obs import get_tracer, progress
-from ..reachability.graph import ReachabilityGraph
+from ..reachability.graph import ReachabilityGraph, path_transitions
 from ..reachability.pseudo import RealisableBasisElement, input_state, realisable_basis
 from ..wqo.dickson import first_ordered_pair
 from .certificates import PumpingCertificate, SaturationCertificate
@@ -49,22 +49,6 @@ __all__ = [
 ]
 
 Config = Tuple[int, ...]
-
-
-def _path_transitions(
-    indexed,
-    path: Sequence[Config],
-) -> Tuple[Transition, ...]:
-    """Recover the transitions along a configuration path."""
-    transitions: List[Transition] = []
-    for current, nxt in zip(path, path[1:]):
-        for k, succ in indexed.successors(current):
-            if succ == nxt:
-                transitions.append(indexed.protocol.transitions[k])
-                break
-        else:
-            raise ReproError(f"no transition connects {current} -> {nxt}")
-    return tuple(transitions)
 
 
 def _stable_nodes(indexed, graph: ReachabilityGraph) -> Dict[Config, int]:
@@ -147,7 +131,7 @@ def build_stable_sequence(
             target = min(verdicts)  # deterministic choice
             path = graph.shortest_path(indexed.encode(current), target)
             assert path is not None
-            bridge = _path_transitions(indexed, path)
+            bridge = path_transitions(indexed, path)
             stable_config = indexed.decode(target)
 
             path_so_far = path_so_far + bridge
@@ -441,8 +425,8 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
                 b=element.input_size,
                 B=B,
                 S=S,
-                path_to_saturated=_path_transitions(indexed, path_a),
-                path_to_stable=_path_transitions(indexed, path_b),
+                path_to_saturated=path_transitions(indexed, path_a),
+                path_to_stable=path_transitions(indexed, path_b),
                 pi=element.pi,
             )
             try:

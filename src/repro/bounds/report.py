@@ -33,8 +33,7 @@ from ..analysis.basis import infer_basis
 from ..analysis.expected_time import expected_convergence_time
 from ..analysis.invariants import invariant_basis
 from ..analysis.saturation import saturation_sequence
-from ..analysis.termination import classify_input
-from ..analysis.verification import verify_protocol
+from ..analysis.verification import classify_input, format_trace, verify_protocol
 from ..core.errors import ReproError, SearchBudgetExceeded
 from ..core.predicates import Predicate
 from ..core.protocol import PopulationProtocol
@@ -138,6 +137,7 @@ def full_report(
                     else:
                         ce = report.counterexample
                         out(f"FAILS on {ce.inputs.pretty()}: {ce.reason}")
+                        out(f"  trace: {format_trace(ce.trace)}")
                 except ReproError as error:
                     out(f"verification not applicable: {error}")
 

@@ -40,7 +40,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from .analysis.verification import verify_protocol
+from .analysis.verification import format_trace, verify_protocol
 from .bounds.pipeline import section4_certificate, section5_certificate
 from .cache import CacheStore, active_store, protocol_fingerprint, use_store
 from .core.errors import ConfigurationError, ReproError
@@ -493,6 +493,7 @@ def _cmd_verify(args) -> int:
         return 0
     ce = report.counterexample
     print(f"FAIL on input {ce.inputs.pretty()}: {ce.reason}")
+    print(f"  trace: {format_trace(ce.trace)}")
     return 1
 
 
@@ -1303,10 +1304,7 @@ def _print_scenario_record(record: dict) -> None:
         print(f"         {outcome['detail']}")
         witness = outcome.get("witness")
         if witness and witness["trace"]:
-            steps = " -> ".join(
-                "(" + ", ".join(f"{n}*{s}" if n > 1 else s for s, n in sorted(step.items())) + ")"
-                for step in witness["trace"]
-            )
+            steps = format_trace(Multiset(step) for step in witness["trace"])
             print(f"         witness: {steps}")
 
 

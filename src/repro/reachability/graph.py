@@ -9,7 +9,8 @@ This module explores that space exactly:
   given size (the full slice of ``N^Q``);
 * :class:`ReachabilityGraph` — forward closure from a set of roots, or
   the full slice, with successor/predecessor queries, Tarjan SCC
-  decomposition, bottom SCCs and backward closures.
+  decomposition, bottom SCCs and backward closures;
+* :func:`path_transitions` — the one step-by-step check of a path.
 
 The graph is the engine behind the exact notions the paper uses:
 fair executions settle in *bottom* SCCs, ``b``-stability is
@@ -26,10 +27,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.errors import SearchBudgetExceeded
-from ..core.protocol import IndexedProtocol, PopulationProtocol
+from ..core.errors import ReproError, SearchBudgetExceeded
+from ..core.protocol import IndexedProtocol, PopulationProtocol, Transition
 
-__all__ = ["enumerate_configurations", "ReachabilityGraph", "count_configurations"]
+__all__ = ["enumerate_configurations", "ReachabilityGraph", "count_configurations", "path_transitions"]
 
 Config = Tuple[int, ...]
 
@@ -315,3 +316,19 @@ class ReachabilityGraph:
             if is_bottom:
                 bottoms.append(component)
         return bottoms
+
+
+def path_transitions(indexed: IndexedProtocol, path: Sequence[Config]) -> Tuple[Transition, ...]:
+    """The transition each step of a configuration path fires.
+
+    Raises :class:`ReproError` at the first step no transition connects.
+    """
+    transitions: List[Transition] = []
+    for current, nxt in zip(path, path[1:]):
+        for k, succ in indexed.successors(current):
+            if succ == nxt:
+                transitions.append(indexed.protocol.transitions[k])
+                break
+        else:
+            raise ReproError(f"no transition connects {current} -> {nxt}")
+    return tuple(transitions)

@@ -10,7 +10,7 @@ and ensemble machinery; see :mod:`repro.scenarios.dsl` for the grammar
 and :mod:`repro.scenarios.checks` for the compilation.
 """
 
-from .checks import CheckOptions, CheckOutcome, Witness, run_check, run_checks
+from .checks import CheckOptions, CheckOutcome, run_check, run_checks
 from .dsl import (
     AlwaysConsensusOf,
     AlwaysConsensusValue,
@@ -46,7 +46,6 @@ __all__ = [
     "format_property",
     "CheckOptions",
     "CheckOutcome",
-    "Witness",
     "run_check",
     "run_checks",
     "Scenario",

@@ -3,11 +3,9 @@
 Each :class:`~repro.scenarios.dsl.Property` maps to existing engines:
 
 * ``always consensus ...`` — :func:`repro.analysis.verify_protocol` /
-  :func:`repro.analysis.verify_input` (bottom-SCC exact verification),
-  with failing checks carrying a concrete witness trace reconstructed
-  via :meth:`repro.reachability.ReachabilityGraph.shortest_path`;
-* ``eventually silent`` — bottom SCCs of the per-input reachability
-  graphs;
+  :func:`repro.analysis.verify_input` (bottom-SCC exact verification);
+* ``eventually silent`` — :func:`repro.analysis.verification.check_silence`
+  on every input;
 * ``never reaches`` — :func:`repro.reachability.karp_miller` with
   omega on the input states (all inputs at once), honouring ``jobs``
   and ``quotient`` so the differential contracts extend to scenarios;
@@ -15,6 +13,10 @@ Each :class:`~repro.scenarios.dsl.Property` maps to existing engines:
 * ``usually consensus`` — the seeded vector ensemble engine
   (:func:`repro.simulation.run_ensemble`);
 * ``certified`` — the Section 4 / 5 certificate pipelines.
+
+A refuted consensus or silence check's witness is the verification
+pass's :class:`~repro.analysis.verification.Counterexample`, whose
+checked trace comes from the graph the check itself built.
 
 ``fails PROP`` runs ``PROP`` and asserts it did *not* hold; for the
 consensus forms the inner failure must produce a concrete witness, so
@@ -29,17 +31,16 @@ per check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.stable import stable_slice
-from ..analysis.verification import all_inputs, verify_input, verify_protocol
+from ..analysis.verification import Counterexample, all_inputs, check_silence, verify_input, verify_protocol
 from ..bounds.pipeline import section4_certificate, section5_certificate
 from ..core.multiset import Multiset
 from ..core.parser import parse_predicate
 from ..core.protocol import PopulationProtocol
 from ..obs import get_tracer
 from ..reachability.coverability import OMEGA, karp_miller
-from ..reachability.graph import ReachabilityGraph
 from ..simulation.ensembles import run_ensemble
 from .dsl import (
     AlwaysConsensusOf,
@@ -55,7 +56,7 @@ from .dsl import (
     format_property,
 )
 
-__all__ = ["CheckOptions", "CheckOutcome", "Witness", "run_check", "run_checks"]
+__all__ = ["CheckOptions", "CheckOutcome", "run_check", "run_checks"]
 
 # Property kinds whose refutation must carry a concrete witness for a
 # surrounding ``fails`` to be satisfied (the vacuous-pass guard).
@@ -91,24 +92,6 @@ class CheckOptions:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Concrete evidence attached to a failing consensus check."""
-
-    inputs: Multiset
-    expected: Optional[int]
-    reason: str
-    trace: Tuple[Multiset, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "inputs": dict(sorted(self.inputs.items())),
-            "expected": self.expected,
-            "reason": self.reason,
-            "trace": [dict(sorted(c.items())) for c in self.trace],
-        }
-
-
-@dataclass(frozen=True)
 class CheckOutcome:
     """Verdict of one named check."""
 
@@ -116,7 +99,7 @@ class CheckOutcome:
     source: str
     passed: bool
     detail: str
-    witness: Optional[Witness] = None
+    witness: Optional[Counterexample] = None
     work: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -135,25 +118,8 @@ class CheckOutcome:
 class _Verdict:
     passed: bool
     detail: str
-    witness: Optional[Witness] = None
+    witness: Optional[Counterexample] = None
     work: Dict[str, int] = field(default_factory=dict)
-
-
-def _witness_trace(
-    protocol: PopulationProtocol,
-    inputs: Multiset,
-    target: Multiset,
-    node_budget: int,
-) -> Tuple[Multiset, ...]:
-    """A concrete configuration trace ``IC(inputs) ->* target``."""
-    indexed = protocol.indexed()
-    initial = protocol.initial_configuration(inputs)
-    root = indexed.encode(initial)
-    graph = ReachabilityGraph.from_roots(protocol, [root], node_budget=node_budget)
-    path = graph.shortest_path(root, indexed.encode(target))
-    if path is None:  # unreachable only if the caller's target is bogus
-        return (initial, target)
-    return tuple(indexed.decode(config) for config in path)
 
 
 def _input_sweep(protocol: PopulationProtocol, options: CheckOptions):
@@ -180,16 +146,10 @@ def _eval_always_of(
             work=work,
         )
     ce = report.counterexample
-    witness = Witness(
-        inputs=ce.inputs,
-        expected=ce.expected,
-        reason=ce.reason,
-        trace=_witness_trace(protocol, ce.inputs, ce.bottom_scc[0], options.node_budget),
-    )
     return _Verdict(
         False,
         f"input {ce.inputs.pretty()} violates '{prop.predicate}': {ce.reason}",
-        witness=witness,
+        witness=ce,
         work=work,
     )
 
@@ -205,21 +165,20 @@ def _eval_always_value(
         checked += 1
         ce = verify_input(protocol, inputs, prop.value, node_budget=options.node_budget)
         if ce is not None:
-            witness = Witness(
-                inputs=ce.inputs,
-                expected=ce.expected,
-                reason=ce.reason,
-                trace=_witness_trace(
-                    protocol, ce.inputs, ce.bottom_scc[0], options.node_budget
-                ),
-            )
             return _Verdict(
                 False,
                 f"input {ce.inputs.pretty()} does not stabilise to {prop.value}: {ce.reason}",
-                witness=witness,
+                witness=ce,
                 work={"inputs_checked": checked},
             )
     suffix = f" when {prop.when}" if prop.when is not None else ""
+    if not checked:
+        return _Verdict(
+            False,
+            f"vacuous: no input{suffix} among sizes {options.min_input_size} "
+            f"to {options.max_input_size}",
+            work={"inputs_checked": 0},
+        )
     return _Verdict(
         True,
         f"all {checked} inputs{suffix} stabilise to consensus {prop.value}",
@@ -230,34 +189,19 @@ def _eval_always_value(
 def _eval_eventually_silent(
     protocol: PopulationProtocol, prop: EventuallySilent, options: CheckOptions
 ) -> _Verdict:
-    indexed = protocol.indexed()
     checked = 0
     largest = 0
     for inputs in _input_sweep(protocol, options):
         checked += 1
-        initial = protocol.initial_configuration(inputs)
-        root = indexed.encode(initial)
-        graph = ReachabilityGraph.from_roots(
-            protocol, [root], node_budget=options.node_budget
-        )
-        largest = max(largest, len(graph))
-        for scc in graph.bottom_sccs():
-            if len(scc) > 1:
-                witness = Witness(
-                    inputs=inputs,
-                    expected=None,
-                    reason=f"bottom SCC of size {len(scc)} cycles forever",
-                    trace=_witness_trace(
-                        protocol, inputs, indexed.decode(scc[0]), options.node_budget
-                    ),
-                )
-                return _Verdict(
-                    False,
-                    f"input {inputs.pretty()} reaches a cycling bottom SCC "
-                    f"of size {len(scc)}",
-                    witness=witness,
-                    work={"inputs_checked": checked, "largest_graph": largest},
-                )
+        ce, size = check_silence(protocol, inputs, node_budget=options.node_budget)
+        largest = max(largest, size)
+        if ce is not None:
+            return _Verdict(
+                False,
+                f"input {inputs.pretty()} does not fall silent: {ce.reason}",
+                witness=ce,
+                work={"inputs_checked": checked, "largest_graph": largest},
+            )
     return _Verdict(
         True,
         f"every bottom SCC over {checked} inputs is a single silent configuration",

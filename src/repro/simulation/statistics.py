@@ -106,10 +106,12 @@ def record_time_series(
     """Simulate and sample the configuration every ``resolution`` units.
 
     ``use_batch=True`` switches to the tau-leaping engine at
-    ``trials=1`` (for large populations); otherwise the exact
-    count-based scheduler is used.  As in the schedulers' ``run``, the
-    budget ``max_parallel_time * n`` must be positive and finite and is
-    rounded up, so it always covers at least one interaction.
+    ``trials=1`` (for large populations), leaping at most ``epsilon *
+    n`` interactions at a time as its ``run`` does, however coarse the
+    ``resolution``; otherwise the exact count-based scheduler is used.
+    As in the schedulers' ``run``, the budget ``max_parallel_time * n``
+    must be positive and finite and is rounded up, so it always covers
+    at least one interaction.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -137,7 +139,9 @@ def record_time_series(
             break
         chunk = min(steps_per_sample, total_budget - done)
         if use_batch:
-            scheduler.leap([chunk])
+            leap_size = max(1, int(scheduler.epsilon * n))
+            for start in range(0, chunk, leap_size):
+                scheduler.leap([min(leap_size, chunk - start)])
         else:
             for _ in range(chunk):
                 scheduler.step()

@@ -26,6 +26,7 @@ from repro import (
     modulo_protocol,
 )
 from repro.cache import CacheStore, reset_store_from_env, use_store
+from repro.protocols.builders import ProtocolBuilder
 
 reset_store_from_env()
 
@@ -87,3 +88,18 @@ def mod3():
 @pytest.fixture
 def leader3():
     return leader_unary_threshold(3)
+
+
+@pytest.fixture
+def churn():
+    """All-output-1 states churning forever: consensus, never silent (from 3 agents)."""
+    return (
+        ProtocolBuilder("churn")
+        .state("p", output=1)
+        .state("q", output=1)
+        .rule("p", "p", "p", "q")
+        .rule("q", "q", "q", "p")
+        .rule("p", "q", "q", "p")
+        .input("x", "p")
+        .build()
+    )

@@ -18,7 +18,7 @@ from repro.core.semantics import fire_sequence
 from repro.obs import RecordingExporter, set_tracer
 from repro.obs.tracer import Tracer
 from repro.protocols.leaders import leader_unary_threshold
-from repro.reachability.graph import ReachabilityGraph
+from repro.reachability.graph import ReachabilityGraph, path_transitions
 from repro.reachability.pseudo import input_state
 
 
@@ -159,8 +159,8 @@ def reference_section5_attempt(protocol, indexed, a, candidates, cap, node_budge
                 b=element.input_size,
                 B=B,
                 S=S,
-                path_to_saturated=pipeline._path_transitions(indexed, path_a),
-                path_to_stable=pipeline._path_transitions(indexed, path_b),
+                path_to_saturated=path_transitions(indexed, path_a),
+                path_to_stable=path_transitions(indexed, path_b),
                 pi=element.pi,
             )
             try:

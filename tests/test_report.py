@@ -85,6 +85,10 @@ class TestFullReport:
     def test_reports_failure(self, threshold4):
         text = full_report(threshold4, counting(5), max_input=7)
         assert "FAILS" in text
+        assert (
+            "  trace: (4*2^0) -> (2*2^0, 2^1, zero) -> (2*2^1, 2*zero) -> "
+            "(2^2, 3*zero) -> (2*2^2, 2*zero) -> (3*2^2, zero) -> (4*2^2)\n"
+        ) in text
 
     def test_without_predicate(self, threshold4):
         text = full_report(threshold4, max_input=6)

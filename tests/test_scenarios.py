@@ -61,12 +61,14 @@ from repro.scenarios import (
     AlwaysConsensusValue,
     Check,
     CheckOptions,
+    EventuallySilent,
     Fails,
     NeverReaches,
     get_scenario,
     run_check,
     run_checks,
 )
+from repro.reachability.graph import ReachabilityGraph
 from repro.simulation.ensembles import run_ensemble
 from repro.testing import renamings
 
@@ -243,6 +245,20 @@ class TestWrongConsensusRegression:
         assert not outcome.passed
         assert "vacuous" in outcome.detail
 
+    def test_when_matching_no_input_fails_as_vacuous(self):
+        """Regression: a ``when`` filter matching no input passed over
+        ``all 0 inputs``; it fails without a witness, and so does ``fails``."""
+        protocol = resolve_protocol("binary:4")
+        options = CheckOptions(max_input_size=6)
+        never = AlwaysConsensusValue(1, "x >= 100")
+        outcome = run_check(protocol, Check("Never", never), options)
+        assert not outcome.passed
+        assert "vacuous" in outcome.detail
+        assert outcome.witness is None
+        wrapped = run_check(protocol, Check("Never", Fails(never)), options)
+        assert not wrapped.passed
+        assert "vacuous" in wrapped.detail
+
     def test_seeded_wrong_consensus_rate(self, am_instance):
         """With a 70/30 majority the wrong consensus happens — but rarely."""
         protocol = am_instance.build()
@@ -272,6 +288,26 @@ class TestWrongConsensusRegression:
             engine="vector",
         )
         assert sharded.verdicts == result.verdicts
+
+
+class TestEventuallySilentRefuted:
+    def test_churn_fails_with_cycling_witness(self, churn):
+        """A protocol that never falls silent fails with a trace into a
+        bottom SCC of more than one configuration."""
+        outcome = run_check(churn, Check("Silent", EventuallySilent()), CheckOptions(4))
+        assert not outcome.passed
+        witness = outcome.witness
+        assert witness is not None and witness.expected is None
+        assert witness.trace[0] == churn.initial_configuration(witness.inputs)
+        indexed = churn.indexed()
+        graph = ReachabilityGraph.from_roots(churn, [indexed.encode(witness.trace[0])])
+        (home,) = [
+            scc
+            for scc in graph.bottom_sccs()
+            if indexed.encode(witness.trace[-1]) in scc
+        ]
+        assert len(home) > 1
+        assert f"bottom SCC of size {len(home)} cycles forever" in outcome.detail
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import binary_threshold, majority_protocol
-from repro.analysis.termination import (
-    ConvergenceClass,
-    classify_input,
-    is_silent_protocol,
-)
+from repro.analysis import ConvergenceClass, classify_input, is_silent_protocol
 from repro.core.errors import ProtocolError
 from repro.protocols.builders import ProtocolBuilder
 from repro.simulation.faults import Fault, corrupt, crash, run_with_faults
@@ -44,18 +40,8 @@ class TestClassifyInput:
         assert result.convergence is ConvergenceClass.NO_CONSENSUS
         assert result.verdict is None
 
-    def test_live_consensus_detected(self):
+    def test_live_consensus_detected(self, churn):
         """All-output-1 states churning forever: consensus but not silent."""
-        churn = (
-            ProtocolBuilder("churn")
-            .state("p", output=1)
-            .state("q", output=1)
-            .rule("p", "p", "p", "q")
-            .rule("q", "q", "q", "p")
-            .rule("p", "q", "q", "p")
-            .input("x", "p")
-            .build()
-        )
         result = classify_input(churn, 3)
         assert result.convergence is ConvergenceClass.LIVE_CONSENSUS
         assert result.verdict == 1
