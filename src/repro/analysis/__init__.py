@@ -12,7 +12,14 @@ from .invariants import (
     is_invariant,
 )
 from .saturation import SaturationResult, TripledSequence, expanding_transition, saturation_sequence
-from .stable import StableSlice, check_downward_closure, is_stable, stability_of, stable_slice
+from .stable import (
+    StableSlice,
+    check_downward_closure,
+    is_stable,
+    stability_of,
+    stable_slice,
+    stable_verdicts,
+)
 from .verification import (
     ConvergenceClass,
     Counterexample,
@@ -33,6 +40,7 @@ __all__ = [
     "all_inputs",
     "is_stable",
     "stability_of",
+    "stable_verdicts",
     "stable_slice",
     "StableSlice",
     "check_downward_closure",

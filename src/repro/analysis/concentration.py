@@ -20,12 +20,13 @@ inputs.  This module computes, exactly:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
 from ..reachability.graph import ReachabilityGraph
 from .basis import BasisElement
+from .stable import stable_verdicts
 
 __all__ = ["reachable_stable_configurations", "best_concentration", "ConcentrationWitness"]
 
@@ -37,32 +38,13 @@ def reachable_stable_configurations(
 ) -> List[Tuple[Multiset, int]]:
     """All stable configurations reachable from ``IC(inputs)``, with verdicts.
 
-    A reachable configuration is ``b``-stable iff it cannot reach (in
-    the forward-closed graph) any configuration populating a state of
-    output ``1 - b``; both backward closures are computed once, so the
-    whole answer costs two sweeps of the graph.
+    :func:`~repro.analysis.stable.stable_verdicts` over the forward
+    closure of ``IC(inputs)``, in sorted order.
     """
     indexed = protocol.indexed()
     initial = indexed.encode(protocol.initial_configuration(inputs))
     graph = ReachabilityGraph.from_roots(protocol, [initial], node_budget=node_budget)
-
-    bad_for: Dict[int, List[Tuple[int, ...]]] = {0: [], 1: []}
-    for config in graph.nodes:
-        outputs = {indexed.output[i] for i, c in enumerate(config) if c}
-        if 1 in outputs:
-            bad_for[0].append(config)
-        if 0 in outputs:
-            bad_for[1].append(config)
-    unstable0 = graph.backward_closure(bad_for[0])
-    unstable1 = graph.backward_closure(bad_for[1])
-
-    result: List[Tuple[Multiset, int]] = []
-    for config in sorted(graph.nodes):
-        if config not in unstable0:
-            result.append((indexed.decode(config), 0))
-        elif config not in unstable1:
-            result.append((indexed.decode(config), 1))
-    return result
+    return [(indexed.decode(c), b) for c, b in sorted(stable_verdicts(graph).items())]
 
 
 class ConcentrationWitness:
@@ -104,8 +86,6 @@ def best_concentration(
         protocol, inputs, node_budget=node_budget
     ):
         total = configuration.size
-        if total == 0:
-            continue
         for element in basis:
             if element.b != verdict or not element.contains(configuration):
                 continue

@@ -33,6 +33,7 @@ from ..core.errors import ReproError, SearchBudgetExceeded
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
 from ..reachability.graph import ReachabilityGraph
+from .stable import stable_verdicts
 
 __all__ = ["ExpectedTime", "expected_convergence_time", "transition_matrix"]
 
@@ -135,23 +136,12 @@ def expected_convergence_time(
     if len(order) > node_budget:
         raise SearchBudgetExceeded(f"{len(order)} configurations exceed budget {node_budget}")
 
-    # stable = cannot reach a configuration populating the complementary output
-    bad_for: Dict[int, List[Config]] = {0: [], 1: []}
-    for config in order:
-        populated = {indexed.output[i] for i, c in enumerate(config) if c}
-        if 1 in populated:
-            bad_for[0].append(config)
-        if 0 in populated:
-            bad_for[1].append(config)
-    unstable0 = graph.backward_closure(bad_for[0])
-    unstable1 = graph.backward_closure(bad_for[1])
-    stable = [c for c in order if c not in unstable0 or c not in unstable1]
-    stable_set = set(stable)
+    stable_set = set(stable_verdicts(graph))
     if not stable_set:
         raise ReproError("no stable configuration is reachable: expected time is infinite")
 
     # every transient configuration must reach the stable set
-    can_stabilise = graph.backward_closure(stable)
+    can_stabilise = graph.backward_closure(stable_set)
     missing = [c for c in order if c not in can_stabilise]
     if missing:
         raise ReproError(

@@ -10,16 +10,18 @@ on two structural facts, both made executable here:
 * ``SC_b`` has a base of small norm (Lemma 3.2) — inferred and checked
   by :mod:`repro.analysis.basis`.
 
-Since transitions conserve agent count, ``SC_b`` decomposes into
-slices by population size, and each slice is computable exactly:
-``C`` of size ``m`` is b-stable iff ``C`` cannot reach (inside the
-size-``m`` slice) any configuration populating a state with output
-``!= b``.  That is one backward closure from the "bad" configurations.
+Definition 2 is decided three ways here: for one configuration
+(:func:`stability_of`, one forward closure), for every node of a
+forward-closed reachability graph (:func:`stable_verdicts`, one
+backward closure per ``b``), and for a whole population size
+(:func:`stable_slice`, the graph over every configuration of that size,
+since transitions conserve agent count).  A node is b-stable iff it
+cannot reach, inside the graph, a node whose output is not ``b``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..cache.decorator import cached_analysis
 from ..core.multiset import Multiset
@@ -30,6 +32,7 @@ from ..reachability.graph import ReachabilityGraph
 __all__ = [
     "is_stable",
     "stability_of",
+    "stable_verdicts",
     "stable_slice",
     "StableSlice",
     "check_downward_closure",
@@ -67,6 +70,24 @@ def is_stable(
 ) -> bool:
     """Is the configuration b-stable (Definition 2)?"""
     return stability_of(protocol, configuration, node_budget=node_budget) == b
+
+
+def stable_verdicts(graph: ReachabilityGraph) -> Dict[Config, int]:
+    """Map every b-stable node of a forward-closed graph to ``b``.
+
+    ``graph`` must contain every successor of its nodes (both
+    :meth:`~ReachabilityGraph.from_roots` and
+    :meth:`~ReachabilityGraph.full_slice` graphs do), so reachability
+    from a node stays inside it.  A node is not b-stable iff it can
+    reach a node whose output is not ``b``: one backward closure per
+    ``b``.  An empty node has no output and is never stable.
+    """
+    outputs = {config: graph.indexed.output_of(config) for config in graph.nodes}
+    verdicts: Dict[Config, int] = {}
+    for b in (0, 1):
+        unstable = graph.backward_closure(c for c, out in outputs.items() if out != b)
+        verdicts.update((c, b) for c in outputs if c not in unstable)
+    return verdicts
 
 
 class StableSlice:
@@ -169,36 +190,30 @@ def stable_slice(
 ) -> StableSlice:
     """Compute the size-``size`` slices of ``SC_0`` and ``SC_1`` exactly.
 
-    One full-slice reachability graph and two backward closures: the
-    non-b-stable configurations are exactly those that can reach a
-    configuration populating some state with output ``1 - b``.
-    Memoised through :mod:`repro.cache` when the active store is on.
+    :func:`stable_verdicts` over the graph of every configuration of
+    that size.  Raises ``ValueError`` for ``size < 1``: a configuration
+    has at least one agent.  Memoised through :mod:`repro.cache` when
+    the active store is on.
     """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     indexed = protocol.indexed()
     with get_tracer().span(
         "stable.slice", size=size, states=indexed.n, protocol=protocol.name
     ) as span:
         graph = ReachabilityGraph.full_slice(protocol, size, node_budget=node_budget)
-
-        bad_for: Dict[int, List[Config]] = {0: [], 1: []}
-        for config in graph.nodes:
-            populated_outputs = {indexed.output[i] for i, c in enumerate(config) if c}
-            if 1 in populated_outputs:
-                bad_for[0].append(config)  # populates an output-1 state => not 0-stable
-            if 0 in populated_outputs:
-                bad_for[1].append(config)
-
-        unstable0 = graph.backward_closure(bad_for[0])
-        unstable1 = graph.backward_closure(bad_for[1])
+        verdicts = stable_verdicts(graph)
+        stable0 = frozenset(c for c, b in verdicts.items() if b == 0)
+        stable1 = frozenset(c for c, b in verdicts.items() if b == 1)
         all_configs = frozenset(graph.nodes)
         span.add("configurations", len(all_configs))
-        span.add("stable0", len(all_configs - unstable0))
-        span.add("stable1", len(all_configs - unstable1))
+        span.add("stable0", len(stable0))
+        span.add("stable1", len(stable1))
     return StableSlice(
         indexed=indexed,
         size=size,
-        stable0=frozenset(all_configs - unstable0),
-        stable1=frozenset(all_configs - unstable1),
+        stable0=stable0,
+        stable1=stable1,
         all_configs=all_configs,
     )
 

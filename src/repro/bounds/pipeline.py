@@ -28,8 +28,9 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.stable import stable_verdicts
 from ..cache.decorator import cached_analysis
 from ..cache.fingerprint import state_name_map
 from ..core.errors import CertificateError, ReproError, SearchBudgetExceeded
@@ -47,28 +48,6 @@ __all__ = [
     "section4_certificate",
     "section5_certificate",
 ]
-
-Config = Tuple[int, ...]
-
-
-def _stable_nodes(indexed, graph: ReachabilityGraph) -> Dict[Config, int]:
-    """Map each stable node of a forward-closed graph to its verdict."""
-    bad_for: Dict[int, List[Config]] = {0: [], 1: []}
-    for config in graph.nodes:
-        outputs = {indexed.output[i] for i, c in enumerate(config) if c}
-        if 1 in outputs:
-            bad_for[0].append(config)
-        if 0 in outputs:
-            bad_for[1].append(config)
-    unstable0 = graph.backward_closure(bad_for[0])
-    unstable1 = graph.backward_closure(bad_for[1])
-    verdicts: Dict[Config, int] = {}
-    for config in graph.nodes:
-        if config not in unstable0:
-            verdicts[config] = 0
-        elif config not in unstable1:
-            verdicts[config] = 1
-    return verdicts
 
 
 @dataclass(frozen=True)
@@ -122,7 +101,7 @@ def build_stable_sequence(
             graph = ReachabilityGraph.from_roots(
                 protocol, [indexed.encode(current)], node_budget=node_budget
             )
-            verdicts = _stable_nodes(indexed, graph)
+            verdicts = stable_verdicts(graph)
             if not verdicts:
                 raise ReproError(
                     f"no stable configuration reachable from {current.pretty()} — "
@@ -148,7 +127,7 @@ def build_stable_sequence(
         offset=2,
         configurations=tuple(configurations),
         cumulative_paths=tuple(cumulative),
-        bridges=tuple(bridges[1:]) + ((),),
+        bridges=tuple(bridges[1:] + [()] if bridges else ()),
     )
 
 
@@ -396,7 +375,7 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
         graph = ReachabilityGraph.from_roots(protocol, [initial], node_budget=node_budget)
     except SearchBudgetExceeded:
         return _BUDGET_EXCEEDED
-    verdicts = _stable_nodes(indexed, graph)
+    verdicts = stable_verdicts(graph)
     for target in sorted(verdicts):
         stable_config = indexed.decode(target)
         reachers = sorted(graph.backward_closure([target]))

@@ -1396,8 +1396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("--input", default=None, help='"x=60,y=40" or a bare count (default: small input)')
     p.add_argument("--samples", type=int, default=2000, help="first-step samples per scheduler")
-    p.add_argument("--trajectory-seeds", type=int, default=3, help="seeded differential sweeps")
-    p.add_argument("--max-steps", type=int, default=200_000)
+    p.add_argument("--trajectory-seeds", type=_positive_int, default=3,
+                   help="seeded differential sweeps")
+    p.add_argument("--max-steps", type=_positive_int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit the machine-readable report")
     _add_jobs_flag(p)
@@ -1425,7 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="produce a checked eta <= a pumping certificate")
     p.add_argument("protocol")
     p.add_argument("--section", type=int, choices=(4, 5), default=4)
-    p.add_argument("--max-input", type=int, default=16)
+    p.add_argument("--max-input", type=_max_input, default=16)
     _add_obs_flags(p)
     p.set_defaults(handler=_cmd_certify)
 
@@ -1445,7 +1446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-input", type=_max_input, default=8)
     p.add_argument(
         "--node-budget",
-        type=int,
+        type=_positive_int,
         default=500_000,
         metavar="N",
         help="Karp-Miller / verification node budget (default 500000)",

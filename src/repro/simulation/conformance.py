@@ -531,26 +531,6 @@ def _check_matched_seed(
     return tuple(mismatches), converged
 
 
-def _check_matched_seeds(
-    protocol: PopulationProtocol,
-    inputs,
-    seeds: Sequence[int],
-    max_steps: int,
-    compare_verdicts: bool,
-) -> MatchedSeedCheck:
-    mismatches: List[str] = []
-    converged = 0
-    for seed in seeds:
-        seed_mismatches, seed_converged = _check_matched_seed(
-            protocol, inputs, seed, max_steps, compare_verdicts
-        )
-        mismatches.extend(seed_mismatches)
-        converged += 1 if seed_converged else 0
-    return MatchedSeedCheck(
-        seeds=tuple(seeds), runs_converged=converged, mismatches=tuple(mismatches)
-    )
-
-
 # ----------------------------------------------------------------------
 # The report
 # ----------------------------------------------------------------------
@@ -796,6 +776,8 @@ def check_conformance(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not trajectory_seeds or not matched_seeds:
+        raise ValueError("trajectory_seeds and matched_seeds must each name at least one seed")
     initial = protocol.initial_configuration(inputs)
     settings = _SweepSettings(
         protocol=protocol,

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
+from ..core.configuration import is_silent
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import IndexedProtocol, PopulationProtocol
@@ -215,12 +216,7 @@ class CountScheduler:
 
 def _is_silent_consensus(protocol: PopulationProtocol, configuration: Multiset) -> bool:
     """Silent (no transition changes anything) and output defined."""
-    if protocol.output_of(configuration) is None:
-        return False
-    for t in protocol.transitions:
-        if not t.is_silent and t.enabled_in(configuration) and not t.displacement.is_zero:
-            return False
-    return True
+    return protocol.output_of(configuration) is not None and is_silent(protocol, configuration)
 
 
 def _run_loop(scheduler, max_steps: int, stop_on_silent_consensus: bool) -> SimulationResult:

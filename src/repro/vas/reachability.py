@@ -20,7 +20,7 @@ e.g. to model the counter machines behind the §4.1 hardness results).
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from ..core.errors import SearchBudgetExceeded
 from ..core.multiset import Multiset
@@ -42,10 +42,6 @@ ExtendedMarking = Tuple[Union[int, float], ...]
 
 def _encode(net: PetriNet, marking: Multiset) -> Tuple[int, ...]:
     return tuple(marking[p] for p in net.places)
-
-
-def _decode(net: PetriNet, dense: Sequence[Union[int, float]]) -> Multiset:
-    return Multiset({p: int(c) for p, c in zip(net.places, dense) if c})
 
 
 def reachable_markings(

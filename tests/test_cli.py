@@ -201,6 +201,49 @@ class TestMaxInputBound:
         assert "OK" in capsys.readouterr().out
 
 
+class TestNumericFlagRanges:
+    """Numeric flags below their range are usage errors (exit 2).
+
+    Regression: `certify --max-input 1` searched nothing and printed
+    `no certificate found`, `conformance --trajectory-seeds 0` checked
+    no seed and printed `overall: PASS`, `conformance --max-steps 0`
+    ended in a traceback, and `analyze --node-budget -5` reported
+    `exceeded -5 configurations` in every section with exit 0.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["certify", "binary:4", "--max-input", "1"], "--max-input: must be >= 2"),
+            (
+                ["certify", "binary:4", "--section", "5", "--max-input", "-3"],
+                "--max-input: must be >= 2",
+            ),
+            (
+                ["conformance", "binary:4", "--trajectory-seeds", "0"],
+                "--trajectory-seeds: must be >= 1",
+            ),
+            (["conformance", "binary:4", "--max-steps", "0"], "--max-steps: must be >= 1"),
+            (["analyze", "binary:4", "--node-budget", "-5"], "--node-budget: must be >= 1"),
+        ],
+        ids=[
+            "certify-max-input",
+            "certify-section5-max-input",
+            "conformance-trajectory-seeds",
+            "conformance-max-steps",
+            "analyze-node-budget",
+        ],
+    )
+    def test_below_range_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert line.startswith(f"repro {argv[0]}: error: argument {message}")
+
+
 class TestArgumentMistakes:
     """Predicate and input mistakes end in one `error:` line, exit 1.
 

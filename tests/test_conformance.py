@@ -110,6 +110,12 @@ class TestHarness:
         with pytest.raises(ValueError):
             check_conformance(majority_protocol(), {"x": 5, "y": 3}, samples=0)
 
+    @pytest.mark.parametrize("seeds", ["trajectory_seeds", "matched_seeds"])
+    def test_rejects_empty_seed_list(self, seeds):
+        # an empty list used to check nothing there and still report ok
+        with pytest.raises(ValueError, match="at least one seed"):
+            check_conformance(majority_protocol(), {"x": 5, "y": 3}, samples=50, **{seeds: ()})
+
     def test_majority_passes(self, majority):
         report = check_conformance(
             majority, {"x": 5, "y": 3}, samples=600, trajectory_steps=150

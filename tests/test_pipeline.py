@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import binary_threshold, double_exp_threshold, flat_threshold
+from repro.analysis.stable import stable_verdicts
 from repro.bounds import pipeline
 from repro.bounds.certificates import SaturationCertificate
 from repro.bounds.pipeline import (
@@ -57,6 +58,18 @@ class TestStableSequence:
         assert len(seq.configurations) == 4
         for position, config in enumerate(seq.configurations):
             assert config.size == seq.input_of(position) + protocol.leaders.size
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_one_bridge_per_configuration(self, threshold4, length):
+        # length 0 used to return no configuration but one bridge
+        seq = build_stable_sequence(threshold4, length=length)
+        assert len(seq.configurations) == len(seq.cumulative_paths) == len(seq.bridges) == length
+        if length:
+            assert seq.bridges[-1] == ()
+
+    @pytest.mark.parametrize("max_length", [0, 1])
+    def test_section4_needs_two_configurations(self, threshold4, max_length):
+        assert section4_certificate(threshold4, max_length=max_length) is None
 
 
 class TestSection4:
@@ -132,7 +145,7 @@ def reference_section5_attempt(protocol, indexed, a, candidates, cap, node_budge
         graph = ReachabilityGraph.from_roots(protocol, [initial], node_budget=node_budget)
     except SearchBudgetExceeded:
         return pipeline._BUDGET_EXCEEDED
-    verdicts = pipeline._stable_nodes(indexed, graph)
+    verdicts = stable_verdicts(graph)
     for target in sorted(verdicts):
         stable_config = indexed.decode(target)
         reachers = sorted(graph.backward_closure([target]))

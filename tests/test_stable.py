@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import binary_threshold
@@ -10,9 +12,17 @@ from repro.analysis.stable import (
     is_stable,
     stability_of,
     stable_slice,
+    stable_verdicts,
 )
+from repro.bounds.enumeration import (
+    all_deterministic_protocols,
+    count_deterministic_protocols,
+    protocol_at,
+)
+from repro.cli import resolve_protocol
 from repro.core.multiset import Multiset
 from repro.protocols.majority import majority_protocol
+from repro.reachability.graph import ReachabilityGraph
 
 
 class TestSingleConfigurationStability:
@@ -68,6 +78,79 @@ class TestStableSlice:
 
     def test_repr(self, threshold4):
         assert "StableSlice" in repr(stable_slice(threshold4, 3))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected(self, threshold4, size):
+        # size 0 used to put the empty configuration in both SC_0 and SC_1
+        # (stability_of says it is in neither); size -1 gave an empty slice
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            stable_slice(threshold4, size)
+
+    def test_size_one_is_valid(self, threshold4):
+        sl = stable_slice(threshold4, 1)
+        assert len(sl.all_configs) == threshold4.num_states
+        for config in sl.all_configs:
+            assert sl.membership(sl.decode(config)) == stability_of(threshold4, sl.decode(config))
+
+
+def _assert_matches_definition(protocol, graph):
+    """``stable_verdicts`` agrees with ``stability_of`` on every node; returns the node count."""
+    verdicts = stable_verdicts(graph)
+    indexed = protocol.indexed()
+    for config in graph.nodes:
+        assert verdicts.get(config) == stability_of(protocol, indexed.decode(config)), (
+            protocol.name,
+            config,
+        )
+    return len(graph.nodes)
+
+
+class TestStableVerdicts:
+    """One backward closure per ``b`` decides Definition 2 for a whole graph."""
+
+    def test_two_state_protocols(self):
+        nodes = 0
+        for protocol in all_deterministic_protocols(2):
+            for size in range(2, 7):
+                graph = ReachabilityGraph.full_slice(protocol, size)
+                nodes += _assert_matches_definition(protocol, graph)
+                initial = protocol.indexed().initial_counts(size)
+                graph = ReachabilityGraph.from_roots(protocol, [initial])
+                nodes += _assert_matches_definition(protocol, graph)
+        assert nodes == 5_400 + 3_480
+
+    def test_three_state_protocols(self):
+        rng = random.Random(19)
+        total = count_deterministic_protocols(3)
+        nodes = 0
+        for _ in range(1_000):
+            protocol = protocol_at(3, rng.randrange(total))
+            for size in range(2, 6):
+                graph = ReachabilityGraph.full_slice(protocol, size)
+                nodes += _assert_matches_definition(protocol, graph)
+        assert nodes == 52_000
+
+    @pytest.mark.parametrize(
+        "spec,inputs",
+        [
+            ("approx-majority", [{"x": 6, "y": 5}, {"x": 4, "y": 4}, {"x": 2, "y": 7}]),
+            ("majority", [{"x": 6, "y": 5}, {"x": 4, "y": 4}, {"x": 2, "y": 7}]),
+            ("binary:4", [3, 7, 10]),
+            ("flat:4", [3, 7, 10]),
+            ("leroux-leader:2", [3, 8, 12]),
+        ],
+    )
+    def test_shipped_protocols(self, spec, inputs):
+        protocol = resolve_protocol(spec)
+        indexed = protocol.indexed()
+        for value in inputs:
+            graph = ReachabilityGraph.from_roots(protocol, [indexed.initial_counts(value)])
+            _assert_matches_definition(protocol, graph)
+
+    def test_empty_configuration_is_never_stable(self, threshold4):
+        graph = ReachabilityGraph.from_roots(threshold4, [(0,) * threshold4.num_states])
+        assert stable_verdicts(graph) == {}
+        assert stability_of(threshold4, Multiset()) is None
 
 
 class TestLemma31DownwardClosure:
