@@ -12,7 +12,9 @@ draws.  E16 measures that trade on the ledger's shipped speedup pair
 
 * both workloads run the *identical* instance — 64 trials of
   ``binary:8`` at ``n = 10^6``, 2000 interactions per trial — so their
-  deterministic work counts must match exactly (asserted, as in CI);
+  deterministic work counts (``trials`` and ``converged`` of their own,
+  ``interactions`` on the ``simulate.run`` span) must match exactly
+  (asserted, as in CI);
 * the vector median must beat the scalar median by at least 10x — the
   acceptance bar of the issue and the CI ledger job (locally the
   ratio is three orders of magnitude);
@@ -47,15 +49,18 @@ def test_e16_vector_vs_scalar(benchmark):
     cold = workloads["simulate.vector_cold"]
 
     # The two sides of the speedup pair did exactly the same work.
-    # (Only the instance-level counts: the span-derived silent_checks
+    # (Only the instance-level counts: the span's silent_checks
     # counter legitimately differs — the scalar engine checks per
     # trial, the vector engine once per whole-ensemble round.)
-    for key in ("trials", "converged", "interactions"):
+    def interactions(entry):
+        return entry["work_paths"]["simulate.run"]["interactions"]
+
+    for key in ("trials", "converged"):
         assert scalar["work"][key] == vector["work"][key], (
             f"speedup pair diverged on {key}: "
             f"{scalar['work'][key]} vs {vector['work'][key]}"
         )
-    assert vector["work"]["interactions"] == 64 * 2000
+    assert interactions(scalar) == interactions(vector) == 64 * 2000
     assert cold["work"]["converged"] == cold["work"]["trials"]
 
     # The reproduction bar: >= 10x at n = 10^6 (the issue's target is
@@ -70,19 +75,19 @@ def test_e16_vector_vs_scalar(benchmark):
             "simulate.vector_large",
             "vector",
             f"{vector['median_s'] * 1e3:.2f}ms",
-            vector["work"]["interactions"],
+            interactions(vector),
         ],
         [
             "simulate.scalar_large",
             "count",
             f"{scalar['median_s'] * 1e3:.2f}ms",
-            scalar["work"]["interactions"],
+            interactions(scalar),
         ],
         [
             "simulate.vector_cold",
             "vector",
             f"{cold['median_s'] * 1e3:.2f}ms",
-            cold["work"]["interactions"],
+            interactions(cold),
         ],
     ]
     print(section("E16 — vector vs scalar ensembles, 64 trials at n=10^6"))

@@ -9,8 +9,9 @@ the worker pool, and checkpoints round boundaries into the analysis
 cache.  E18 measures the two shipped ledger workloads:
 
 * ``coverability.sharded_cold`` — quotient-dedup construction at
-  ``flat:8``; the work counters must show the collapse (one expansion
-  per surviving node instead of hundreds of thousands);
+  ``flat:8``; the ``coverability.karp_miller`` span counters must show
+  the collapse (one expansion per surviving node instead of hundreds
+  of thousands);
 * ``coverability.sharded_resume`` — a checkpointing run killed at a
   tiny node budget, then resumed to completion; the resumed run must
   start from recovered state (``resumed_expansions > 0``), and both
@@ -65,16 +66,19 @@ def test_e18_quotient_collapses_flat8(benchmark):
     workloads = artifact["workloads"]
 
     cold = workloads["coverability.sharded_cold"]
+    tree = cold["work_paths"]["coverability.karp_miller"]
     # The collapse: the quotient engine performs one expansion per
     # surviving node — the plain walk performs ~13.7k.
-    assert cold["work"]["nodes"] == 45
-    assert cold["work"]["limits"] == 1
-    assert cold["work"]["coverability.karp_miller.expansions"] == 45
-    assert cold["work"]["coverability.karp_miller.dedup_hits"] > 0
+    assert tree["nodes"] == 45
+    assert tree["limits"] == 1
+    assert tree["expansions"] == 45
+    assert tree["dedup_hits"] > 0
 
     plain_s = _plain_flat8_seconds()
     speedup = plain_s / max(cold["median_s"], 1e-9)
 
+    # The resume drives the frontier directly (no Karp–Miller span), so
+    # its tree sizes are the workload's own counts.
     resume = workloads["coverability.sharded_resume"]
     assert resume["work"]["nodes"] == 25
     assert resume["work"]["limits"] == 1
@@ -95,7 +99,7 @@ def test_e18_quotient_collapses_flat8(benchmark):
                 [
                     "flat:8 quotient",
                     f"{cold['median_s'] * 1e3:.0f}ms",
-                    str(cold["work"]["coverability.karp_miller.expansions"]),
+                    str(tree["expansions"]),
                     f"{speedup:.0f}x faster, identical clover",
                 ],
                 [

@@ -3,10 +3,10 @@
 The profile layer (``repro.obs.profile``) turns a recorded span forest
 into a deterministic per-path aggregate.  The ledger's traced pass
 (``repro.obs.ledger.trace_workload``) stores that aggregate's work
-counts in every entry, and attribution reads them back to name the
-guilty subtree of a drift without running anything.  Both sit on the
-CI critical path (every ``bench run`` and every red ``bench compare``),
-so E19 pins:
+counts in every entry, and ``bench compare`` diffs them path by path,
+so a drift names its own span path without running anything.  Both
+sit on the CI critical path (every ``bench run`` and every red
+``bench compare``), so E19 pins:
 
 * **Aggregation throughput** — ``build_profile`` over the synthetic
   sharded-frontier trace the ``obs.profile_aggregate`` ledger workload
@@ -18,14 +18,15 @@ so E19 pins:
   determinism contract, measured rather than assumed).
 * **Blame quality** — a deterministically perturbed ``simulate.count``
   (step budget under the convergence point), recorded by the ledger,
-  must be attributed to the ``simulate.run`` span subtree from the two
-  entries alone, just like in the profile-smoke CI job.
+  must show its span drift at the ``simulate.run`` path and nowhere
+  else, from the two entries alone, just like in the profile-smoke CI
+  job.
 """
 
 from __future__ import annotations
 
 from repro.fmt import render_table, section
-from repro.obs import profile as prof, run_suite, trace_workload
+from repro.obs import compare_artifacts, profile as prof, run_suite, trace_workload
 from repro.obs.bench import _synthetic_frontier_trace, get_workload
 
 
@@ -41,14 +42,13 @@ def test_e19_aggregate_synthetic_frontier(benchmark):
 
 
 def test_e19_trace_real_workload(benchmark):
-    work, profile = benchmark.pedantic(
+    _, profile = benchmark.pedantic(
         trace_workload,
         args=(get_workload("enumeration.bb2"),),
         rounds=1,
         iterations=1,
     )
-    assert work["protocols_enumerated"] == 216
-    assert "bounds.busy_beaver" in profile.work_counts()
+    assert profile.work_counts()["bounds.busy_beaver"]["enumerated"] == 216
 
 
 def test_e19_profiles_identical_across_jobs():
@@ -72,13 +72,16 @@ def _ledger_entry(monkeypatch, max_steps=None):
     return artifact
 
 
-def test_e19_attribution_names_perturbed_subtree(monkeypatch, benchmark):
+def test_e19_compare_names_perturbed_path(monkeypatch, benchmark):
     base = _ledger_entry(monkeypatch)
     new = _ledger_entry(monkeypatch, max_steps=1600)
-    attribution = benchmark.pedantic(
-        prof.attribute_work_drift, args=(base, new), rounds=1, iterations=1
+    report = benchmark.pedantic(
+        compare_artifacts, args=(base, new), rounds=1, iterations=1
     )
-    assert attribution.guilty_paths() == ["simulate.run"]
+    span_drift = [f.detail for f in report.findings if "work drift at" in f.detail]
+    assert span_drift == [
+        "work drift at simulate.run (interactions: 3200 -> 1600, silent_checks: 9 -> 5)"
+    ]
 
 
 def test_e19_report():

@@ -319,8 +319,7 @@ def _search_chunk(task: TaskEnvelope) -> BusyBeaverChunk:
             max_witnesses=MAX_WITNESSES,
         )
         meter.finish()
-        span.add("enumerated", stop - start)
-        span.add("threshold_protocols", count)
+        # The enclosing bounds.busy_beaver span counts the protocols.
         span.set(best_eta=best)
     return BusyBeaverChunk(
         start=start, stop=stop, best_eta=best, witnesses=witnesses,

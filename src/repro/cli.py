@@ -54,7 +54,6 @@ from .obs import (
     JsonlExporter,
     SpanExporter,
     Tracer,
-    attribute_work_drift,
     build_profile,
     get_metrics,
     disable_progress,
@@ -225,7 +224,6 @@ _ARTIFACT_FLAGS = (
     ("trace", "--trace"),
     ("out", "--out"),
     ("output", "--output"),
-    ("attribution_out", "--attribution-out"),
 )
 
 
@@ -504,8 +502,6 @@ def _cmd_simulate(args) -> int:
         protocol.initial_configuration(inputs)
     except ConfigurationError as error:
         raise SystemExit(f"error: --input {args.input!r}: {error}")
-    if args.max_steps < 1:
-        raise SystemExit(f"error: --max-steps must be >= 1, got {args.max_steps}")
     if args.trials is not None:
         return _simulate_batch(args, protocol, inputs)
     if args.engine != "count":
@@ -548,8 +544,6 @@ def _cmd_simulate(args) -> int:
 
 def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int:
     """``simulate --trials N``: a seeded ensemble, optionally parallel."""
-    if args.trials < 1:
-        raise SystemExit(f"error: --trials must be >= 1, got {args.trials}")
     # Batch mode needs a concrete root seed so the run is reproducible
     # from the emitted artifact alone.
     root_seed = args.seed if args.seed is not None else 0
@@ -613,8 +607,6 @@ def _default_conformance_input(protocol) -> Multiset:
 
 
 def _cmd_conformance(args) -> int:
-    if args.samples < 1:
-        raise SystemExit(f"error: --samples must be >= 1, got {args.samples}")
     protocol = resolve_protocol(args.protocol)
     inputs = _parse_input(args.input) if args.input else _default_conformance_input(protocol)
     report = check_conformance(
@@ -684,8 +676,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_bb(args) -> int:
     from .bounds.enumeration import busy_beaver_search, count_deterministic_protocols
 
-    if args.states < 1:
-        raise SystemExit(f"error: need at least one state, got {args.states}")
     result = busy_beaver_search(
         args.states,
         max_input=args.max_input,
@@ -1166,17 +1156,6 @@ def _cmd_bench_compare(args) -> int:
     except ledger.LedgerError as error:
         raise SystemExit(f"error: {error}")
     print(report.render())
-    # Every entry stores its work per span path, so naming the path of
-    # a work drift reads the two artifacts and runs nothing.
-    attribution = attribute_work_drift(base, new)
-    if attribution.entries:
-        print()
-        print(attribution.render())
-    if args.attribution_out:
-        with open(args.attribution_out, "w") as handle:
-            json.dump(attribution.as_dict(), handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"attribution written to {args.attribution_out}", file=sys.stderr)
     if report.ok(args.fail_on):
         return 0
     kinds = sorted({f.kind for f in report.regressions()})
@@ -1374,8 +1353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("--input", required=True, help='"x=60,y=40" or a bare count')
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--trials", type=int, default=None, metavar="N",
+    p.add_argument("--max-steps", type=_positive_int, default=1_000_000)
+    p.add_argument("--trials", type=_positive_int, default=None, metavar="N",
                    help="run a seeded N-run ensemble instead of a single run "
                    "(root seed defaults to 0 when --seed is omitted)")
     p.add_argument("--engine", choices=("count", "vector"), default="count",
@@ -1395,7 +1374,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("protocol")
     p.add_argument("--input", default=None, help='"x=60,y=40" or a bare count (default: small input)')
-    p.add_argument("--samples", type=int, default=2000, help="first-step samples per scheduler")
+    p.add_argument("--samples", type=_positive_int, default=2000,
+                   help="first-step samples per scheduler")
     p.add_argument("--trajectory-seeds", type=_positive_int, default=3,
                    help="seeded differential sweeps")
     p.add_argument("--max-steps", type=_positive_int, default=200_000)
@@ -1409,7 +1389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bb",
         help="bounded busy-beaver search: enumerate all n-state protocols",
     )
-    p.add_argument("states", type=int, help="number of states n (n <= 2 is fast)")
+    p.add_argument("states", type=_positive_int, help="number of states n (n <= 2 is fast)")
     p.add_argument("--max-input", type=_max_input, default=8,
                    help="verdicts are exact for inputs up to this size")
     p.add_argument("--max-witnesses", type=_witness_count, default=3,
@@ -1703,13 +1683,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="any",
         help="exit non-zero on: any regression (default), or only exact "
         "work-count drift / missing workloads (CI shared-runner policy)",
-    )
-    pb.add_argument(
-        "--attribution-out",
-        default=None,
-        metavar="FILE",
-        help="also write the work-drift attribution (the span paths whose "
-        "counters moved) as JSON, for CI artifacts",
     )
     pb.set_defaults(handler=_cmd_bench_compare)
 

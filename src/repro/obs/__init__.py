@@ -13,19 +13,19 @@ This package makes them observable from three angles:
 * :mod:`repro.obs.progress` — rate-limited heartbeats (frontier size,
   basis size, iterations/sec) for the iterative loops;
 * :mod:`repro.obs.metrics` — the counters/timers layer shared with the
-  simulators (grown out of ``repro.simulation.instrumentation``, which
-  remains as a back-compat re-export), with a process-wide registry;
+  simulators, with a process-wide registry;
 * :mod:`repro.obs.summary` — reading traces back, and the per-span-name
   table behind ``repro trace summarize`` (a view of the profile fold);
 * :mod:`repro.obs.profile` — the one fold of recorded spans:
   deterministic hierarchical work profiles (per-path self/total time
-  and counters), profile diffing, and span-level regression
-  attribution from stored work paths, behind ``repro profile`` and
-  ``repro bench compare``;
+  and counters), profile diffing, and the finding type and change
+  rules that ``repro profile diff`` and ``repro bench compare`` share;
 * :mod:`repro.obs.bench` / :mod:`repro.obs.ledger` — the benchmark
   workload registry and the persistent performance ledger behind
   ``repro bench run / compare / baseline``; the ledger's traced pass
-  is the one place a workload runs under a recording tracer;
+  is the one place a workload runs under a recording tracer, and an
+  entry keeps each work count once (span counters per path, the
+  workload's own counts beside them);
 * :mod:`repro.obs.runs` / :mod:`repro.obs.report` — the flight
   recorder: a persistent run registry every CLI invocation records
   into (manifest, event stream, run-local trace; crash/kill capture)
@@ -48,7 +48,6 @@ from .exporters import (
 from .ledger import (
     DEFAULT_BASELINE_PATH,
     ComparisonReport,
-    Finding,
     LedgerError,
     SCHEMA_VERSION,
     compare_artifacts,
@@ -76,12 +75,10 @@ from .progress import (
     set_progress_interval,
 )
 from .profile import (
+    Finding,
     Profile,
     ProfileDiff,
     ProfileError,
-    ProfileFinding,
-    WorkAttribution,
-    attribute_work_drift,
     build_profile,
     diff_profiles,
     load_profile,
@@ -157,13 +154,11 @@ __all__ = [
     "Profile",
     "ProfileDiff",
     "ProfileError",
-    "ProfileFinding",
-    "WorkAttribution",
+    "Finding",
     "build_profile",
     "diff_profiles",
     "load_profile",
     "render_profile",
-    "attribute_work_drift",
     "to_folded",
     "to_speedscope",
     "write_profile",
@@ -181,6 +176,5 @@ __all__ = [
     "environment_fingerprint",
     "compare_artifacts",
     "ComparisonReport",
-    "Finding",
     "DEFAULT_BASELINE_PATH",
 ]

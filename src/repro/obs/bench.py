@@ -11,11 +11,11 @@ commits.
 
 A workload is deliberately more than a timed closure:
 
-* it returns a dict of **deterministic work counts** (interactions
-  simulated, Karp–Miller nodes expanded, Pottier frontier vectors,
-  protocols enumerated).  Wall clock on a shared runner is noise;
-  the work counts are exact, so a regression in *algorithmic* work
-  is caught even when timings cannot be trusted;
+* it does **deterministic work** the ledger counts exactly
+  (interactions simulated, Karp–Miller nodes expanded, Pottier
+  frontier vectors, protocols enumerated).  Wall clock on a shared
+  runner is noise; the work counts are exact, so a regression in
+  *algorithmic* work is caught even when timings cannot be trusted;
 * it declares which **suites** it belongs to (``micro`` is the fast
   subset CI runs on every push; ``full`` adds the heavier instances);
 * it may accept a ``jobs`` hint, which the ledger runner threads
@@ -23,11 +23,11 @@ A workload is deliberately more than a timed closure:
   so the ledger can record how the pool behaves on this host.
 
 Work counts recorded by span counters (``coverability.karp_miller``
-adds ``nodes``; the Pottier completion adds ``frontier_vectors``) are
-*also* captured: the ledger's traced pass runs each workload once
-under a recording tracer, folds the spans into a profile, and adds
-every counter to the workload's own counts under its span-qualified
-name — and keeps the same counters per span path.
+counts ``nodes``; the Pottier completion counts ``frontier_vectors``)
+are captured without the workload's help: the ledger's traced pass
+runs each workload once under a recording tracer and keeps every
+counter per span path.  A workload therefore returns only the counts
+no span records — a count stored twice would drift twice.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ WorkloadFn = Callable[..., Mapping[str, int]]
 class Workload:
     """One registered benchmark workload.
 
-    ``fn(jobs=N)`` runs the workload once and returns its deterministic
-    work counts.  The same callable serves the ledger runner, the E14
-    pytest benchmark, and ad-hoc profiling.
+    ``fn(jobs=N)`` runs the workload once and returns its own
+    deterministic work counts (those no span records; possibly none).
+    The same callable serves the ledger runner, the E14 pytest
+    benchmark, and ad-hoc profiling.
     """
 
     __slots__ = ("name", "suites", "description", "fn", "parallel")
@@ -75,7 +76,7 @@ class Workload:
         self.parallel = parallel
 
     def run(self, jobs: int = 1) -> Dict[str, int]:
-        """Execute once; returns the deterministic work-count dict."""
+        """Execute once; returns the workload's own work-count dict."""
         counts = self.fn(jobs=jobs) if self.parallel else self.fn()
         return {key: int(value) for key, value in counts.items()}
 
@@ -179,10 +180,7 @@ def _simulate_count() -> Dict[str, int]:
         )
     scheduler = CountScheduler(binary_threshold(8), seed=0)
     result = scheduler.run({"x": 400}, max_steps=max_steps)
-    return {
-        "interactions": result.interactions,
-        "converged": int(result.converged),
-    }
+    return {"converged": int(result.converged)}
 
 
 @register_workload(
@@ -215,11 +213,7 @@ def _simulate_vector_cold() -> Dict[str, int]:
 
     scheduler = VectorEnsembleScheduler(binary_threshold(8), trials=16, seed=0)
     result = scheduler.run({"x": 400}, max_parallel_time=500)
-    return {
-        "trials": result.trials,
-        "converged": int(result.converged.sum()),
-        "interactions": int(result.interactions.sum()),
-    }
+    return {"trials": result.trials, "converged": int(result.converged.sum())}
 
 
 def _large_ensemble_counts(engine: str) -> Dict[str, int]:
@@ -227,8 +221,8 @@ def _large_ensemble_counts(engine: str) -> Dict[str, int]:
 
     64 trials at ``n = 10^6`` under a deliberately small time budget
     (2000 interactions per trial): neither engine converges, so the
-    work count is exactly ``64 * 2000`` interactions for both, and the
-    median timings are directly comparable.
+    ``simulate.run`` span counts exactly ``64 * 2000`` interactions for
+    both, and the median timings are directly comparable.
     """
     from ..protocols import binary_threshold
     from ..simulation.ensembles import run_ensemble
@@ -241,13 +235,7 @@ def _large_ensemble_counts(engine: str) -> Dict[str, int]:
         seed=0,
         engine=engine,
     )
-    return {
-        "trials": result.trials,
-        "converged": result.converged,
-        "interactions": result.instrumentation.counter("interactions")
-        if result.instrumentation is not None
-        else 0,
-    }
+    return {"trials": result.trials, "converged": result.converged}
 
 
 @register_workload(
@@ -266,25 +254,32 @@ def _simulate_scalar_large() -> Dict[str, int]:
     return _large_ensemble_counts("count")
 
 
-def _karp_miller_counts(eta: int, node_budget: int) -> Dict[str, int]:
-    """Shared driver: an all-inputs-at-once tree over ``flat:eta``.
+def _flat_omega_root(eta: int):
+    """``flat:eta`` and its all-inputs-at-once root (omega on ``x``).
 
     The flat (unary) family is used because its omega-rooted tree
     grows with ``eta`` (the binary family saturates in a handful of
     nodes), so the workload actually exercises node expansion.
     """
     from ..protocols import flat_threshold
-    from ..reachability.coverability import OMEGA, karp_miller
+    from ..reachability.coverability import OMEGA
     from ..reachability.pseudo import input_state
 
     protocol = flat_threshold(eta)
     indexed = protocol.indexed()
     x_index = indexed.index[input_state(protocol)]
-    root = tuple(
-        OMEGA if i == x_index else 0 for i in range(indexed.n)
-    )
-    tree = karp_miller(protocol, [root], node_budget=node_budget)
-    return {"nodes": len(tree.nodes), "limits": len(tree.limits)}
+    return protocol, tuple(OMEGA if i == x_index else 0 for i in range(indexed.n))
+
+
+def _flat_tree(eta: int, node_budget: int, quotient: bool = False):
+    """The omega-rooted tree of ``flat:eta``.  When it is built rather
+    than served from the cache, its nodes and limits are
+    ``coverability.karp_miller`` span counters, so a workload that only
+    builds it has no count of its own."""
+    from ..reachability.coverability import karp_miller
+
+    protocol, root = _flat_omega_root(eta)
+    return karp_miller(protocol, [root], node_budget=node_budget, quotient=quotient)
 
 
 @register_workload(
@@ -292,7 +287,8 @@ def _karp_miller_counts(eta: int, node_budget: int) -> Dict[str, int]:
     description="Karp–Miller tree with an omega root (analyze hot path)",
 )
 def _karp_miller() -> Dict[str, int]:
-    return _karp_miller_counts(6, node_budget=100_000)
+    _flat_tree(6, node_budget=100_000)
+    return {}
 
 
 @register_workload(
@@ -331,11 +327,7 @@ def _bb2(jobs: int = 1) -> Dict[str, int]:
     from ..bounds.enumeration import busy_beaver_search
 
     result = busy_beaver_search(2, max_input=6, jobs=jobs)
-    return {
-        "protocols_enumerated": result.protocols_enumerated,
-        "threshold_protocols": result.threshold_protocols,
-        "eta": result.eta,
-    }
+    return {"eta": result.eta}
 
 
 @register_workload(
@@ -425,7 +417,8 @@ def _null_tracer_overhead() -> Dict[str, int]:
     description="Karp–Miller at flat:7 (heavier coverability instance)",
 )
 def _karp_miller_large() -> Dict[str, int]:
-    return _karp_miller_counts(7, node_budget=200_000)
+    _flat_tree(7, node_budget=200_000)
+    return {}
 
 
 @register_workload(
@@ -448,9 +441,10 @@ def _pottier_basis_large() -> Dict[str, int]:
 # entry is written), once against a per-process warm directory that the
 # ledger's unrecorded warm-up run populates (every lookup hits disk).
 # The memory tier is off (``memory_entries=0``) so "warm" measures the
-# decode path, not a dict lookup.  The cache-hit/miss deltas are part
-# of the work counts: a warm run that recomputes is a regression the
-# ledger's exact-work gate catches, not just a slow run.
+# decode path, not a dict lookup.  The ``cache.lookup`` span's hit/miss
+# counters are part of the work counts: a warm run that recomputes is
+# a regression the ledger's exact-work gate catches, not just a slow
+# run.
 
 _WARM_DIRS: Dict[str, str] = {}
 
@@ -469,17 +463,11 @@ def _warm_dir(name: str) -> str:
 
 
 def _with_store(directory: str, fn: Callable[[], Mapping[str, int]]) -> Dict[str, int]:
-    """Run ``fn`` under a disk-only store; record the hit/miss deltas."""
+    """Run ``fn`` under a disk-only store."""
     from ..cache.store import CacheStore, use_store
-    from .metrics import get_metrics
 
-    counters = get_metrics("cache").counters
-    before = dict(counters)
     with use_store(CacheStore(directory, memory_entries=0)):
-        counts = dict(fn())
-    counts["cache_hits"] = counters.get("hits", 0) - before.get("hits", 0)
-    counts["cache_misses"] = counters.get("misses", 0) - before.get("misses", 0)
-    return counts
+        return dict(fn())
 
 
 def _cold_counts(fn: Callable[[], Mapping[str, int]]) -> Dict[str, int]:
@@ -506,7 +494,11 @@ def _pottier_large_counts() -> Dict[str, int]:
     description="Karp–Miller at flat:7 against an empty analysis cache (E15)",
 )
 def _cache_km_cold() -> Dict[str, int]:
-    return _cold_counts(lambda: _karp_miller_counts(7, node_budget=200_000))
+    def build() -> Dict[str, int]:
+        _flat_tree(7, node_budget=200_000)
+        return {}
+
+    return _cold_counts(build)
 
 
 @register_workload(
@@ -514,9 +506,13 @@ def _cache_km_cold() -> Dict[str, int]:
     description="Karp–Miller at flat:7 served from the disk cache (E15)",
 )
 def _cache_km_warm() -> Dict[str, int]:
-    return _with_store(
-        _warm_dir("km"), lambda: _karp_miller_counts(7, node_budget=200_000)
-    )
+    def sizes() -> Dict[str, int]:
+        # Served from the cache, no Karp–Miller span runs: the tree's
+        # sizes are this workload's own counts.
+        tree = _flat_tree(7, node_budget=200_000)
+        return {"nodes": len(tree.nodes), "limits": len(tree.limits)}
+
+    return _with_store(_warm_dir("km"), sizes)
 
 
 @register_workload(
@@ -524,16 +520,8 @@ def _cache_km_warm() -> Dict[str, int]:
     description="quotient-dedup Karp–Miller at flat:8, the naive engine's size wall (E18)",
 )
 def _coverability_sharded_cold() -> Dict[str, int]:
-    from ..protocols import flat_threshold
-    from ..reachability.coverability import OMEGA, karp_miller
-    from ..reachability.pseudo import input_state
-
-    protocol = flat_threshold(8)
-    indexed = protocol.indexed()
-    x_index = indexed.index[input_state(protocol)]
-    root = tuple(OMEGA if i == x_index else 0 for i in range(indexed.n))
-    tree = karp_miller(protocol, [root], node_budget=200_000, quotient=True)
-    return {"nodes": len(tree.nodes), "limits": len(tree.limits)}
+    _flat_tree(8, node_budget=200_000, quotient=True)
+    return {}
 
 
 @register_workload(
@@ -546,15 +534,11 @@ def _coverability_sharded_resume() -> Dict[str, int]:
 
     from ..cache.store import CacheStore, use_store
     from ..core.errors import SearchBudgetExceeded
-    from ..protocols import flat_threshold
-    from ..reachability.coverability import OMEGA
     from ..reachability.frontier import KarpMillerFrontier
-    from ..reachability.pseudo import input_state
 
-    protocol = flat_threshold(7)
-    indexed = protocol.indexed()
-    x_index = indexed.index[input_state(protocol)]
-    root = tuple(OMEGA if i == x_index else 0 for i in range(indexed.n))
+    # Drives the frontier directly, so no Karp–Miller span runs: the
+    # tree's sizes are this workload's own counts.
+    protocol, root = _flat_omega_root(7)
     directory = tempfile.mkdtemp(prefix="repro-bench-kmresume-")
     try:
         with use_store(CacheStore(directory, memory_entries=0)):
@@ -608,13 +592,7 @@ def _ensemble(jobs: int = 1) -> Dict[str, int]:
     result = run_ensemble(
         binary_threshold(4), 30, trials=100, seed=0, jobs=jobs
     )
-    return {
-        "trials": result.trials,
-        "converged": result.converged,
-        "interactions": result.instrumentation.counter("interactions")
-        if result.instrumentation is not None
-        else 0,
-    }
+    return {"trials": result.trials, "converged": result.converged}
 
 
 def _synthetic_frontier_trace() -> List[Dict[str, object]]:

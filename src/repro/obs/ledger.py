@@ -23,20 +23,24 @@ Measurement protocol, per workload:
    magnitude on allocation-heavy code — and skipped with
    ``memory=False``.
 4. **Traced pass** (:func:`trace_workload`) — one run under a live
-   tracer whose spans are folded by :func:`repro.obs.profile.build_profile`:
-   the deterministic work counts (the workload's own return dict plus
-   every span counter, summed into ``<span name>.<counter>`` keys) and
-   the same counters per span path (``work_paths``), which is what lets
-   ``bench compare`` name the path of a drift without re-running.
+   tracer whose spans are folded by :func:`repro.obs.profile.build_profile`.
+   Each deterministic work count is stored once: a span counter under
+   its span path (``work_paths``, the profile's
+   :meth:`~repro.obs.profile.Profile.work_counts`), and a count no span
+   records as the workload's own (``work``, its return dict).
 
-Comparison semantics (:func:`compare_artifacts`):
+Comparison semantics (:func:`compare_artifacts`), with the rules and
+the finding type of :mod:`repro.obs.profile`:
 
-* **work counts** — exact: any drift is a finding.  Wall clock on CI
-  is noise; ``nodes expanded`` is not.
+* **work counts** — exact (:func:`~repro.obs.profile.counter_drift`):
+  any count that differs, appears or vanishes is a finding, in ``work``
+  and on every path of ``work_paths``, so a span finding names its own
+  path.  Wall clock on CI is noise; ``nodes expanded`` is not.
 * **time** — a regression needs *both* a relative excess over the
   threshold *and* a robust-significance excess (the median delta must
   exceed ``3 * (MAD_a + MAD_b)`` plus an absolute floor), so MAD-sized
-  jitter on a quiet workload never fires.
+  jitter on a quiet workload never fires
+  (:func:`~repro.obs.profile.significant`).
 * **memory** — same rule against the tracemalloc peaks, with a
   coarser default threshold (allocator layout shifts between Python
   versions).
@@ -57,7 +61,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .bench import Workload, iter_workloads
 from .exporters import RecordingExporter
 from .metrics import get_metrics
-from .profile import Profile, build_profile
+from .profile import Finding, Profile, build_profile, counter_drift, significant
 from .progress import progress
 from .tracer import NULL_TRACER, Tracer, set_tracer
 
@@ -70,13 +74,12 @@ __all__ = [
     "write_artifact",
     "load_artifact",
     "environment_fingerprint",
-    "Finding",
     "ComparisonReport",
     "compare_artifacts",
     "DEFAULT_BASELINE_PATH",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ARTIFACT_KIND = "repro-bench-ledger"
 
 # The committed seed baseline CI compares against (repo-relative).
@@ -129,13 +132,12 @@ def trace_workload(
 ) -> Tuple[Dict[str, int], Profile]:
     """The traced pass: run ``workload`` once under a recording tracer.
 
-    Returns the work dict — the workload's own counts, plus each span
-    counter summed over the profile's paths under its span-qualified
-    ``<span name>.<counter>`` key (the workload's own key wins a name
-    clash) — and the run's :class:`~repro.obs.profile.Profile`.  The
-    live tracer also folds its spans into the ``spans`` metrics
-    registry; that entry is put back as it was, so the pass leaves the
-    process's registries as it found them.
+    Returns the workload's own work counts (its return dict) and the
+    run's :class:`~repro.obs.profile.Profile`, whose
+    :meth:`~repro.obs.profile.Profile.work_counts` hold every span
+    counter by path.  The live tracer also folds its spans into the
+    ``spans`` metrics registry; that entry is put back as it was, so
+    the pass leaves the process's registries as it found them.
     """
     recorder = RecordingExporter()
     tracer = Tracer([recorder])
@@ -152,13 +154,7 @@ def trace_workload(
     profile = build_profile(
         recorder.records, meta={"workload": workload.name, "jobs": jobs}
     )
-    work: Dict[str, int] = {}
-    for stats in profile.paths.values():
-        for counter, value in stats.counters.items():
-            key = f"{stats.name}.{counter}"
-            work[key] = work.get(key, 0) + value
-    work.update(own)
-    return work, profile
+    return own, profile
 
 
 def _memory_pass(workload: Workload, jobs: int) -> Tuple[float, float]:
@@ -299,21 +295,6 @@ def load_artifact(path: str) -> Dict[str, Any]:
 # sub-millisecond workloads jitter by full multiples on shared runners.
 _TIME_FLOOR_S = 0.002
 _MEMORY_FLOOR_KB = 256.0
-_MAD_SIGMA = 3.0
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One detected change between two artifacts."""
-
-    workload: str
-    kind: str  # "time" | "memory" | "work" | "missing" | "added"
-    detail: str
-    regression: bool  # False for improvements / informational findings
-
-    def render(self) -> str:
-        tag = "REGRESSION" if self.regression else "note"
-        return f"[{tag}] {self.workload}: {self.detail}"
 
 
 @dataclass
@@ -375,22 +356,6 @@ def _fmt_kb(kb: Optional[float]) -> str:
     return f"{kb:.0f}KB"
 
 
-def _significant(
-    base: float,
-    new: float,
-    base_mad: float,
-    new_mad: float,
-    *,
-    threshold: float,
-    floor: float,
-) -> bool:
-    """The robust two-condition change test (see module docstring)."""
-    delta = new - base
-    if delta <= max(floor, threshold * base):
-        return False
-    return delta > _MAD_SIGMA * (base_mad + new_mad) + floor
-
-
 def compare_artifacts(
     base: Mapping[str, Any],
     new: Mapping[str, Any],
@@ -426,28 +391,28 @@ def compare_artifacts(
         verdicts: List[str] = []
 
         # Exact work counts: any drift is a hard finding, and so is a
-        # key that appears or vanishes (a counter that stopped counting).
-        work_base = entry_base.get("work", {})
-        work_new = entry_new.get("work", {})
-        drifted = {
-            key: (work_base.get(key, "absent"), work_new.get(key, "absent"))
-            for key in set(work_base) | set(work_new)
-            if work_base.get(key) != work_new.get(key)
-        }
-        if drifted:
-            detail = ", ".join(
-                f"{key}: {old} -> {fresh}" for key, (old, fresh) in sorted(drifted.items())
-            )
-            report.findings.append(
-                Finding(name, "work", f"work-count drift ({detail})", True)
-            )
+        # count that appears or vanishes (a counter that stopped
+        # counting, a path no longer taken).  Span counters are diffed
+        # per path, so each finding names where its work moved.
+        drifts: List[str] = []
+        drift = counter_drift(entry_base.get("work", {}), entry_new.get("work", {}))
+        if drift:
+            drifts.append(f"work-count drift ({drift})")
+        paths_base = entry_base.get("work_paths", {})
+        paths_new = entry_new.get("work_paths", {})
+        for path in sorted(set(paths_base) | set(paths_new)):
+            drift = counter_drift(paths_base.get(path, {}), paths_new.get(path, {}))
+            if drift:
+                drifts.append(f"work drift at {path} ({drift})")
+        if drifts:
+            report.findings.extend(Finding(name, "work", d, True) for d in drifts)
             verdicts.append("work drift")
 
         # Robust wall-clock comparison.
         t_base, t_new = entry_base["median_s"], entry_new["median_s"]
         mad_base = entry_base.get("mad_s", 0.0)
         mad_new = entry_new.get("mad_s", 0.0)
-        if _significant(
+        if significant(
             t_base, t_new, mad_base, mad_new,
             threshold=time_threshold, floor=_TIME_FLOOR_S,
         ):
@@ -461,7 +426,7 @@ def compare_artifacts(
                 )
             )
             verdicts.append(f"time {t_new / t_base:.2f}x")
-        elif _significant(
+        elif significant(
             t_new, t_base, mad_new, mad_base,
             threshold=time_threshold, floor=_TIME_FLOOR_S,
         ):
@@ -479,7 +444,7 @@ def compare_artifacts(
         # Memory peaks, when both artifacts carried the memory pass.
         m_base, m_new = entry_base.get("peak_kb"), entry_new.get("peak_kb")
         if m_base is not None and m_new is not None:
-            if _significant(
+            if significant(
                 m_base, m_new, 0.0, 0.0,
                 threshold=memory_threshold, floor=_MEMORY_FLOOR_KB,
             ):

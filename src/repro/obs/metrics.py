@@ -1,8 +1,9 @@
 """Named counters and phase timers — the metrics half of :mod:`repro.obs`.
 
-Originally this lived in :mod:`repro.simulation.instrumentation` and
-served only the schedulers; it is now the shared metrics layer for the
-whole toolkit.  Simulator runs and the long-running analysis searches
+It started as the schedulers' instrumentation and is now the shared
+metrics layer for the whole toolkit (``repro.simulation`` re-exports
+:class:`Instrumentation` and :class:`InstrumentationSnapshot`).
+Simulator runs and the long-running analysis searches
 (Karp–Miller, Pottier completion, the Lemma 5.4 saturation sequence,
 the certificate pipelines) all report through one process-wide
 registry of named :class:`Instrumentation` objects, so a benchmark or

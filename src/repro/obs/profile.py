@@ -31,13 +31,15 @@ pretty table:
    — the repo's serial≡parallel contract, extended to profiles.
 
 On top of the model: folded-stack (``a;b;c value``) and speedscope
-JSON exporters, a schema-versioned profile artifact, a profile diff
-with exact significance on work counts and MAD-robust significance on
-time (the ledger's own rules), and regression *attribution*: every
-ledger entry stores its traced pass's :meth:`Profile.work_counts` as
-``work_paths``, so ``repro bench compare`` names the span paths whose
-counters moved from the two artifacts alone, without running anything.
-The by-name table behind ``repro trace summarize``
+JSON exporters, a schema-versioned profile artifact, and a profile
+diff.  The diff's pieces are the ones ``repro bench compare`` uses
+too: one :class:`Finding`, the exact counter rule
+(:func:`counter_drift`: any counter that differs, appears or vanishes)
+and the MAD-robust change test (:func:`significant`).  Every ledger
+entry stores its traced pass's :meth:`Profile.work_counts` as
+``work_paths``, so the compare applies the counter rule path by path
+and each finding names its own path, without running anything.  The
+by-name table behind ``repro trace summarize``
 (:func:`repro.obs.summary.trace_summary`) is a view of this fold too.
 """
 
@@ -66,12 +68,11 @@ __all__ = [
     "to_folded",
     "to_speedscope",
     "render_profile",
-    "ProfileFinding",
+    "Finding",
+    "significant",
+    "counter_drift",
     "ProfileDiff",
     "diff_profiles",
-    "WorkAttribution",
-    "AttributionEntry",
-    "attribute_work_drift",
 ]
 
 PROFILE_KIND = "repro-work-profile"
@@ -85,9 +86,8 @@ PLUMBING_SPANS = frozenset({"parallel.pool", "parallel.task"})
 
 PATH_SEP = ";"
 
-# The ledger's robust-time rules, restated in microseconds: a time
-# delta is significant only when it clears both the relative threshold
-# and 3*(MAD_base + MAD_new) plus an absolute floor.
+# A self-time delta below this is never significant (the ledger's
+# 2 ms floor, in microseconds).
 _TIME_FLOOR_US = 2000.0
 _MAD_SIGMA = 3.0
 
@@ -158,19 +158,6 @@ class Profile:
             for stats in self.sorted_paths()
             if stats.counters
         }
-
-    def subtree_counters(self, path: Tuple[str, ...]) -> Dict[str, int]:
-        """Summed counters over ``path`` and every path below it."""
-        totals: Dict[str, int] = {}
-        for other, stats in self.paths.items():
-            if other[: len(path)] != path:
-                continue
-            for name, value in stats.counters.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-    def total_self_us(self) -> float:
-        return sum(stats.self_us for stats in self.paths.values())
 
 
 def _path_stats(path: Tuple[str, ...], entry: Mapping[str, Any]) -> PathStats:
@@ -501,22 +488,62 @@ def render_profile(profile: Profile, *, sort: str = "self", limit: int = 0) -> s
 
 
 # ----------------------------------------------------------------------
-# Diffing two profiles
+# Findings and the two change rules (shared with the ledger's compare)
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ProfileFinding:
-    """One detected change between two profiles, anchored to a path."""
+class Finding:
+    """One detected change: where it is, what kind, and how it reads."""
 
-    path: str
-    kind: str  # "work" | "time" | "added" | "removed"
+    where: str  # a ledger workload or a profile span path
+    kind: str  # "work" | "time" | "memory" | "missing" | "added" | "removed"
     detail: str
-    regression: bool
+    regression: bool  # False for improvements / informational findings
 
     def render(self) -> str:
         tag = "REGRESSION" if self.regression else "note"
-        return f"[{tag}] {self.path}: {self.detail}"
+        return f"[{tag}] {self.where}: {self.detail}"
+
+
+def significant(
+    base: float,
+    new: float,
+    base_mad: float,
+    new_mad: float,
+    *,
+    threshold: float,
+    floor: float,
+    calls: int = 1,
+) -> bool:
+    """The robust two-condition change test: did ``new`` grow past ``base``?
+
+    The delta must clear both the relative ``threshold`` (and ``floor``)
+    and ``3 * calls * (MAD_base + MAD_new)`` plus ``floor``, so MAD-sized
+    jitter on a quiet measurement never fires.  ``calls`` scales per-call
+    MADs when the measurement is a sum over that many calls (a path's
+    self time), where aggregate jitter accumulates.
+    """
+    delta = new - base
+    if delta <= max(floor, threshold * base):
+        return False
+    return delta > _MAD_SIGMA * max(calls, 1) * (base_mad + new_mad) + floor
+
+
+def counter_drift(base: Mapping[str, int], new: Mapping[str, int]) -> str:
+    """The exact work rule: ``name: old -> new`` for every counter that
+    differs, appears or vanishes (``absent`` on the missing side),
+    joined by ``, `` in name order; empty when the counters agree."""
+    return ", ".join(
+        f"{name}: {base.get(name, 'absent')} -> {new.get(name, 'absent')}"
+        for name in sorted(set(base) | set(new))
+        if base.get(name) != new.get(name)
+    )
+
+
+# ----------------------------------------------------------------------
+# Diffing two profiles
+# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -525,10 +552,10 @@ class ProfileDiff:
 
     base_label: str
     new_label: str
-    findings: List[ProfileFinding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
     rows: List[List[str]] = field(default_factory=list)
 
-    def regressions(self, kinds: Optional[Sequence[str]] = None) -> List[ProfileFinding]:
+    def regressions(self, kinds: Optional[Sequence[str]] = None) -> List[Finding]:
         return [
             f
             for f in self.findings
@@ -557,23 +584,6 @@ class ProfileDiff:
         return "\n".join(lines)
 
 
-def _time_significant(
-    base_us: float,
-    new_us: float,
-    base_mad: float,
-    new_mad: float,
-    threshold: float,
-    count: int = 1,
-) -> bool:
-    delta = new_us - base_us
-    if delta <= max(_TIME_FLOOR_US, threshold * base_us):
-        return False
-    # self_us is summed over every call on the path, so per-call MAD
-    # must be scaled by the call count or the guard underestimates
-    # aggregate jitter exactly where it accumulates most.
-    return delta > _MAD_SIGMA * max(count, 1) * (base_mad + new_mad) + _TIME_FLOOR_US
-
-
 def diff_profiles(
     base: Profile,
     new: Profile,
@@ -584,9 +594,10 @@ def diff_profiles(
 ) -> ProfileDiff:
     """Align two profiles by span path and report per-path deltas.
 
-    Work counters use the ledger's exact rule (any drift on a shared
-    path is a finding); time uses the MAD-robust two-condition test so
-    jitter on a quiet subtree never fires.  Paths appearing or
+    Work counters use the exact rule (:func:`counter_drift`; any drift
+    on a shared path is a finding); self time uses :func:`significant`,
+    scaled by the path's call count, so jitter on a quiet subtree never
+    fires.  Paths appearing or
     disappearing are regressions only when they carry work counters —
     purely-timed paths come and go with optional instrumentation.
     """
@@ -601,7 +612,7 @@ def diff_profiles(
             has_work = bool(stats_new.counters)
             counters = " ".join(f"{k}={v}" for k, v in stats_new.counters.items())
             diff.findings.append(
-                ProfileFinding(
+                Finding(
                     key,
                     "added",
                     "path only in new profile"
@@ -615,7 +626,7 @@ def diff_profiles(
             has_work = bool(stats_base.counters)
             counters = " ".join(f"{k}={v}" for k, v in stats_base.counters.items())
             diff.findings.append(
-                ProfileFinding(
+                Finding(
                     key,
                     "removed",
                     "path only in base profile"
@@ -627,28 +638,22 @@ def diff_profiles(
             continue
 
         verdicts: List[str] = []
-        drifted = {
-            name: (stats_base.counters.get(name, 0), stats_new.counters.get(name, 0))
-            for name in sorted(set(stats_base.counters) | set(stats_new.counters))
-            if stats_base.counters.get(name, 0) != stats_new.counters.get(name, 0)
-        }
-        if drifted:
-            detail = ", ".join(
-                f"{name}: {old} -> {fresh}" for name, (old, fresh) in drifted.items()
-            )
+        drift = counter_drift(stats_base.counters, stats_new.counters)
+        if drift:
             diff.findings.append(
-                ProfileFinding(key, "work", f"work-count drift ({detail})", True)
+                Finding(key, "work", f"work-count drift ({drift})", True)
             )
             verdicts.append("work drift")
 
         calls = max(stats_base.count, stats_new.count)
-        if _time_significant(
+        if significant(
             stats_base.self_us, stats_new.self_us,
-            stats_base.mad_us, stats_new.mad_us, time_threshold, calls,
+            stats_base.mad_us, stats_new.mad_us,
+            threshold=time_threshold, floor=_TIME_FLOOR_US, calls=calls,
         ):
             ratio = stats_new.self_us / max(stats_base.self_us, 1e-9)
             diff.findings.append(
-                ProfileFinding(
+                Finding(
                     key,
                     "time",
                     f"self {_fmt_us(stats_base.self_us)} -> "
@@ -657,13 +662,14 @@ def diff_profiles(
                 )
             )
             verdicts.append(f"time {ratio:.2f}x")
-        elif _time_significant(
+        elif significant(
             stats_new.self_us, stats_base.self_us,
-            stats_new.mad_us, stats_base.mad_us, time_threshold, calls,
+            stats_new.mad_us, stats_base.mad_us,
+            threshold=time_threshold, floor=_TIME_FLOOR_US, calls=calls,
         ):
             ratio = stats_base.self_us / max(stats_new.self_us, 1e-9)
             diff.findings.append(
-                ProfileFinding(
+                Finding(
                     key,
                     "time",
                     f"improved: self {_fmt_us(stats_base.self_us)} -> "
@@ -686,158 +692,3 @@ def diff_profiles(
                 ]
             )
     return diff
-
-
-# ----------------------------------------------------------------------
-# Regression attribution (`repro bench compare`)
-# ----------------------------------------------------------------------
-
-
-def _or_absent(value: Optional[int]) -> Any:
-    return "absent" if value is None else value
-
-
-@dataclass
-class AttributionEntry:
-    """Blame for one drifted work key of one workload."""
-
-    workload: str
-    key: str
-    base_value: Optional[int]
-    new_value: Optional[int]
-    # each: (path key, counter name, base per-path value, new per-path value)
-    paths: List[Tuple[str, str, Optional[int], Optional[int]]] = field(
-        default_factory=list
-    )
-
-    def render_lines(self) -> List[str]:
-        lines = [
-            f"  {self.key}: base {_or_absent(self.base_value)} "
-            f"-> new {_or_absent(self.new_value)}"
-        ]
-        if self.paths:
-            for path, counter, base, new in self.paths:
-                lines.append(
-                    f"    guilty subtree: {path}  "
-                    f"({counter}: {_or_absent(base)} -> {_or_absent(new)})"
-                )
-        else:
-            lines.append(
-                "    (no span path's counter moved — workload-level count)"
-            )
-        return lines
-
-
-@dataclass
-class WorkAttribution:
-    """The full attribution report for one artifact comparison."""
-
-    entries: List[AttributionEntry] = field(default_factory=list)
-
-    def guilty_paths(self) -> List[str]:
-        """Every span path named as a drift site, deduplicated."""
-        seen: List[str] = []
-        for entry in self.entries:
-            for path, _, _, _ in entry.paths:
-                if path not in seen:
-                    seen.append(path)
-        return seen
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "repro-work-attribution",
-            "schema": 2,
-            "entries": [
-                {
-                    "workload": e.workload,
-                    "key": e.key,
-                    "base_value": e.base_value,
-                    "new_value": e.new_value,
-                    "paths": [
-                        {
-                            "path": path,
-                            "counter": counter,
-                            "base_value": base,
-                            "new_value": new,
-                        }
-                        for path, counter, base, new in e.paths
-                    ],
-                }
-                for e in self.entries
-            ],
-        }
-
-    def render(self) -> str:
-        if not self.entries:
-            return "attribution: no work drift to attribute"
-        lines = ["work-drift attribution (from the artifacts' work paths):"]
-        by_workload: Dict[str, List[AttributionEntry]] = {}
-        for entry in self.entries:
-            by_workload.setdefault(entry.workload, []).append(entry)
-        for workload in sorted(by_workload):
-            lines.append(f"{workload}:")
-            for entry in by_workload[workload]:
-                lines.extend(entry.render_lines())
-        return "\n".join(lines)
-
-
-def _paths_carrying(
-    work_paths: Mapping[str, Mapping[str, int]], key: str
-) -> Dict[Tuple[str, str], int]:
-    """``(path, counter) -> value`` for the paths whose leaf qualifies ``key``.
-
-    Span names contain dots, so ``simulate.run.interactions`` cannot be
-    split blindly — instead every path's leaf name is tried as the span
-    prefix and the remainder as the counter name.
-    """
-    matches: Dict[Tuple[str, str], int] = {}
-    for path, counters in work_paths.items():
-        leaf = path.split(PATH_SEP)[-1]
-        if not key.startswith(leaf + "."):
-            continue
-        counter = key[len(leaf) + 1 :]
-        if counter in counters:
-            matches[(path, counter)] = counters[counter]
-    return matches
-
-
-def attribute_work_drift(
-    base_artifact: Mapping[str, Any], new_artifact: Mapping[str, Any]
-) -> WorkAttribution:
-    """Name the span paths behind every drifted work key; runs nothing.
-
-    Every ledger entry stores its traced pass's work per span path
-    (``work_paths``), so a drifted span-qualified key is traced to the
-    paths whose counter differs between the two artifacts.  A key no
-    span carries (the workload's own count) gets an entry without
-    paths.
-    """
-    attribution = WorkAttribution()
-    base_workloads: Mapping[str, Any] = base_artifact.get("workloads", {})
-    new_workloads: Mapping[str, Any] = new_artifact.get("workloads", {})
-    for name in sorted(set(base_workloads) & set(new_workloads)):
-        entry_base, entry_new = base_workloads[name], new_workloads[name]
-        work_base = entry_base.get("work", {})
-        work_new = entry_new.get("work", {})
-        # Union, not intersection: a work key appearing in or vanishing
-        # from a ledger entry is drift exactly like a changed count
-        # (diff_profiles treats added/removed work paths the same way).
-        for key in sorted(set(work_base) | set(work_new)):
-            if work_base.get(key) == work_new.get(key):
-                continue
-            paths_base = _paths_carrying(entry_base.get("work_paths", {}), key)
-            paths_new = _paths_carrying(entry_new.get("work_paths", {}), key)
-            attribution.entries.append(
-                AttributionEntry(
-                    workload=name,
-                    key=key,
-                    base_value=work_base.get(key),
-                    new_value=work_new.get(key),
-                    paths=[
-                        (*site, paths_base.get(site), paths_new.get(site))
-                        for site in sorted(set(paths_base) | set(paths_new))
-                        if paths_base.get(site) != paths_new.get(site)
-                    ],
-                )
-            )
-    return attribution

@@ -133,8 +133,8 @@ def trace_summary(records: List[SpanRecord], sort: str = "total") -> Dict[str, A
     quantities the rendered table shows, unformatted (``name``,
     ``count``, ``total_us``, ``self_us``, ``mean_us``, ``peak_kb``,
     ``counters``), in the requested sort order (ties in order of first
-    appearance) — so CI and the attribution pipeline consume summaries
-    without re-parsing JSONL or scraping table text.
+    appearance) — so CI and scripts consume summaries without
+    re-parsing JSONL or scraping table text.
     """
     from .profile import build_profile  # profile.py imports SpanRecord from here
 

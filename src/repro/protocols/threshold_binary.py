@@ -46,7 +46,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..core.multiset import Multiset
-from ..core.predicates import Threshold, counting
 from ..core.protocol import PopulationProtocol, Transition
 
 __all__ = ["binary_threshold", "example_2_1_binary", "binary_state_count"]
@@ -166,8 +165,3 @@ def binary_state_count(eta: int) -> int:
     popcount = bin(eta).count("1")
     needs_zero = k >= 1  # any combine or collect rule produces `zero`
     return (k + 1) + (popcount - 1) + (1 if needs_zero else 0)
-
-
-def binary_threshold_predicate(eta: int, variable: str = "x") -> Threshold:
-    """The predicate ``x >= eta`` that :func:`binary_threshold` computes."""
-    return counting(eta, variable)

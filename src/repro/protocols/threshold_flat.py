@@ -16,7 +16,6 @@ gap between the two is precisely the subject of the paper.
 from __future__ import annotations
 
 from ..core.multiset import Multiset
-from ..core.predicates import Threshold, counting
 from ..core.protocol import PopulationProtocol, Transition
 
 __all__ = ["flat_threshold", "example_2_1_flat"]
@@ -70,8 +69,3 @@ def example_2_1_flat(k: int) -> PopulationProtocol:
         raise ValueError(f"k must be >= 0, got {k}")
     protocol = flat_threshold(2**k)
     return protocol.renamed({}, name=f"P_{k} (Example 2.1)")
-
-
-def flat_threshold_predicate(eta: int, variable: str = "x") -> Threshold:
-    """The predicate ``x >= eta`` that :func:`flat_threshold` computes."""
-    return counting(eta, variable)

@@ -49,6 +49,8 @@ from .frontier import (
     ExtendedConfig,
     KarpMillerFrontier,
     Permutation,
+    _decode_config,
+    _encode_config,
     _leq,
     _transition_pre,
 )
@@ -162,20 +164,12 @@ def karp_miller(
     )
 
 
-def _km_encode_config(config: ExtendedConfig) -> List[Union[int, str]]:
-    return ["w" if c == OMEGA else int(c) for c in config]
-
-
-def _km_decode_config(row: Sequence[Union[int, str]]) -> ExtendedConfig:
-    return tuple(OMEGA if c == "w" else int(c) for c in row)
-
-
 def _km_params(arguments):
     # jobs and checkpoint_interval deliberately excluded: they are
     # execution strategy, not analysis identity — the differential
     # contract guarantees the result does not depend on them.
     return {
-        "roots": [_km_encode_config(root) for root in arguments["roots"]],
+        "roots": [_encode_config(root) for root in arguments["roots"]],
         "node_budget": int(arguments["node_budget"]),
         "quotient": bool(arguments["quotient"]),
     }
@@ -183,10 +177,10 @@ def _km_params(arguments):
 
 def _km_encode(tree: KarpMillerTree, protocol: PopulationProtocol):
     return {
-        "limits": [_km_encode_config(c) for c in sorted(tree.limits)],
-        "nodes": [_km_encode_config(c) for c in sorted(tree.nodes)],
+        "limits": [_encode_config(c) for c in sorted(tree.limits)],
+        "nodes": [_encode_config(c) for c in sorted(tree.nodes)],
         "accelerations": [
-            [_km_encode_config(node), [_km_encode_config(a) for a in used]]
+            [_encode_config(node), [_encode_config(a) for a in used]]
             for node, used in sorted(tree.accelerations.items())
         ],
         "group": [list(perm) for perm in tree.group],
@@ -196,10 +190,10 @@ def _km_encode(tree: KarpMillerTree, protocol: PopulationProtocol):
 
 def _km_decode(payload, protocol: PopulationProtocol) -> KarpMillerTree:
     indexed = protocol.indexed()
-    limits = {_km_decode_config(row) for row in payload["limits"]}
-    nodes = {_km_decode_config(row) for row in payload["nodes"]}
+    limits = {_decode_config(row) for row in payload["limits"]}
+    nodes = {_decode_config(row) for row in payload["nodes"]}
     accelerations = {
-        _km_decode_config(node): tuple(_km_decode_config(a) for a in used)
+        _decode_config(node): tuple(_decode_config(a) for a in used)
         for node, used in payload["accelerations"]
     }
     group = tuple(tuple(int(i) for i in perm) for perm in payload["group"])

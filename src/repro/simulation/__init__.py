@@ -1,5 +1,6 @@
 """Stochastic simulation: exact schedulers, tau-leap ensembles, convergence stats."""
 
+from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 from .conformance import (
     ChiSquaredResult,
     ConformanceReport,
@@ -14,7 +15,6 @@ from .ensembles import ENSEMBLE_ENGINES, EnsembleResult, run_ensemble
 from .convergence import ConvergenceStats, convergence_scaling, fit_nlogn, measure_convergence
 from .vectorized import VectorEnsembleScheduler, VectorRunResult
 from .faults import Fault, FaultyRunResult, corrupt, crash, run_with_faults
-from .instrumentation import Instrumentation, InstrumentationSnapshot
 from .scheduler import AgentListScheduler, CountScheduler, SimulationResult, StepOutcome
 from .statistics import TimeSeries, record_time_series
 from .trace import Trace, TraceEvent, record_trace

@@ -51,8 +51,8 @@ from ..core.errors import ConfigurationError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
 from ..obs import get_tracer
+from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 from ..parallel import TaskEnvelope, merge_snapshots, run_tasks
-from .instrumentation import Instrumentation, InstrumentationSnapshot
 from .scheduler import AgentListScheduler, CountScheduler
 from .vectorized import VectorEnsembleScheduler
 

@@ -34,7 +34,7 @@ from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import IndexedProtocol, PopulationProtocol
 from ..obs import get_tracer, progress
-from .instrumentation import Instrumentation, InstrumentationSnapshot
+from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 
 __all__ = ["StepOutcome", "AgentListScheduler", "CountScheduler", "SimulationResult"]
 

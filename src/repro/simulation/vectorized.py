@@ -52,7 +52,7 @@ from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
 from ..obs import get_tracer, progress
-from .instrumentation import Instrumentation, InstrumentationSnapshot
+from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 
 __all__ = ["VectorEnsembleScheduler", "VectorRunResult"]
 

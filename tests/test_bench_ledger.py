@@ -3,11 +3,12 @@
 Covers the workload registry (suites, determinism of work counts), the
 suite runner (artifact schema, env fingerprint, memory pass, the traced
 pass's work paths, and the process registries it leaves alone), the
-two span folds agreeing on every micro workload, artifact IO (schema
-gating), the MAD-based comparison (injected 2x slowdown flagged,
-jitter not flagged, exact work-count drift always flagged, work keys
-that appear or vanish included), and the ``repro bench run / compare /
-baseline / list`` CLI including its exit codes.
+two span folds agreeing on every micro workload, one record per work
+count (no workload returns a count a span counter carries), artifact
+IO (schema gating), the MAD-based comparison (injected 2x slowdown
+flagged, jitter not flagged, exact work-count drift always flagged,
+work keys that appear or vanish included), and the ``repro bench run /
+compare / baseline / list`` CLI including its exit codes.
 
 To keep the suite fast, most runner tests use a filtered two-workload
 slice of the micro suite; one end-to-end test runs the real thing.
@@ -20,6 +21,7 @@ import json
 
 import pytest
 
+from repro.cache.store import cache_disabled
 from repro.cli import main
 from repro.obs import (
     LedgerError,
@@ -119,11 +121,11 @@ class TestRunSuite:
             repeats=1,
             workload_filter=lambda w: w.name == "pottier.realisable_basis",
         )
-        work = artifact["workloads"]["pottier.realisable_basis"]["work"]
-        # the workload's own count plus the span counters recorded
-        # inside the Pottier completion
-        assert work["basis"] == 10
-        assert any("frontier_vectors" in key for key in work)
+        entry = artifact["workloads"]["pottier.realisable_basis"]
+        # the workload's own count, and the span counters recorded
+        # inside the Pottier completion on their path
+        assert entry["work"]["basis"] == 10
+        assert "frontier_vectors" in entry["work_paths"]["pottier.solve_equalities"]
 
     def test_no_memory_pass(self):
         artifact = tiny_suite(memory=False)
@@ -143,13 +145,16 @@ class TestRunSuite:
             workload_filter=lambda w: w.name == "pottier.realisable_basis",
         )
         entry = artifact["workloads"]["pottier.realisable_basis"]
-        assert entry["work_paths"]
-        summed = {}
-        for path, counters in entry["work_paths"].items():
-            for counter, value in counters.items():
-                key = f"{path.split(';')[-1]}.{counter}"
-                summed[key] = summed.get(key, 0) + value
-        assert summed and all(entry["work"][k] == v for k, v in summed.items())
+        # Each count once: the span counters by path, the workload's
+        # own count beside them.
+        assert entry["work_paths"] == {
+            "pottier.solve_equalities": {
+                "frontier_vectors": 60,
+                "generations": 10,
+                "minimal_solutions": 10,
+            }
+        }
+        assert entry["work"] == {"basis": 10}
 
     def test_keeps_what_the_process_recorded(self):
         # A recorded `bench run` seals its manifest from these registries.
@@ -170,9 +175,9 @@ class TestRunSuite:
 
 
 class TestTwoFoldsAgree:
-    """The ledger sums its span-qualified work keys from the profile;
-    the tracer still folds the same counters into the ``spans``
-    registry, which the e2e harness reads.  Same run, same counters."""
+    """The ledger keeps the profile's span counters per path; the
+    tracer still folds the same counters into the ``spans`` registry,
+    which the e2e harness reads.  Same run, same counters."""
 
     @pytest.mark.parametrize(
         "name, jobs",
@@ -189,14 +194,29 @@ class TestTwoFoldsAgree:
             return result
 
         monkeypatch.setattr(Workload, "run", spy)
-        work, profile = trace_workload(get_workload(name), jobs=jobs)
+        _, profile = trace_workload(get_workload(name), jobs=jobs)
         summed = {}
         for stats in profile.paths.values():
             for counter, value in stats.counters.items():
                 key = f"{stats.name}.{counter}"
                 summed[key] = summed.get(key, 0) + value
         assert summed == seen
-        assert all(work[key] == value for key, value in summed.items())
+
+
+class TestOneRecordPerCount:
+    """A work count lives in one place in a ledger entry: no workload
+    returns a count that a span counter on one of its paths carries."""
+
+    @pytest.mark.parametrize("name", [w.name for w in iter_workloads(SUITE_MICRO)])
+    def test_own_keys_are_not_span_counters(self, name):
+        workload = get_workload(name)
+        with cache_disabled():
+            workload.run()  # the ledger's warm-up: fills the *_warm stores
+            own, profile = trace_workload(workload)
+        counters = {
+            counter for counts in profile.work_counts().values() for counter in counts
+        }
+        assert not set(own) & counters
 
 
 class TestArtifactIO:
@@ -391,7 +411,7 @@ class TestBenchCli:
         for entry in artifact["workloads"].values():
             assert entry["median_s"] >= 0.0 and entry["mad_s"] >= 0.0
             assert entry["peak_kb"] is not None
-            assert entry["work"]
+            assert entry["work"] or entry["work_paths"]
 
     def test_compare_flags_injected_slowdown_nonzero_exit(self, tmp_path, capsys):
         base_path = str(tmp_path / "BENCH_base.json")

@@ -535,9 +535,9 @@ class TestWarmSpeedup:
         for pair in ("karp_miller", "pottier"):
             cold = workloads[f"cache.{pair}_cold"]
             warm = workloads[f"cache.{pair}_warm"]
-            assert warm["work"]["cache_hits"] == 1
-            assert warm["work"]["cache_misses"] == 0
-            assert cold["work"]["cache_misses"] == 1
+            assert warm["work_paths"]["cache.lookup"].get("hit", 0) == 1
+            assert warm["work_paths"]["cache.lookup"].get("miss", 0) == 0
+            assert cold["work_paths"]["cache.lookup"].get("miss", 0) == 1
             assert warm["median_s"] * 5 <= cold["median_s"], (
                 f"{pair}: warm {warm['median_s']}s vs cold {cold['median_s']}s"
             )

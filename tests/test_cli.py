@@ -209,6 +209,8 @@ class TestNumericFlagRanges:
     no seed and printed `overall: PASS`, `conformance --max-steps 0`
     ended in a traceback, and `analyze --node-budget -5` reported
     `exceeded -5 configurations` in every section with exit 0.
+    `simulate --max-steps`/`--trials`, `conformance --samples` and the
+    `bb` state count were checked in their handlers and exited 1.
     """
 
     @pytest.mark.parametrize(
@@ -225,6 +227,16 @@ class TestNumericFlagRanges:
             ),
             (["conformance", "binary:4", "--max-steps", "0"], "--max-steps: must be >= 1"),
             (["analyze", "binary:4", "--node-budget", "-5"], "--node-budget: must be >= 1"),
+            (
+                ["simulate", "binary:4", "--input", "6", "--max-steps", "0"],
+                "--max-steps: must be >= 1",
+            ),
+            (
+                ["simulate", "binary:4", "--input", "6", "--trials", "-2"],
+                "--trials: must be >= 1",
+            ),
+            (["conformance", "binary:4", "--samples", "0"], "--samples: must be >= 1"),
+            (["bb", "0"], "states: must be >= 1"),
         ],
         ids=[
             "certify-max-input",
@@ -232,6 +244,10 @@ class TestNumericFlagRanges:
             "conformance-trajectory-seeds",
             "conformance-max-steps",
             "analyze-node-budget",
+            "simulate-max-steps",
+            "simulate-trials",
+            "conformance-samples",
+            "bb-states",
         ],
     )
     def test_below_range_is_a_usage_error(self, capsys, argv, message):

@@ -10,7 +10,8 @@ asserts both, the golden fixture pins the diff output against an
 injected synthetic regression, and the attribution tests drive
 ``bench compare`` end-to-end on an artifact the ledger recorded with
 the deterministic perturbation hook in the ``simulate.count`` workload
-— attribution reads the stored work paths and runs nothing.
+— the compare diffs the stored work paths path by path, so each
+finding names its own path, and runs nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cli import main
-from repro.obs import load_artifact, profile as prof, run_suite, trace_workload
+from repro.obs import (
+    SCHEMA_VERSION,
+    compare_artifacts,
+    load_artifact,
+    profile as prof,
+    run_suite,
+    trace_workload,
+)
 from repro.obs.bench import Workload, get_workload
 from repro.obs.summary import SpanRecord, load_trace, trace_summary
 
@@ -246,7 +254,7 @@ class TestDiff:
         diff = prof.diff_profiles(base, regressed)
         assert diff.work_drift()
         guilty = "analyze;analyze.certificates;pipeline.section4;coverability.karp_miller"
-        assert {f.path for f in diff.findings} == {guilty}
+        assert {f.where for f in diff.findings} == {guilty}
         assert {f.kind for f in diff.findings} == {"work", "time"}
         work = next(f for f in diff.findings if f.kind == "work")
         assert "expansions: 119 -> 239" in work.detail
@@ -304,19 +312,30 @@ SEED_BASELINE = os.path.join(
 )
 
 
-def _artifact(interactions, converged):
+def _ledger(entries):
+    """A schema-current artifact holding only what the compare reads."""
     return {
+        "schema": SCHEMA_VERSION,
         "workloads": {
+            name: {"median_s": 0.01, "mad_s": 0.0, **entry}
+            for name, entry in entries.items()
+        },
+    }
+
+
+def _artifact(interactions, converged):
+    return _ledger(
+        {
             "simulate.count": {
-                "work": {
-                    "interactions": interactions,
-                    "converged": converged,
-                    "simulate.run.interactions": interactions,
-                },
+                "work": {"converged": converged},
                 "work_paths": {"simulate.run": {"interactions": interactions}},
             }
         }
-    }
+    )
+
+
+def _work_findings(base, new):
+    return [f for f in compare_artifacts(base, new).findings if f.kind == "work"]
 
 
 def _perturbed_seed(monkeypatch):
@@ -338,88 +357,79 @@ def _perturbed_seed(monkeypatch):
 
 def _forbid_workload_runs(monkeypatch):
     def spy(self, jobs=1):
-        raise AssertionError(f"workload {self.name} ran during attribution")
+        raise AssertionError(f"workload {self.name} ran during the compare")
 
     monkeypatch.setattr(Workload, "run", spy)
 
 
 class TestAttribution:
+    """``compare_artifacts`` diffs ``work_paths`` path by path, so a work
+    finding names the span path its counts moved on."""
+
     def test_perturbed_drift_names_the_guilty_subtree(self, monkeypatch):
         seed, perturbed = _perturbed_seed(monkeypatch)
         _forbid_workload_runs(monkeypatch)
-        attribution = prof.attribute_work_drift(seed, perturbed)
-        assert attribution.guilty_paths() == ["simulate.run"]
-        span_entry = next(
-            e for e in attribution.entries if e.key == "simulate.run.interactions"
-        )
-        assert (span_entry.base_value, span_entry.new_value) == (3200, 1600)
-        assert span_entry.paths == [("simulate.run", "interactions", 3200, 1600)]
-        own = next(e for e in attribution.entries if e.key == "interactions")
-        assert own.paths == []
-        rendered = attribution.render()
-        assert "guilty subtree: simulate.run  (interactions: 3200 -> 1600)" in rendered
+        report = compare_artifacts(seed, perturbed)
+        assert not report.ok("work")
+        assert [f.render() for f in report.findings if f.kind == "work"] == [
+            # the workload's own count: no span carries it, no path
+            "[REGRESSION] simulate.count: work-count drift (converged: 1 -> 0)",
+            "[REGRESSION] simulate.count: work drift at simulate.run "
+            "(interactions: 3200 -> 1600, silent_checks: 9 -> 5)",
+        ]
 
     def test_no_drift_attributes_nothing(self):
-        attribution = prof.attribute_work_drift(
-            _artifact(3200, 1), _artifact(3200, 1)
-        )
-        assert attribution.entries == []
-        assert "no work drift" in attribution.render()
+        report = compare_artifacts(_artifact(3200, 1), _artifact(3200, 1))
+        assert report.findings == []
+        assert "no significant changes detected" in report.render()
 
     def test_unregistered_workload_is_attributed_from_stored_paths(self):
         def ghost(n):
-            return {
-                "workloads": {
+            return _ledger(
+                {
                     "ghost": {
-                        "work": {"ghost.span.n": n},
+                        "work": {},
                         "work_paths": {"root;ghost.span": {"n": n}, "root": {"m": 1}},
                     }
                 }
-            }
+            )
 
-        attribution = prof.attribute_work_drift(ghost(1), ghost(2))
-        (entry,) = attribution.entries
-        assert (entry.workload, entry.key) == ("ghost", "ghost.span.n")
-        assert entry.paths == [("root;ghost.span", "n", 1, 2)]
+        (finding,) = _work_findings(ghost(1), ghost(2))
+        assert finding.where == "ghost"
+        assert finding.detail == "work drift at root;ghost.span (n: 1 -> 2)"
 
     def test_only_the_paths_that_moved_are_named(self):
         def split(inner):
-            return {
-                "workloads": {
+            return _ledger(
+                {
                     "wl": {
-                        "work": {"km.nodes": 10 + inner},
+                        "work": {},
                         "work_paths": {"a;km": {"nodes": 10}, "b;km": {"nodes": inner}},
                     }
                 }
-            }
+            )
 
-        attribution = prof.attribute_work_drift(split(5), split(7))
-        assert attribution.guilty_paths() == ["b;km"]
+        (finding,) = _work_findings(split(5), split(7))
+        assert finding.detail == "work drift at b;km (nodes: 5 -> 7)"
 
     def test_removed_work_key_is_drift(self):
-        # A key that vanishes from the ledger entry is drift like any
-        # changed count, attributed to the path that carried it.
-        base = {
-            "workloads": {
+        # A path that vanishes from the ledger entry is drift like any
+        # changed count, named by the path that carried it.
+        base = _ledger(
+            {
                 "obs.profile_aggregate": {
-                    "work": {"obs.profile_aggregate.paths": 6, "ghost.counter": 7},
+                    "work": {"paths": 6},
                     "work_paths": {"ghost": {"counter": 7}},
                 }
             }
-        }
-        new = {
-            "workloads": {
-                "obs.profile_aggregate": {"work": {"obs.profile_aggregate.paths": 6}}
-            }
-        }
-        attribution = prof.attribute_work_drift(base, new)
-        entry = next(e for e in attribution.entries if e.key == "ghost.counter")
-        assert entry.base_value == 7
-        assert entry.new_value is None
-        assert entry.paths == [("ghost", "counter", 7, None)]
-        rendered = attribution.render()
-        assert "base 7 -> new absent" in rendered
-        assert "guilty subtree: ghost  (counter: 7 -> absent)" in rendered
+        )
+        new = _ledger({"obs.profile_aggregate": {"work": {"paths": 6}}})
+        (finding,) = _work_findings(base, new)
+        assert finding.regression
+        assert finding.render() == (
+            "[REGRESSION] obs.profile_aggregate: "
+            "work drift at ghost (counter: 7 -> absent)"
+        )
 
     def test_malformed_perturb_override_fails_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "soon")
@@ -516,7 +526,7 @@ class TestCli:
 
     def test_bench_compare_attribute_end_to_end(self, tmp_path, monkeypatch, capsys):
         """The profile-smoke scenario: a perturbed artifact names its
-        subtree, though no workload can run and the override is unset."""
+        path, though no workload can run and the override is unset."""
         seed, perturbed = _perturbed_seed(monkeypatch)
         base_path = str(tmp_path / "base.json")
         new_path = str(tmp_path / "new.json")
@@ -525,35 +535,23 @@ class TestCli:
                 json.dump(artifact, handle)
         _forbid_workload_runs(monkeypatch)
         assert "REPRO_BENCH_PERTURB_COUNT_MAX_STEPS" not in os.environ
-        attribution_out = str(tmp_path / "attr.json")
-        code = main(
-            ["bench", "compare", base_path, new_path, "--fail-on", "work",
-             "--attribution-out", attribution_out]
-        )
+        code = main(["bench", "compare", base_path, new_path, "--fail-on", "work"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "simulate.count: work-count drift" in out
-        assert "guilty subtree: simulate.run" in out
-        with open(attribution_out) as handle:
-            payload = json.load(handle)
-        assert payload["kind"] == "repro-work-attribution"
-        assert any(
-            entry["paths"] and entry["paths"][0]["path"] == "simulate.run"
-            for entry in payload["entries"]
-        )
+        assert "simulate.count: work-count drift (converged: 1 -> 0)" in out
+        assert (
+            "[REGRESSION] simulate.count: work drift at simulate.run "
+            "(interactions: 3200 -> 1600, silent_checks: 9 -> 5)"
+        ) in out
 
-    def test_bench_compare_without_drift_prints_no_attribution(self, tmp_path, capsys):
-        attribution_out = str(tmp_path / "attr.json")
-        assert main(
-            ["bench", "compare", SEED_BASELINE, SEED_BASELINE,
-             "--attribution-out", attribution_out]
-        ) == 0
-        assert "attribution" not in capsys.readouterr().out
-        with open(attribution_out) as handle:
-            assert json.load(handle)["entries"] == []
+    def test_bench_compare_without_drift_prints_no_attribution(self, capsys):
+        assert main(["bench", "compare", SEED_BASELINE, SEED_BASELINE]) == 0
+        out = capsys.readouterr().out
+        assert "work drift" not in out
+        assert "no significant changes detected" in out
 
     def test_bench_compare_attribute_and_jobs_flags_are_gone(self, capsys):
-        for flag in (["--attribute"], ["--jobs", "2"]):
+        for flag in (["--attribute"], ["--jobs", "2"], ["--attribution-out", "a.json"]):
             with pytest.raises(SystemExit):
                 main(["bench", "compare", SEED_BASELINE, SEED_BASELINE, *flag])
             assert "unrecognized arguments" in capsys.readouterr().err
