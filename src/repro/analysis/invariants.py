@@ -27,11 +27,14 @@ over :class:`fractions.Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Union
 
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
 from ..linalg import normalise_integer_vector, rational_null_space
+
+if TYPE_CHECKING:  # repro.vas imports this module, never the reverse
+    from ..vas.model import PetriNet
 
 __all__ = [
     "invariant_basis",
@@ -44,37 +47,36 @@ State = Hashable
 Weights = Dict[State, Fraction]
 
 
-def invariant_basis(protocol: PopulationProtocol) -> List[Weights]:
+def invariant_basis(protocol: Union[PopulationProtocol, PetriNet]) -> List[Weights]:
     """A basis of all linear invariants of the protocol.
 
-    The all-ones vector (population conservation) is always in the
-    spanned space, since every transition moves exactly two agents to
-    exactly two agents.  Returned weight vectors are normalised to
-    coprime integers with positive leading entry.
+    For a protocol, the all-ones vector (population conservation) is
+    always in the spanned space, since every transition moves exactly
+    two agents to exactly two agents.  Returned weight vectors are
+    normalised to coprime integers with positive leading entry.
+
+    Anything with an ``indexed()`` dense view works: a
+    :class:`~repro.vas.model.PetriNet` gets its P-invariants, which
+    :mod:`repro.vas` re-exports as ``p_invariants``.
     """
-    states = protocol.states
-    rows = [
-        [Fraction(t.displacement[q]) for q in states]
-        for t in protocol.transitions
-        if not t.is_silent
-    ]
+    indexed = protocol.indexed()
+    rows = [[Fraction(d) for d in indexed.deltas[k]] for k in indexed.non_silent]
     if not rows:
-        rows = [[Fraction(0)] * len(states)]
-    kernel = rational_null_space(rows, len(states))
+        rows = [[Fraction(0)] * indexed.n]
+    kernel = rational_null_space(rows, indexed.n)
     return [
-        {q: w for q, w in zip(states, normalise_integer_vector(vector))}
+        {q: w for q, w in zip(indexed.states, normalise_integer_vector(vector))}
         for vector in kernel
     ]
 
 
-def is_invariant(protocol: PopulationProtocol, weights: Mapping[State, object]) -> bool:
-    """Does ``w . Delta_t = 0`` hold for every transition?"""
-    w = {q: Fraction(weights.get(q, 0)) for q in protocol.states}
-    for t in protocol.transitions:
-        total = sum(w[q] * t.displacement[q] for q in t.states())
-        if total != 0:
-            return False
-    return True
+def is_invariant(
+    protocol: Union[PopulationProtocol, PetriNet], weights: Mapping[State, object]
+) -> bool:
+    """Does ``w . Delta_t = 0`` hold for every transition (protocol or net)?"""
+    indexed = protocol.indexed()
+    w = [Fraction(weights.get(q, 0)) for q in indexed.states]
+    return all(sum(wq * d for wq, d in zip(w, delta)) == 0 for delta in indexed.deltas)
 
 
 def conserved_value(weights: Mapping[State, object], configuration: Multiset) -> Fraction:

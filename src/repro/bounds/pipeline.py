@@ -136,7 +136,10 @@ def build_stable_sequence(
 # Certificates serialise by state *names* (payloads never embed live
 # protocol objects); decoding rebuilds them against the caller's
 # protocol — for Section 5, against its coverable restriction, which
-# is what the fresh pipeline returns certificates over.
+# is what the fresh pipeline returns certificates over.  A decoded
+# certificate is re-checked before it is returned: a disk entry is not
+# a proof, and a failing check counts as a decode error (the entry is
+# invalidated and the pipeline recomputes).
 
 
 def _names_of_transitions(transitions: Sequence[Transition]) -> List[List[str]]:
@@ -175,7 +178,7 @@ def _s4_encode(certificate: PumpingCertificate, protocol: PopulationProtocol):
 
 def _s4_decode(payload, protocol: PopulationProtocol) -> PumpingCertificate:
     names = state_name_map(protocol)
-    return PumpingCertificate(
+    certificate = PumpingCertificate(
         protocol=protocol,
         a=int(payload["a"]),
         b=int(payload["b"]),
@@ -184,6 +187,8 @@ def _s4_decode(payload, protocol: PopulationProtocol) -> PumpingCertificate:
         path_to_stable=_transitions_from_names(payload["path_to_stable"], names),
         pump_path=_transitions_from_names(payload["pump_path"], names),
     )
+    certificate.check()
+    return certificate
 
 
 def _s5_params(arguments):
@@ -213,7 +218,7 @@ def _s5_encode(certificate: SaturationCertificate, protocol: PopulationProtocol)
 def _s5_decode(payload, protocol: PopulationProtocol) -> SaturationCertificate:
     restricted = protocol.restricted_to_coverable()
     names = state_name_map(restricted)
-    return SaturationCertificate(
+    certificate = SaturationCertificate(
         protocol=restricted,
         a=int(payload["a"]),
         b=int(payload["b"]),
@@ -228,6 +233,8 @@ def _s5_decode(payload, protocol: PopulationProtocol) -> SaturationCertificate:
             }
         ),
     )
+    certificate.check()
+    return certificate
 
 
 @cached_analysis(

@@ -195,7 +195,6 @@ def full_report(
                 try:
                     cert4 = section4_certificate(protocol, max_length=max_input + 6, node_budget=node_budget)
                     if cert4 is not None:
-                        cert4.check(node_budget=node_budget)
                         out(f"Section 4 route: eta <= {cert4.a} (pump b = {cert4.b})")
                     else:
                         out("Section 4 route: no certificate within the search horizon")
@@ -205,7 +204,6 @@ def full_report(
                     try:
                         cert5 = section5_certificate(protocol, max_input=max_input + 6, node_budget=node_budget)
                         if cert5 is not None:
-                            cert5.check(node_budget=node_budget)
                             out(f"Section 5 route: eta <= {cert5.a} "
                                 f"(pump b = {cert5.b}, |pi| = {cert5.pi.size})")
                         else:

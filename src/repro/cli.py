@@ -135,9 +135,12 @@ def _parse_input(text: str) -> Multiset:
     counts = {}
     for part in text.split(","):
         variable, _, count = part.partition("=")
+        variable = variable.strip()
         if not count.strip().isdigit():
             raise SystemExit(f"error: malformed input assignment {part!r} (want var=count)")
-        counts[variable.strip()] = int(count)
+        if variable in counts:
+            raise SystemExit(f"error: input variable {variable!r} assigned twice in {text!r}")
+        counts[variable] = int(count)
     return Multiset(counts)
 
 
@@ -1830,7 +1833,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     recorder = _open_run(args, effective_argv)
     try:
         with _caching(args), _observability(args, recorder):
-            code = args.handler(args)
+            try:
+                code = args.handler(args)
+            except ReproError as error:
+                raise SystemExit(f"error: {error}")
     except BrokenPipeError:
         # stdout went away (`repro trace summarize ... | head`): detach
         # quietly instead of tracing back.

@@ -417,10 +417,11 @@ class IndexedProtocol:
     """A dense, integer-indexed view of a protocol.
 
     States are renumbered ``0 .. n-1`` following the protocol's state
-    order, configurations become count tuples, and transitions become
-    ``(i, j, delta)`` triples where ``delta`` is a dense displacement
-    tuple.  Exhaustive reachability and simulation work on this view;
-    user code generally should not need it.
+    order, configurations become count tuples, and each transition
+    becomes its pre pair ``(i, j)``, its dense pre vector (``pres``) and
+    its dense displacement (``deltas``).  Exhaustive reachability and
+    simulation work on this view; user code generally should not need
+    it.
     """
 
     def __init__(self, protocol: PopulationProtocol):
@@ -432,20 +433,26 @@ class IndexedProtocol:
         self.leaders: Tuple[int, ...] = tuple(protocol.leaders[s] for s in self.states)
 
         pre_pairs: List[Tuple[int, int]] = []
+        pres: List[Tuple[int, ...]] = []
         deltas: List[Tuple[int, ...]] = []
         non_silent: List[int] = []
         for t in protocol.transitions:
             i, j = sorted((self.index[t.p], self.index[t.q]))
+            pre = [0] * self.n
+            pre[i] += 1
+            pre[j] += 1
             delta = [0] * self.n
             delta[i] -= 1
             delta[j] -= 1
             delta[self.index[t.p2]] += 1
             delta[self.index[t.q2]] += 1
             pre_pairs.append((i, j))
+            pres.append(tuple(pre))
             deltas.append(tuple(delta))
             if any(deltas[-1]):
                 non_silent.append(len(deltas) - 1)
         self.pre_pairs: Tuple[Tuple[int, int], ...] = tuple(pre_pairs)
+        self.pres: Tuple[Tuple[int, ...], ...] = tuple(pres)
         self.deltas: Tuple[Tuple[int, ...], ...] = tuple(deltas)
         self.non_silent: Tuple[int, ...] = tuple(non_silent)
 

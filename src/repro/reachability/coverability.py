@@ -52,7 +52,6 @@ from .frontier import (
     _decode_config,
     _encode_config,
     _leq,
-    _transition_pre,
 )
 
 __all__ = [
@@ -72,6 +71,10 @@ class KarpMillerTree:
 
     Attributes
     ----------
+    indexed:
+        The dense view the tree was built over: an
+        :class:`IndexedProtocol`, or a net's
+        :class:`~repro.vas.model.IndexedNet`.
     limits:
         The set of maximal extended configurations discovered.  Their
         downward closure equals the downward closure of the reachable
@@ -117,7 +120,7 @@ class KarpMillerTree:
         return all(limit[state_index] != OMEGA for limit in self.limits)
 
     def covers_multiset(self, target: Multiset) -> bool:
-        """Coverability query with a multiset target over protocol states."""
+        """Coverability query with a multiset target over the view's states."""
         return self.covers(self.indexed.encode(target))
 
 
@@ -305,12 +308,11 @@ def _backward_candidates(task) -> List[Tuple[int, ...]]:
     """
     protocol, basis, start, stop = task.payload
     indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
-    pres = [_transition_pre(indexed, k) for k in range(len(indexed.deltas))]
     out: List[Tuple[int, ...]] = []
     for m in basis[start:stop]:
         for k in indexed.non_silent:
             delta = indexed.deltas[k]
-            pre = pres[k]
+            pre = indexed.pres[k]
             candidate = tuple(max(p, x - d) for p, x, d in zip(pre, m, delta))
             if not any(_leq(b, candidate) for b in basis):
                 out.append(candidate)

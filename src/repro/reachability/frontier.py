@@ -105,14 +105,6 @@ def _leq(a: ExtendedConfig, b: ExtendedConfig) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _transition_pre(indexed: IndexedProtocol, t_index: int) -> Tuple[int, ...]:
-    pre = [0] * indexed.n
-    i, j = indexed.pre_pairs[t_index]
-    pre[i] += 1
-    pre[j] += 1
-    return tuple(pre)
-
-
 # ---------------------------------------------------------------------------
 # Configuration symmetries
 # ---------------------------------------------------------------------------
@@ -355,9 +347,8 @@ def _expand_entries(task: Any) -> List[List[Tuple[ExtendedConfig, Tuple[Extended
     — the classic stopping rule).  Pure function of the entries, so the
     merged stream is identical for any sharding.
     """
-    protocol, entries = task.payload
-    indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
-    pres = [_transition_pre(indexed, k) for k in range(len(indexed.deltas))]
+    indexed, entries = task.payload
+    pres, deltas = indexed.pres, indexed.deltas
     out: List[List[Tuple[ExtendedConfig, Tuple[ExtendedConfig, ...], bool]]] = []
     for config, ancestors in entries:
         chain = ancestors + (config,)
@@ -365,7 +356,7 @@ def _expand_entries(task: Any) -> List[List[Tuple[ExtendedConfig, Tuple[Extended
         for k in indexed.non_silent:
             if not _leq(pres[k], config):
                 continue
-            delta = indexed.deltas[k]
+            delta = deltas[k]
             successor = tuple(
                 c if c == OMEGA else c + d for c, d in zip(config, delta)
             )
@@ -381,7 +372,13 @@ def _expand_entries(task: Any) -> List[List[Tuple[ExtendedConfig, Tuple[Extended
 
 
 class KarpMillerFrontier:
-    """One Karp–Miller construction over a level-synchronous frontier."""
+    """One Karp–Miller construction over a level-synchronous frontier.
+
+    It reads the dense view's ``n``, ``pres``, ``deltas`` and
+    ``non_silent`` (so a net's :class:`~repro.vas.model.IndexedNet` runs
+    on it too); only the quotient and checkpoint paths read
+    ``indexed.protocol``.
+    """
 
     def __init__(
         self,
@@ -397,7 +394,6 @@ class KarpMillerFrontier:
         self.indexed = (
             protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
         )
-        self.protocol = self.indexed.protocol
         self.roots: List[ExtendedConfig] = [tuple(root) for root in roots]
         for root in self.roots:
             if len(root) != self.indexed.n:
@@ -437,8 +433,8 @@ class KarpMillerFrontier:
             from ..cache.fingerprint import presentation_digest, protocol_fingerprint
 
             try:
-                self._fingerprint = protocol_fingerprint(self.protocol)
-                presentation = presentation_digest(self.protocol)
+                self._fingerprint = protocol_fingerprint(self.indexed.protocol)
+                presentation = presentation_digest(self.indexed.protocol)
             except UncacheableProtocolError:
                 return None
             self._checkpoint_key = checkpoint_key(
@@ -522,7 +518,6 @@ class KarpMillerFrontier:
         if state is None:
             state = self._initial_state()
 
-        protocol = self.protocol
         last_checkpoint = state.expansions
         meter = progress(
             "karp-miller",
@@ -579,7 +574,7 @@ class KarpMillerFrontier:
             )
         chunk = default_chunk_size(len(frontier), self.jobs)
         ranges = chunk_ranges(len(frontier), chunk)
-        payloads = [(self.protocol, frontier[start:stop]) for start, stop in ranges]
+        payloads = [(self.indexed, frontier[start:stop]) for start, stop in ranges]
         results = run_tasks(
             _expand_entries, payloads, jobs=self.jobs, label="karp-miller", executor=pool
         )

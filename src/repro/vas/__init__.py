@@ -1,10 +1,15 @@
-"""Petri nets / Vector Addition Systems: the general substrate."""
+"""Petri nets / Vector Addition Systems: the general substrate.
+
+A thin front end over the protocol engines: a net's dense view
+(:meth:`PetriNet.indexed`) runs on the reachability graph, the
+Karp–Miller frontier and the invariant kernel of
+:mod:`repro.analysis.invariants`.
+"""
 
 from .analysis import is_p_invariant, marking_value, p_invariants, t_invariants
 from .model import NetTransition, PetriNet, from_protocol
 from .reachability import (
     OMEGA,
-    CoverabilityTree,
     is_bounded,
     is_coverable,
     karp_miller,
@@ -17,7 +22,6 @@ __all__ = [
     "PetriNet",
     "from_protocol",
     "OMEGA",
-    "CoverabilityTree",
     "reachable_markings",
     "karp_miller",
     "is_coverable",

@@ -2,10 +2,13 @@
 
 * **P-invariants** (place invariants): weights ``w`` over places with
   ``w . delta_t = 0`` for every transition — weighted token counts
-  conserved by every firing.  Exact rational left-kernel computation,
-  the net-level generalisation of
-  :mod:`repro.analysis.invariants` (population protocols always have
-  the all-ones P-invariant; general nets may have none).
+  conserved by every firing.  These are the functions of
+  :mod:`repro.analysis.invariants` under their net names
+  (:func:`p_invariants` is ``invariant_basis``, :func:`is_p_invariant`
+  is ``is_invariant``, :func:`marking_value` is ``conserved_value``):
+  one exact rational left-kernel over the dense view, protocol or
+  net.  Population protocols always have the all-ones P-invariant;
+  general nets may have none.
 * **T-invariants**: natural firing-count vectors with zero net effect
   (Hilbert basis of ``C . x = 0`` for the incidence matrix ``C``),
   the cycles of the net at the Parikh level.
@@ -17,48 +20,16 @@ nets.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Mapping
+from typing import List
 
+from ..analysis.invariants import conserved_value as marking_value
+from ..analysis.invariants import invariant_basis as p_invariants
+from ..analysis.invariants import is_invariant as is_p_invariant
 from ..core.multiset import Multiset
 from ..diophantine.pottier import solve_equalities
-from ..linalg import normalise_integer_vector, rational_null_space
 from .model import PetriNet
 
 __all__ = ["p_invariants", "is_p_invariant", "t_invariants", "marking_value"]
-
-
-def p_invariants(net: PetriNet) -> List[Dict[object, Fraction]]:
-    """A basis of all rational P-invariants (may be empty)."""
-    rows = [
-        [Fraction(t.delta[p]) for p in net.places]
-        for t in net.transitions
-        if not t.delta.is_zero
-    ]
-    if not rows:
-        rows = [[Fraction(0)] * net.num_places]
-    kernel = rational_null_space(rows, net.num_places)
-    return [
-        {p: w for p, w in zip(net.places, normalise_integer_vector(vector))}
-        for vector in kernel
-    ]
-
-
-def is_p_invariant(net: PetriNet, weights: Mapping[object, object]) -> bool:
-    """Does ``w . delta_t = 0`` hold for every transition?"""
-    w = {p: Fraction(weights.get(p, 0)) for p in net.places}
-    for t in net.transitions:
-        if sum(w[p] * t.delta[p] for p in t.delta.support()) != 0:
-            return False
-    return True
-
-
-def marking_value(weights: Mapping[object, object], marking: Multiset) -> Fraction:
-    """``w . M`` — conserved along firings when ``w`` is a P-invariant."""
-    return sum(
-        (Fraction(weights.get(p, 0)) * count for p, count in marking.items()),
-        Fraction(0),
-    )
 
 
 def t_invariants(net: PetriNet, frontier_budget: int = 2_000_000) -> List[Multiset]:

@@ -13,20 +13,24 @@ special case:
 * :class:`PetriNet` — places + transitions, firing semantics on
   markings (multisets over places);
 * :func:`from_protocol` — the adapter embedding a population protocol;
+* :class:`IndexedNet` — the dense view (:meth:`PetriNet.indexed`) with
+  the shape of :class:`~repro.core.protocol.IndexedProtocol`, so nets
+  run on the protocol engines (reachability graph, Karp–Miller
+  frontier, invariant kernel);
 * classic structure tests: conservativity, the incidence matrix,
   pure-VAS shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-from ..core.errors import ProtocolError, TransitionNotEnabled
+from ..core.errors import ConfigurationError, ProtocolError, TransitionNotEnabled
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
 
-__all__ = ["NetTransition", "PetriNet", "from_protocol"]
+__all__ = ["NetTransition", "PetriNet", "IndexedNet", "from_protocol"]
 
 Place = Hashable
 
@@ -92,6 +96,14 @@ class PetriNet:
         """The number of transitions ``|T|``."""
         return len(self.transitions)
 
+    def indexed(self) -> "IndexedNet":
+        """The dense integer-indexed view (cached on the net)."""
+        cached = getattr(self, "_indexed_cache", None)
+        if cached is None:
+            cached = IndexedNet(self)
+            object.__setattr__(self, "_indexed_cache", cached)
+        return cached
+
     def enabled(self, marking: Multiset) -> List[NetTransition]:
         """All transitions enabled in the marking."""
         return [t for t in self.transitions if t.enabled_in(marking)]
@@ -142,6 +154,44 @@ class PetriNet:
         ]
         lines.extend(f"  {t}" for t in self.transitions)
         return "\n".join(lines)
+
+
+class IndexedNet:
+    """A net's dense view: places ``0 .. n-1``, markings as count tuples.
+
+    It carries exactly what the protocol engines read of an
+    :class:`~repro.core.protocol.IndexedProtocol` — ``states`` (the
+    places), ``index``, ``n``, one dense ``pres`` and ``deltas`` tuple
+    per transition, the changing transitions ``non_silent``, and
+    ``encode``/``decode``/``successors`` — with arbitrary arities.
+    """
+
+    def __init__(self, net: PetriNet):
+        self.states: Tuple[Place, ...] = net.places
+        self.index: Dict[Place, int] = {p: i for i, p in enumerate(self.states)}
+        self.n = len(self.states)
+        self.pres = tuple(self.encode(t.pre) for t in net.transitions)
+        self.deltas = tuple(self.encode(t.delta) for t in net.transitions)
+        self.non_silent = tuple(k for k, delta in enumerate(self.deltas) if any(delta))
+
+    def encode(self, marking: Multiset) -> Tuple[int, ...]:
+        """Dense count tuple of a marking; a place the net lacks is an error."""
+        unknown = marking.support() - self.index.keys()
+        if unknown:
+            raise ConfigurationError(f"marking {marking.pretty()} has unknown places {unknown}")
+        return marking.to_vector(self.states)
+
+    def decode(self, counts: Sequence[int]) -> Multiset:
+        """Inverse of :meth:`encode`."""
+        return Multiset.from_vector(self.states, counts)
+
+    def successors(self, counts: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
+        """All ``(transition index, successor)`` pairs that change ``counts``."""
+        return [
+            (k, tuple(c + d for c, d in zip(counts, self.deltas[k])))
+            for k in self.non_silent
+            if all(p <= c for p, c in zip(self.pres[k], counts))
+        ]
 
 
 def from_protocol(protocol: PopulationProtocol) -> PetriNet:

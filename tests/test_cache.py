@@ -464,6 +464,41 @@ class TestCorruptEntries:
             json.dump(entry, handle)
         self._recheck(store, protocol, fresh, "decode_errors")
 
+    def test_forged_certificate_is_rechecked(self, tmp_path):
+        """A checksum-valid certificate that fails ``check()`` reaches no verdict.
+
+        Regression: the decoded certificate was trusted, so forging
+        ``a = 2`` into binary:4's Section 4 entry made the scenario
+        check pass with ``eta <= 2``.
+        """
+        import dataclasses
+
+        from repro.core.errors import ReproError
+        from repro.scenarios import CheckOptions, parse_checks, run_checks
+
+        protocol = binary_threshold(4)
+        checks = parse_checks("check {\n C = certified section 4\n}")
+        options = CheckOptions(max_input_size=6)
+        store = CacheStore(str(tmp_path / "cache"), memory_entries=0)
+        with use_store(store):
+            run_checks(protocol, checks, options)
+        (name,) = [n for n in os.listdir(store.entries_dir) if n.startswith("pipeline.section4-")]
+        with open(os.path.join(store.entries_dir, name)) as handle:
+            entry = json.load(handle)
+        assert entry["payload"]["value"]["a"] == 4
+        entry["payload"]["value"]["a"] = 2
+        key = name[len("pipeline.section4-"):-len(".json")]
+        assert store.put_payload("pipeline.section4", key, entry["fingerprint"], entry["payload"])
+        with pytest.raises(ReproError):
+            dataclasses.replace(section4_certificate(protocol), a=2).check()
+
+        before = _counters()
+        with use_store(store):
+            (outcome,) = run_checks(protocol, checks, options)
+        assert outcome.passed
+        assert "eta <= 4" in outcome.detail
+        assert _delta(before, "decode_errors") == 1
+
 
 # ----------------------------------------------------------------------
 # CLI differential: identical stdout no-cache / cold / warm, jobs 1/2/4

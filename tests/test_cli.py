@@ -295,21 +295,66 @@ class TestArgumentMistakes:
         assert capsys.readouterr().out == ""
 
     def test_error_line_exits_one(self):
-        import subprocess
-        import sys
-
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, REPRO_NO_RUNS="1", REPRO_NO_CACHE="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "verify", "binary:4", "y >= 4"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        done = _run_cli(["verify", "binary:4", "y >= 4"])
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.strip().splitlines() == [
             "error: predicate 'y >= 4': binary_threshold(eta=4) has no input y "
             "(its inputs: x)"
         ]
+
+
+def _run_cli(argv):
+    """``python -m repro ARGV`` in a subprocess, runs and cache off."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, REPRO_NO_RUNS="1", REPRO_NO_CACHE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True, text=True, env=env
+    )
+
+
+class TestEscapedReproErrors:
+    """A `ReproError` escaping a handler ends in one `error:` line, exit 1.
+
+    Regression: each of these commands ended in a Python traceback.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["certify", "majority"], "expected a single input variable"),
+            (["certify", "approx-majority"], "expected a single input variable"),
+            (["certify", "leader-unary:3", "--section", "5"], "leaderless"),
+            (["conformance", "binary:4", "--input", "1"], "at least two agents"),
+            (["conformance", "binary:4", "--input", "y=5"], "unknown input variables"),
+        ],
+        ids=[
+            "certify-majority",
+            "certify-approx-majority",
+            "certify-leaders-section5",
+            "conformance-one-agent",
+            "conformance-unknown-variable",
+        ],
+    )
+    def test_one_error_line(self, argv, message):
+        done = _run_cli(argv)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.strip().splitlines()
+        assert line.startswith("error: ")
+        assert message in line
+
+
+class TestRepeatedInputVariable:
+    """Regression: `--input x=3,x=4` silently ran a 4-agent input."""
+
+    @pytest.mark.parametrize("command", ["simulate", "conformance"])
+    def test_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "binary:4", "--input", "x=3,x=4"])
+        assert excinfo.value.code == "error: input variable 'x' assigned twice in 'x=3,x=4'"
+        assert capsys.readouterr().out == ""

@@ -419,6 +419,15 @@ class TestCliRecording:
         assert manifest["status"] == "failed"
         assert manifest["exit_code"] == 1
 
+    def test_escaped_repro_error_finalizes_failed(self, runs_dir):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["certify", "majority"])
+        assert excinfo.value.code.startswith("error: ")
+        (manifest,) = runlog.list_runs(runs_dir)
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == 1
+        assert "expected a single input variable" in manifest["error"]
+
     def test_cli_list_show_and_json(self, runs_dir, capsys):
         assert main(["analyze", "binary:3", "--max-input", "4"]) == 0
         capsys.readouterr()

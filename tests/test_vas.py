@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
-from repro import binary_threshold
-from repro.core.errors import ProtocolError, SearchBudgetExceeded, TransitionNotEnabled
+from repro import binary_threshold, flat_threshold
+from repro.analysis.invariants import invariant_basis
+from repro.cli import resolve_protocol
+from repro.core.errors import (
+    ConfigurationError,
+    ProtocolError,
+    SearchBudgetExceeded,
+    TransitionNotEnabled,
+)
 from repro.core.multiset import Multiset
+from repro.reachability.graph import ReachabilityGraph
 from repro.vas import (
     OMEGA,
     NetTransition,
@@ -35,6 +48,18 @@ def producer_net() -> PetriNet:
     )
 
 
+def factory_net() -> PetriNet:
+    """Unbounded: `machine` produces items, three items pack into a crate."""
+    return PetriNet(
+        places=("machine", "item", "crate"),
+        transitions=(
+            NetTransition("produce", Multiset({"machine": 1}), Multiset({"machine": 1, "item": 1})),
+            NetTransition("pack", Multiset({"item": 3}), Multiset({"crate": 1})),
+        ),
+        name="factory",
+    )
+
+
 def handshake_net() -> PetriNet:
     """Bounded non-conservative net: a + b merge into c."""
     return PetriNet(
@@ -44,6 +69,30 @@ def handshake_net() -> PetriNet:
         ),
         name="handshake",
     )
+
+
+def random_net(rng: random.Random) -> PetriNet:
+    """1-4 integer places, 0-4 transitions, arc weights 0-2 (any arity)."""
+    places = tuple(range(rng.randint(1, 4)))
+
+    def arcs() -> Multiset:
+        return Multiset({p: rng.randint(0, 2) for p in places})
+
+    transitions = tuple(NetTransition(f"t{k}", arcs(), arcs()) for k in range(rng.randint(0, 4)))
+    return PetriNet(places=places, transitions=transitions, name="random")
+
+
+def successor_closure(net: PetriNet, initial: Multiset, limit: int = 10_000) -> set:
+    """Every marking reachable from ``initial``, by ``PetriNet.successors``."""
+    closure = {initial}
+    todo = [initial]
+    while todo:
+        for _, successor in net.successors(todo.pop()):
+            if successor not in closure:
+                closure.add(successor)
+                todo.append(successor)
+        assert len(closure) <= limit, "closure of a bounded net ran away"
+    return closure
 
 
 class TestModel:
@@ -142,20 +191,87 @@ class TestReachability:
         assert is_coverable(net, Multiset({"run": 1}), Multiset({"out": 100}))
         assert not is_coverable(net, Multiset({"out": 5}), Multiset({"run": 1}))
 
-    def test_protocol_net_coverability_matches(self, threshold4):
-        """The net-level KM agrees with the protocol-level one."""
-        from repro.reachability.coverability import is_coverable_from
+    def test_protocol_net_coverability_matches(self):
+        """Karp–Miller coverability equals domination in the exact graph.
 
-        net = from_protocol(threshold4)
-        indexed = threshold4.indexed()
-        accept = Multiset({"2^2": 1})
-        for i in (3, 4, 5):
-            initial = threshold4.initial_configuration(i)
-            net_answer = is_coverable(net, initial, accept)
-            protocol_answer = is_coverable_from(
-                threshold4, indexed.encode(initial), indexed.encode(accept)
-            )
-            assert net_answer == protocol_answer, i
+        From a concrete initial configuration a protocol net reaches
+        finitely many markings, so the exact reachability graph is an
+        oracle independent of the Karp–Miller engine.
+        """
+        for protocol in (binary_threshold(4), flat_threshold(4)):
+            net = from_protocol(protocol)
+            indexed = protocol.indexed()
+            for i in (3, 4, 5, 6):
+                initial = protocol.initial_configuration(i)
+                graph = ReachabilityGraph.from_roots(protocol, [indexed.encode(initial)])
+                for state in protocol.states:
+                    for count in (1, 2, i):
+                        target = Multiset({state: count})
+                        dense = indexed.encode(target)
+                        expected = any(
+                            all(t <= c for t, c in zip(dense, node)) for node in graph.nodes
+                        )
+                        assert is_coverable(net, initial, target) == expected, (protocol, i, target)
+
+    @pytest.mark.parametrize(
+        "net,initial",
+        [
+            (handshake_net(), Multiset({"a": 3, "b": 2, "c": 1})),
+            (from_protocol(binary_threshold(4)), binary_threshold(4).initial_configuration(6)),
+        ],
+        ids=["handshake", "binary:4"],
+    )
+    def test_reachable_markings_match_successor_closure(self, net, initial):
+        assert reachable_markings(net, initial) == successor_closure(net, initial)
+
+    def test_marking_with_unknown_place_rejected(self):
+        """Regression: an unknown target place was dropped, so it was "coverable"."""
+        net = handshake_net()
+        with pytest.raises(ConfigurationError):
+            is_coverable(net, Multiset({"a": 1}), Multiset({"zzz": 1}))
+        with pytest.raises(ConfigurationError):
+            reachable_markings(net, Multiset({"zzz": 1}))
+
+    def test_factory_net_bounds_and_budget(self):
+        net = factory_net()
+        start = Multiset({"machine": 1})
+        assert place_bounds(net, start) == {"machine": 1, "item": OMEGA, "crate": OMEGA}
+        with pytest.raises(SearchBudgetExceeded):
+            karp_miller(net, start, node_budget=2)
+
+    def test_random_bounded_nets_match_successor_closure(self):
+        """Seeded differential of the net front end against ``PetriNet.successors``.
+
+        On a bounded net no reachable marking strictly dominates one it
+        came from, so Karp–Miller accelerates nothing: its ``limits``
+        are the maximal reachable markings, and ``place_bounds`` is the
+        per-place maximum over the reachable set.  Nets whose tree
+        exceeds the budget or gains an ω are skipped.
+        """
+        rng = random.Random(21)
+        compared = 0
+        for _ in range(300):
+            net = random_net(rng)
+            initial = Multiset({p: rng.randint(0, 3) for p in net.places})
+            try:
+                tree = karp_miller(net, initial, node_budget=300)
+            except SearchBudgetExceeded:
+                continue
+            if any(OMEGA in limit for limit in tree.limits):
+                continue
+            closure = successor_closure(net, initial)
+            dense = {tuple(m[p] for p in net.places) for m in closure}
+            maximal = {
+                x for x in dense if not any(x != y and all(a <= b for a, b in zip(x, y)) for y in dense)
+            }
+            assert set(tree.limits) == maximal, net.describe()
+            assert place_bounds(net, initial) == {
+                p: max(m[p] for m in closure) for p in net.places
+            }, net.describe()
+            assert is_bounded(net, initial)
+            assert reachable_markings(net, initial) == closure, net.describe()
+            compared += 1
+        assert compared >= 100
 
 
 class TestInvariants:
@@ -193,3 +309,33 @@ class TestInvariants:
 
     def test_producer_has_no_t_invariant(self):
         assert t_invariants(producer_net()) == []
+
+    @pytest.mark.parametrize(
+        "spec", ["binary:4", "flat:6", "majority", "modulo:1:3", "leader-unary:4", "election"]
+    )
+    def test_protocol_and_net_share_the_invariant_kernel(self, spec):
+        protocol = resolve_protocol(spec)
+        net = from_protocol(protocol)
+        basis = invariant_basis(protocol)
+        assert basis == p_invariants(net)
+        assert all(is_p_invariant(net, weights) for weights in basis)
+
+
+def test_cli_import_loads_no_vas_module():
+    """The import points from `repro.vas` to the protocol layer, never back."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.vas')))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
