@@ -39,10 +39,10 @@ def drive_count(n: int, interactions: int) -> dict:
 
 
 def drive_tau_leap(n: int, interactions: int) -> dict:
-    scheduler = VectorEnsembleScheduler(PROTOCOL, trials=1, seed=0, epsilon=0.05)
+    scheduler = VectorEnsembleScheduler(PROTOCOL, trials=1, seed=0)
     scheduler.reset(n)
     done = 0
-    leap = max(1, int(0.05 * n))
+    leap = scheduler.leap_size
     while done < interactions:
         done += int(scheduler.leap([min(leap, interactions - done)])[0])
     return scheduler.instrumentation.snapshot().as_dict()

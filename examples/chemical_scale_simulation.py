@@ -56,7 +56,7 @@ print(render_table(["n", "agent list", "count-based", "tau-leap"], rows))
 # ----------------------------------------------------------------------
 print(section("n = 1,000,000 molecules (tau-leap engine only)"))
 t0 = time.perf_counter()
-scheduler = VectorEnsembleScheduler(protocol, trials=1, seed=7, epsilon=0.05)
+scheduler = VectorEnsembleScheduler(protocol, trials=1, seed=7)
 result = scheduler.run(1_000_000, max_parallel_time=60)
 elapsed = time.perf_counter() - t0
 interactions = int(result.interactions[0])
@@ -71,7 +71,7 @@ print(f"throughput: {interactions / max(elapsed, 1e-9):,.0f} interactions/second
 print(section("Chemical majority at n = 100,000 (clear margin)"))
 m = majority_protocol()
 t0 = time.perf_counter()
-result = VectorEnsembleScheduler(m, trials=1, seed=3, epsilon=0.05).run(
+result = VectorEnsembleScheduler(m, trials=1, seed=3).run(
     {"x": 80_000, "y": 20_000}, max_parallel_time=200
 )
 elapsed = time.perf_counter() - t0

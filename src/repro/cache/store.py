@@ -88,8 +88,7 @@ class CacheStore:
     """One cache location: in-process LRU over an on-disk entry directory.
 
     ``memory_entries=0`` disables the memory tier (every hit decodes
-    from disk — what the warm benchmark workloads measure);
-    ``disk=False`` turns the store into a pure in-process memoiser.
+    from disk — what the warm benchmark workloads measure).
     """
 
     def __init__(
@@ -97,11 +96,9 @@ class CacheStore:
         directory: Optional[str] = None,
         *,
         memory_entries: int = 256,
-        disk: bool = True,
     ):
         self.directory = directory or default_cache_dir()
         self.memory_entries = memory_entries
-        self.disk = disk
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         self._tmp_counter = itertools.count()
 
@@ -141,8 +138,6 @@ class CacheStore:
         schema, checksum mismatch — counts as a corrupt entry, unlinks
         the file and returns a miss.
         """
-        if not self.disk:
-            return MISS
         path = self.entry_path(analysis, key)
         try:
             with open(path, encoding="utf-8") as handle:
@@ -170,8 +165,6 @@ class CacheStore:
 
     def put_payload(self, analysis: str, key: str, fingerprint: str, payload: Any) -> bool:
         """Atomically write one entry; returns False on I/O failure."""
-        if not self.disk:
-            return False
         entry = {
             "kind": ENTRY_KIND,
             "schema": CACHE_SCHEMA_VERSION,

@@ -547,9 +547,9 @@ def _cmd_simulate(args) -> int:
 
 def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int:
     """``simulate --trials N``: a seeded ensemble, optionally parallel."""
-    # Batch mode needs a concrete root seed so the run is reproducible
-    # from the emitted artifact alone.
-    root_seed = args.seed if args.seed is not None else 0
+    # Batch mode needs a concrete seed so the run is reproducible from
+    # the emitted artifact alone: trial t runs under seed + t.
+    seed = args.seed if args.seed is not None else 0
     population = protocol.initial_configuration(inputs).size
     try:
         result = run_ensemble(
@@ -557,7 +557,7 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
             inputs,
             trials=args.trials,
             max_parallel_time=args.max_steps / max(1, population),
-            seed=root_seed,
+            seed=seed,
             jobs=args.jobs,
             engine=args.engine,
         )
@@ -568,7 +568,7 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
         payload = {
             "protocol": protocol.name,
             "engine": args.engine,
-            "seed": root_seed,
+            "seed": seed,
             "jobs": resolve_jobs(args.jobs),
             "trials": args.trials,
             "input": {variable: count for variable, count in inputs.items()},
@@ -592,7 +592,7 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"population: {population} (root seed {root_seed})")
+        print(f"population: {population} (root seed {seed})")
         print(result.summary())
     return 0 if result.converged == result.trials else 2
 

@@ -457,7 +457,12 @@ class IndexedProtocol:
         self.non_silent: Tuple[int, ...] = tuple(non_silent)
 
     def encode(self, configuration: Multiset) -> Tuple[int, ...]:
-        """Dense count tuple of a configuration."""
+        """Dense count tuple of a configuration; a state the protocol lacks is an error."""
+        unknown = configuration.support() - self.index.keys()
+        if unknown:
+            raise ConfigurationError(
+                f"configuration {configuration.pretty()} has unknown states {unknown}"
+            )
         return configuration.to_vector(self.states)
 
     def decode(self, counts: Sequence[int]) -> Multiset:
@@ -471,15 +476,14 @@ class IndexedProtocol:
             return counts[i] >= 2
         return counts[i] >= 1 and counts[j] >= 1
 
-    def successors(self, counts: Tuple[int, ...], include_silent: bool = False) -> List[Tuple[int, Tuple[int, ...]]]:
-        """All ``(transition index, successor)`` pairs from ``counts``.
+    def successors(self, counts: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
+        """All ``(transition index, successor)`` pairs that change ``counts``.
 
-        Silent transitions are skipped by default since they never
-        change the configuration (they only matter for completeness).
+        Silent transitions are skipped since they never change the
+        configuration (they only matter for completeness).
         """
         result: List[Tuple[int, Tuple[int, ...]]] = []
-        indices = range(len(self.deltas)) if include_silent else self.non_silent
-        for k in indices:
+        for k in self.non_silent:
             if self.enabled(counts, k):
                 delta = self.deltas[k]
                 result.append((k, tuple(c + d for c, d in zip(counts, delta))))

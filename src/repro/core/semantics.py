@@ -75,18 +75,16 @@ def enabled_transitions(protocol: PopulationProtocol, configuration: Multiset) -
 
 
 def successors(
-    protocol: PopulationProtocol,
-    configuration: Multiset,
-    include_silent: bool = False,
+    protocol: PopulationProtocol, configuration: Multiset
 ) -> List[Tuple[Transition, Multiset]]:
     """All one-step successors ``(t, C')`` with ``C --t--> C'``.
 
-    Silent transitions (``C' = C``) are omitted unless requested; they
-    are irrelevant for reachability and stability analyses.
+    Silent transitions (``C' = C``) are omitted; they are irrelevant
+    for reachability and stability analyses.
     """
     result = []
     for t in protocol.transitions:
-        if not include_silent and t.is_silent:
+        if t.is_silent:
             continue
         nxt = try_fire(configuration, t)
         if nxt is not None:

@@ -191,13 +191,11 @@ def _simulate_batch() -> Dict[str, int]:
     from ..protocols import binary_threshold
     from ..simulation import VectorEnsembleScheduler
 
-    scheduler = VectorEnsembleScheduler(
-        binary_threshold(8), trials=1, seed=0, epsilon=0.05
-    )
-    n, budget = 50_000, 100_000
-    scheduler.reset(n)
+    scheduler = VectorEnsembleScheduler(binary_threshold(8), trials=1, seed=0)
+    budget = 100_000
+    scheduler.reset(50_000)
     done = 0
-    leap = max(1, int(0.05 * n))
+    leap = scheduler.leap_size
     while done < budget:
         done += int(scheduler.leap([min(leap, budget - done)])[0])
     return {"interactions": done}

@@ -152,7 +152,7 @@ class ChromeTraceExporter(SpanExporter):
 
     def export(self, span: Span) -> None:
         args = _clean(span.attributes)
-        args.update(span.counters)
+        args["counters"] = dict(span.counters)
         args["parent"] = span.parent_id
         args["depth"] = span.depth
         self._events.append(

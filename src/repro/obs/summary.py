@@ -78,13 +78,12 @@ def _from_chrome(document: Dict[str, Any]) -> List[SpanRecord]:
     for event in document.get("traceEvents", []):
         if event.get("ph") != "X":
             continue
-        args = dict(event.get("args", {}))
-        parent = args.pop("parent", None)
-        depth = args.pop("depth", 0)
-        # Counters and attributes share `args`; integers that are not
-        # nesting metadata are treated as counters, the rest as attrs.
-        counters = {k: v for k, v in args.items() if isinstance(v, int) and not isinstance(v, bool)}
-        attributes = {k: v for k, v in args.items() if k not in counters}
+        # `args` holds the span attributes beside three reserved keys:
+        # the nesting metadata and the counters.
+        attributes = dict(event.get("args", {}))
+        parent = attributes.pop("parent", None)
+        depth = attributes.pop("depth", 0)
+        counters = {k: int(v) for k, v in attributes.pop("counters", {}).items()}
         records.append(
             SpanRecord(
                 name=event["name"],

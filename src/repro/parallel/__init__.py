@@ -6,8 +6,6 @@ the one execution backend they all share:
 
 * :mod:`repro.parallel.pool` — :func:`run_tasks`, a process pool with
   chunked work distribution whose results merge in task order;
-* :mod:`repro.parallel.seeds` — SHA-256 seed derivation keyed on task
-  position, identical on every platform and worker count;
 * :mod:`repro.parallel.envelopes` — the picklable task/result shapes
   crossing the process boundary;
 * :mod:`repro.parallel.merge` — folding worker metrics and spans back
@@ -17,13 +15,15 @@ the one execution backend they all share:
 The backend's contract is *differential*: ``jobs=1`` (inline) and any
 ``jobs>1`` produce bit-identical results and identical merged counters
 for any chunk size — proven by ``tests/test_parallel.py`` before any
-speedup is claimed (benchmark E13).
+speedup is claimed (benchmark E13).  The backend draws no randomness
+itself: a randomised sweep puts its seeds in its payloads (trial ``t``
+of an ensemble runs under ``seed + t``), so no seed depends on which
+worker runs a task.
 """
 
 from .envelopes import ResultEnvelope, TaskEnvelope
 from .merge import adopt_recorded_spans, merge_registry_delta, merge_snapshots
 from .pool import chunk_ranges, default_chunk_size, resolve_jobs, run_tasks, worker_pool
-from .seeds import SEED_BITS, derive_seed, spawn_seeds
 
 __all__ = [
     "TaskEnvelope",
@@ -33,9 +33,6 @@ __all__ = [
     "resolve_jobs",
     "chunk_ranges",
     "default_chunk_size",
-    "derive_seed",
-    "spawn_seeds",
-    "SEED_BITS",
     "merge_snapshots",
     "merge_registry_delta",
     "adopt_recorded_spans",

@@ -3,13 +3,13 @@
 Workers live in separate processes, so everything crossing the
 boundary is a plain frozen dataclass of picklable fields.  A
 :class:`TaskEnvelope` names one unit of work: its stable ``index`` in
-the work list (which drives ordering and seed derivation — never the
-worker id), an arbitrary picklable ``payload``, and the derived
-``seed`` when the sweep is randomised.  A :class:`ResultEnvelope`
-carries the task's return value back together with the observability
-sidecar: the worker-local metrics registry delta and the spans the
-task recorded, so the parent can merge them and keep ``--trace`` /
-``--json`` artifacts coherent across workers.
+the work list (which drives ordering — never the worker id) and an
+arbitrary picklable ``payload``; a randomised sweep puts its seeds in
+the payload, so they never depend on the worker.  A
+:class:`ResultEnvelope` carries the task's return value back together
+with the observability sidecar: the worker-local metrics registry
+delta and the spans the task recorded, so the parent can merge them
+and keep ``--trace`` / ``--json`` artifacts coherent across workers.
 
 ``worker_pid`` and ``elapsed_us`` are *display-only* — they describe
 where and how long the task ran, vary from run to run, and must never
@@ -27,11 +27,10 @@ __all__ = ["TaskEnvelope", "ResultEnvelope"]
 
 @dataclass(frozen=True)
 class TaskEnvelope:
-    """One unit of work: stable index, payload, optional derived seed."""
+    """One unit of work: stable index and payload."""
 
     index: int
     payload: Any
-    seed: Optional[int] = None
     capture_spans: bool = False
 
 

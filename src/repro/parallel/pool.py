@@ -5,11 +5,12 @@ toolkit goes through (busy-beaver enumeration chunks, conformance
 sub-checks, ensemble trial chunks, report sections).  The contract:
 
 * **Determinism.**  Results come back in *task order*, never completion
-  order, and seeds derive from task index (:mod:`repro.parallel.seeds`)
-  — so the merged outcome is bit-identical for any ``jobs`` value,
-  including the in-process serial path at ``jobs=1``.  The differential
-  suite (``tests/test_parallel.py``) is the enforcement of this
-  contract; no speedup claim stands without it.
+  order, and a randomised sweep carries its seeds in its payloads (trial
+  ``t`` of an ensemble runs under ``seed + t``) — so the merged outcome
+  is bit-identical for any ``jobs`` value, including the in-process
+  serial path at ``jobs=1``.  The differential suite
+  (``tests/test_parallel.py``) is the enforcement of this contract; no
+  speedup claim stands without it.
 * **Serial is the reference.**  ``jobs=1`` runs the same task functions
   inline: metrics flow into the live registry and spans into the live
   tracer exactly as a hand-written loop would.  The parallel path must
@@ -45,7 +46,6 @@ from ..obs import (
 from ..obs.runs import current_run
 from .envelopes import ResultEnvelope, TaskEnvelope
 from .merge import adopt_recorded_spans, merge_registry_delta
-from .seeds import derive_seed
 
 __all__ = ["run_tasks", "worker_pool", "resolve_jobs", "chunk_ranges", "default_chunk_size"]
 
@@ -137,7 +137,6 @@ def run_tasks(
     payloads: Sequence[Any],
     *,
     jobs: int = 1,
-    root_seed: Optional[int] = None,
     label: str = "parallel",
     executor: Optional[ProcessPoolExecutor] = None,
 ) -> List[ResultEnvelope]:
@@ -146,20 +145,14 @@ def run_tasks(
     ``jobs=1`` executes inline (the reference semantics); ``jobs>1``
     fans out over a process pool, then merges each worker's metrics
     registry delta into this process's registry and adopts its recorded
-    spans into the live trace.  When ``root_seed`` is given, task ``i``
-    carries ``derive_seed(root_seed, i)`` — stable for any ``jobs``.
-    An ``executor`` from :func:`worker_pool` is reused (and left open);
-    otherwise a pool is created and torn down for this call.
+    spans into the live trace.  An ``executor`` from :func:`worker_pool`
+    is reused (and left open); otherwise a pool is created and torn
+    down for this call.
     """
     jobs = resolve_jobs(jobs)
     capture = bool(get_tracer().enabled) and jobs > 1 and len(payloads) > 1
     tasks = [
-        TaskEnvelope(
-            index=index,
-            payload=payload,
-            seed=derive_seed(root_seed, index) if root_seed is not None else None,
-            capture_spans=capture,
-        )
+        TaskEnvelope(index=index, payload=payload, capture_spans=capture)
         for index, payload in enumerate(payloads)
     ]
     if jobs <= 1 or len(tasks) <= 1:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.protocol import PopulationProtocol
-from ..parallel import TaskEnvelope, chunk_ranges, default_chunk_size, run_tasks
-from .scheduler import CountScheduler, SimulationResult
+from ..parallel import chunk_ranges, default_chunk_size, run_tasks
+from .ensembles import _ensemble_chunk
 
 __all__ = ["ConvergenceStats", "measure_convergence", "convergence_scaling", "fit_nlogn"]
 
@@ -44,18 +44,6 @@ class ConvergenceStats:
         return self.mean_parallel_time / max(1.0, math.log2(self.population))
 
 
-def _convergence_chunk(task: TaskEnvelope) -> List[Tuple[int, float, bool]]:
-    """One block of convergence trials: ``(population, time, converged)`` rows."""
-    protocol, inputs, start, stop, seed, max_steps = task.payload
-    rows = []
-    for trial in range(start, stop):
-        # run() resets the scheduler itself; no separate reset needed
-        scheduler = CountScheduler(protocol, seed=seed + trial)
-        result = scheduler.run(inputs, max_steps=max_steps)
-        rows.append((result.population, result.parallel_time, result.converged))
-    return rows
-
-
 def measure_convergence(
     protocol: PopulationProtocol,
     inputs,
@@ -69,9 +57,10 @@ def measure_convergence(
 
     ``max_steps_factor * n`` interactions bound each run; runs hitting
     the bound are flagged via ``all_converged = False`` (their censored
-    time still enters the statistics).  Trial ``t`` is seeded
-    ``seed + t`` whichever worker runs it, so ``jobs > 1`` changes the
-    wall clock and nothing else.
+    time still enters the statistics).  The trials are
+    :func:`~repro.simulation.ensembles.run_ensemble`'s count-engine
+    trials: trial ``t`` runs under ``seed + t`` whichever worker runs
+    it, so ``jobs > 1`` changes the wall clock and nothing else.
     """
     times: List[float] = []
     converged = True
@@ -79,7 +68,7 @@ def measure_convergence(
     if chunk_size is None:
         chunk_size = default_chunk_size(trials, jobs)
     envelopes = run_tasks(
-        _convergence_chunk,
+        _ensemble_chunk,
         [
             (protocol, inputs, start, stop, seed, max_steps_factor * population)
             for start, stop in chunk_ranges(trials, chunk_size)
@@ -88,8 +77,7 @@ def measure_convergence(
         label="convergence",
     )
     for envelope in envelopes:
-        for run_population, parallel_time, run_converged in envelope.value:
-            population = run_population
+        for _, run_converged, parallel_time, _ in envelope.value:
             times.append(parallel_time)
             converged = converged and run_converged
     return ConvergenceStats(

@@ -112,7 +112,9 @@ def _ensemble_chunk(task: TaskEnvelope) -> List[Tuple[Optional[int], bool, float
 
     Trial ``t`` always runs under ``seed + t`` regardless of which
     worker executes the block, so the merged ensemble is bit-identical
-    for every ``jobs``/``chunk_size`` combination.
+    for every ``jobs``/``chunk_size`` combination.  This is the one
+    seeding rule of the count-engine sweeps: ``run_ensemble`` and
+    ``measure_convergence`` both run their trials here.
     """
     protocol, inputs, start, stop, seed, budget = task.payload
     rows = []
@@ -136,14 +138,11 @@ def _run_vector_ensemble(
     trials: int,
     max_parallel_time: float,
     seed: int,
-    epsilon: float,
 ) -> EnsembleResult:
     """The ``engine="vector"`` path: one scheduler, the whole batch."""
     from .vectorized import VectorEnsembleScheduler
 
-    scheduler = VectorEnsembleScheduler(
-        protocol, trials=trials, seed=seed, epsilon=epsilon
-    )
+    scheduler = VectorEnsembleScheduler(protocol, trials=trials, seed=seed)
     run = scheduler.run(inputs, max_parallel_time=max_parallel_time)
     verdicts: Dict[Optional[int], int] = {}
     times: List[float] = []
@@ -169,7 +168,6 @@ def run_ensemble(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     engine: str = "count",
-    epsilon: float = 0.05,
 ) -> EnsembleResult:
     """Run ``trials`` independent seeded simulations and aggregate.
 
@@ -184,8 +182,6 @@ def run_ensemble(
     populations, statistically equivalent, and deterministic for a
     fixed ``seed`` — but a different sampler consuming one RNG stream,
     so its trajectories are not bit-matched to the count engine's.
-    ``epsilon`` is its tau-leap size (fraction of a unit of parallel
-    time per leap); the count engine ignores it.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -198,9 +194,7 @@ def run_ensemble(
             f"max_parallel_time must be positive and finite, got {max_parallel_time}"
         )
     if engine == "vector":
-        return _run_vector_ensemble(
-            protocol, inputs, trials, max_parallel_time, seed, epsilon
-        )
+        return _run_vector_ensemble(protocol, inputs, trials, max_parallel_time, seed)
     verdicts: Dict[Optional[int], int] = {}
     times: List[float] = []
     converged = 0

@@ -136,10 +136,10 @@ class AgentListScheduler:
         self.agents[i], self.agents[j] = p2, q2
         return StepOutcome(pre=(p, q), post=(p2, q2), changed=(p, q) != (p2, q2) and Multiset([p, q]) != Multiset([p2, q2]))
 
-    def run(self, inputs, max_steps: int, stop_on_silent_consensus: bool = True) -> SimulationResult:
-        """Run until silent consensus (if requested) or the step budget."""
+    def run(self, inputs, max_steps: int) -> SimulationResult:
+        """Run until silent consensus or the step budget."""
         self.reset(inputs)
-        return _run_loop(self, max_steps, stop_on_silent_consensus)
+        return _run_loop(self, max_steps)
 
 
 class CountScheduler:
@@ -208,10 +208,10 @@ class CountScheduler:
         counts[self.indexed.index[q2]] += 1
         return StepOutcome(pre=(p, q), post=(p2, q2), changed=Multiset([p, q]) != Multiset([p2, q2]))
 
-    def run(self, inputs, max_steps: int, stop_on_silent_consensus: bool = True) -> SimulationResult:
-        """Run until silent consensus (if requested) or the step budget."""
+    def run(self, inputs, max_steps: int) -> SimulationResult:
+        """Run until silent consensus or the step budget."""
         self.reset(inputs)
-        return _run_loop(self, max_steps, stop_on_silent_consensus)
+        return _run_loop(self, max_steps)
 
 
 def _is_silent_consensus(protocol: PopulationProtocol, configuration: Multiset) -> bool:
@@ -219,7 +219,7 @@ def _is_silent_consensus(protocol: PopulationProtocol, configuration: Multiset) 
     return protocol.output_of(configuration) is not None and is_silent(protocol, configuration)
 
 
-def _run_loop(scheduler, max_steps: int, stop_on_silent_consensus: bool) -> SimulationResult:
+def _run_loop(scheduler, max_steps: int) -> SimulationResult:
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     protocol = scheduler.protocol
@@ -243,7 +243,7 @@ def _run_loop(scheduler, max_steps: int, stop_on_silent_consensus: bool) -> Simu
         max_steps=max_steps,
     ) as span:
         while interactions < max_steps:
-            if stop_on_silent_consensus and interactions % check_every == 0:
+            if interactions % check_every == 0:
                 silent_checks += 1
                 meter.tick(check_every)
                 if _is_silent_consensus(protocol, scheduler.configuration):
@@ -252,10 +252,8 @@ def _run_loop(scheduler, max_steps: int, stop_on_silent_consensus: bool) -> Simu
             scheduler.step()
             interactions += 1
         else:
-            if stop_on_silent_consensus:
-                silent_checks += 1
-                if _is_silent_consensus(protocol, scheduler.configuration):
-                    converged = True
+            silent_checks += 1
+            converged = _is_silent_consensus(protocol, scheduler.configuration)
         meter.finish()
         span.add("interactions", interactions)
         span.add("silent_checks", silent_checks)

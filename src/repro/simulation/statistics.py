@@ -101,14 +101,14 @@ def record_time_series(
     resolution: float = 1.0,
     seed: Optional[int] = None,
     use_batch: bool = False,
-    stop_on_silent_consensus: bool = True,
 ) -> TimeSeries:
-    """Simulate and sample the configuration every ``resolution`` units.
+    """Simulate to silent consensus, sampling every ``resolution`` units.
 
     ``use_batch=True`` switches to the tau-leaping engine at
-    ``trials=1`` (for large populations), leaping at most ``epsilon *
-    n`` interactions at a time as its ``run`` does, however coarse the
-    ``resolution``; otherwise the exact count-based scheduler is used.
+    ``trials=1`` (for large populations), leaping at most its
+    ``leap_size`` interactions at a time as its ``run`` does, however
+    coarse the ``resolution``; otherwise the exact count-based
+    scheduler is used.
     As in the schedulers' ``run``, the budget ``max_parallel_time * n``
     must be positive and finite and is rounded up, so it always covers
     at least one interaction.
@@ -135,11 +135,11 @@ def record_time_series(
     total_budget = max(1, math.ceil(max_parallel_time * n))
     done = 0
     while done < total_budget:
-        if stop_on_silent_consensus and _is_silent_consensus(protocol, configuration()):
+        if _is_silent_consensus(protocol, configuration()):
             break
         chunk = min(steps_per_sample, total_budget - done)
         if use_batch:
-            leap_size = max(1, int(scheduler.epsilon * n))
+            leap_size = scheduler.leap_size
             for start in range(0, chunk, leap_size):
                 scheduler.leap([min(leap_size, chunk - start)])
         else:

@@ -15,7 +15,7 @@ from typing import Hashable, List, Optional, Tuple, Union
 
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
-from .scheduler import CountScheduler, StepOutcome
+from .scheduler import CountScheduler, _is_silent_consensus
 
 __all__ = ["TraceEvent", "Trace", "record_trace"]
 
@@ -90,16 +90,16 @@ def record_trace(
     inputs,
     max_steps: int,
     seed: Optional[int] = None,
-    stop_on_silent_consensus: bool = True,
 ) -> Trace:
-    """Simulate with :class:`CountScheduler`, recording every interaction."""
+    """Record every interaction of a :class:`CountScheduler` run.
+
+    The run stops at silent consensus or after ``max_steps``.
+    """
     scheduler = CountScheduler(protocol, seed=seed)
     scheduler.reset(inputs)
     trace = Trace(protocol=protocol, initial=scheduler.configuration)
-    from .scheduler import _is_silent_consensus
-
     for index in range(max_steps):
-        if stop_on_silent_consensus and _is_silent_consensus(protocol, scheduler.configuration):
+        if _is_silent_consensus(protocol, scheduler.configuration):
             break
         outcome = scheduler.step()
         trace.events.append(TraceEvent(index=index, pre=outcome.pre, post=outcome.post))

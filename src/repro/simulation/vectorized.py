@@ -4,7 +4,7 @@ The paper's lower bounds live in the large-``n`` regime, where exact
 per-interaction simulation needs ``Theta(n log n)`` Python iterations
 per run.  Population protocols are chemical reaction networks, so the
 remedy from stochastic kinetics applies: **tau-leaping**, advancing
-``epsilon * n`` interactions at a time from a multinomial draw over the
+``EPSILON * n`` interactions at a time from a multinomial draw over the
 pair distribution.  This module is the repo's one tau-leap engine; a
 single trajectory is an ensemble with ``trials=1``.  It is laid out
 struct-of-arrays:
@@ -25,7 +25,7 @@ struct-of-arrays:
   intermediate row of the matrix is a legal configuration.
 
 The tau-leap approximation touches only *timing statistics* (order
-``epsilon``); invariants are exact: population is conserved per trial
+``EPSILON``); invariants are exact: population is conserved per trial
 at every step, counts never go negative, and all pair probabilities
 are computed in exact integer arithmetic with one final division
 (float64 subtraction of ``n(n-1)``-sized products silently corrupts
@@ -37,7 +37,7 @@ count matrix itself.
 Convergence detection (silent consensus) and verdict extraction are
 vectorised too: enabled-transition masks and output-consensus checks
 are evaluated for the whole ensemble between leap rounds, once every
-``epsilon * n`` interactions.
+``EPSILON * n`` interactions.
 """
 
 from __future__ import annotations
@@ -54,13 +54,17 @@ from ..core.protocol import PopulationProtocol, _pair
 from ..obs import get_tracer, progress
 from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 
-__all__ = ["VectorEnsembleScheduler", "VectorRunResult"]
+__all__ = ["VectorEnsembleScheduler", "VectorRunResult", "EPSILON"]
+
+#: The tau-leap size, as a fraction of a unit of parallel time: one leap
+#: round is ``max(1, int(EPSILON * n))`` interactions (``leap_size``).
+EPSILON = 0.05
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Largest population whose pair weights n(n-1) fit int64.  Up to it a
 # leap weighs pairs in int64; above it, in exact Python ints.
 _MAX_INT64_PAIRS = (1 + math.isqrt(4 * _INT64_MAX + 1)) // 2
-# run() leaps at most epsilon * n <= n interactions at a time, and a
+# run() leaps at most EPSILON * n <= n interactions at a time, and a
 # leap of k moves a count by at most 2k, so a checked update stays in
 # [-2n, 3n]: populations up to a third of int64 are exact.
 _MAX_POPULATION = _INT64_MAX // 3
@@ -100,16 +104,12 @@ class VectorEnsembleScheduler:
         protocol: PopulationProtocol,
         trials: int,
         seed: Optional[int] = None,
-        epsilon: float = 0.05,
     ):
         if trials < 1:
             raise ValueError(f"need at least one trial, got {trials}")
-        if not 0 < epsilon <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
         self.protocol = protocol
         self.indexed = protocol.indexed()
         self.trials = trials
-        self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
         self.counts = np.zeros((trials, self.indexed.n), dtype=np.int64)
         self.instrumentation = Instrumentation()
@@ -182,6 +182,11 @@ class VectorEnsembleScheduler:
     def population(self) -> int:
         """Agents per trial (identical across trials, conserved exactly)."""
         return self._population
+
+    @property
+    def leap_size(self) -> int:
+        """Interactions per leap round: ``EPSILON * n``, at least one."""
+        return max(1, int(EPSILON * self._population))
 
     def configuration(self, trial: int) -> Multiset:
         """The current configuration of one trial, as a multiset."""
@@ -384,12 +389,11 @@ class VectorEnsembleScheduler:
         self,
         inputs,
         max_parallel_time: float,
-        stop_on_silent_consensus: bool = True,
     ) -> VectorRunResult:
         """Run every trial up to ``max_parallel_time`` units of parallel time.
 
         The consensus check runs between leap rounds, every
-        ``epsilon * n`` interactions, and converged trials are masked
+        :attr:`leap_size` interactions, and converged trials are masked
         out of all further leaping while the rest of the ensemble
         continues.  The budget is ``max_parallel_time * n`` rounded up,
         so any positive budget performs at least one interaction.
@@ -400,7 +404,7 @@ class VectorEnsembleScheduler:
             )
         self.reset(inputs)
         n = self._population
-        leap_size = max(1, int(self.epsilon * n))
+        leap_size = self.leap_size
         budget = max(1, math.ceil(max_parallel_time * n))
         if budget * self.trials > _INT64_MAX:
             raise OverflowError(
@@ -427,12 +431,11 @@ class VectorEnsembleScheduler:
             leap_size=leap_size,
         ) as span:
             while True:
-                if stop_on_silent_consensus:
-                    silent_checks += 1
-                    newly = self.silent_consensus_mask() & ~converged
-                    if newly.any():
-                        conv_times[newly] = done[newly] / n
-                        converged |= newly
+                silent_checks += 1
+                newly = self.silent_consensus_mask() & ~converged
+                if newly.any():
+                    conv_times[newly] = done[newly] / n
+                    converged |= newly
                 active = ~converged & (done < budget)
                 if not active.any():
                     break

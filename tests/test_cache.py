@@ -249,12 +249,6 @@ class TestCacheStore:
         }
         assert stats["disk_bytes"] > 0
 
-    def test_disk_disabled(self, tmp_path):
-        store = CacheStore(str(tmp_path), disk=False)
-        assert not store.put_payload("a", "k" * 64, "fp", {"none": True})
-        assert store.get_payload("a", "k" * 64) is MISS
-        assert not os.path.exists(store.entries_dir)
-
 
 # ----------------------------------------------------------------------
 # Differential: cached vs fresh, all five analyses

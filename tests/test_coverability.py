@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import binary_threshold, flat_threshold
+from repro.core.errors import ConfigurationError
 from repro.core.multiset import Multiset
 from repro.protocols.builders import ProtocolBuilder
 from repro.reachability.coverability import (
@@ -63,6 +64,12 @@ class TestKarpMiller:
         indexed = threshold4.indexed()
         tree = karp_miller(threshold4, [indexed.initial_counts(4)])
         assert tree.covers_multiset(Multiset({"2^1": 2}))
+
+    def test_covers_multiset_rejects_unknown_states(self, threshold4):
+        # regression: the unknown state was dropped and the query answered True
+        tree = karp_miller(threshold4, [threshold4.indexed().initial_counts(3)])
+        with pytest.raises(ConfigurationError):
+            tree.covers_multiset(Multiset({"nosuch": 3}))
 
     def test_bounded_place(self):
         """In the epidemic from a finite root all places stay bounded."""

@@ -146,7 +146,7 @@ class TestTracer:
 class TestExporters:
     def _emit_sample(self, exporter):
         tracer = Tracer([exporter])
-        with tracer.span("root", protocol="binary:4"):
+        with tracer.span("root", protocol="binary:4", max_input=5):
             with tracer.span("child") as child:
                 child.add("steps", 3)
             tracer.event("heartbeat:child", iterations=3)
@@ -165,7 +165,7 @@ class TestExporters:
         assert child.parent_id == root.span_id
         assert child.depth == 1 and root.depth == 0
         assert child.counters == {"steps": 3}
-        assert root.attributes == {"protocol": "binary:4"}
+        assert root.attributes == {"protocol": "binary:4", "max_input": 5}
 
     def test_chrome_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.json")
@@ -180,6 +180,9 @@ class TestExporters:
         root = next(r for r in records if r.name == "root")
         assert child.parent_id == root.span_id
         assert child.counters == {"steps": 3}
+        # An integer attribute stays an attribute: it is not work.
+        assert root.attributes == {"protocol": "binary:4", "max_input": 5}
+        assert root.counters == {}
         assert root.dur_us >= child.dur_us
 
     def test_exporter_for_path_dispatches_on_extension(self, tmp_path):

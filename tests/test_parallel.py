@@ -8,20 +8,22 @@ semantics first.
 
 Layout:
 
-* seed derivation — golden values (platform regression), ranges,
-  prefix stability;
 * chunking and merging — unit cases plus property tests over
   arbitrary partitions (``repro.testing.partitions``);
-* ``run_tasks`` — ordering, seeding, metrics-delta merging;
+* ``run_tasks`` — ordering, metrics-delta merging;
 * the three wired sweeps (busy-beaver enumeration, conformance,
-  simulation batches) — serial vs parallel at several worker counts;
+  simulation batches) — serial vs parallel at several worker counts,
+  and the one seeding rule of the simulation sweeps (trial ``t`` runs
+  under ``seed + t``);
 * CLI artifacts — golden ``conformance --jobs 2 --json`` output and a
   ``trace summarize`` pass over a parallel trace.
 """
 
 import json
+import math
 import os
 import re
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -47,69 +49,19 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.parallel import (
-    SEED_BITS,
     TaskEnvelope,
     chunk_ranges,
     default_chunk_size,
-    derive_seed,
     merge_snapshots,
     resolve_jobs,
     run_tasks,
-    spawn_seeds,
 )
-from repro.protocols import binary_threshold
+from repro.protocols import approximate_majority, binary_threshold
+from repro.simulation import CountScheduler
 from repro.simulation.conformance import check_conformance
-from repro.simulation.convergence import measure_convergence
+from repro.simulation.convergence import ConvergenceStats, measure_convergence
 from repro.simulation.ensembles import run_ensemble
 from repro.testing import instrumentation_snapshots, partitions
-
-# ----------------------------------------------------------------------
-# Seed derivation
-# ----------------------------------------------------------------------
-
-#: Golden seed table: these exact values must hold on every platform,
-#: Python version and worker count — they define the reproducibility
-#: contract of every ``--seed``-bearing artifact produced with --jobs.
-GOLDEN_SEEDS = {
-    (0,): 1529513301298130319,
-    (0, 0): 6039182919140878880,
-    (0, 1): 7347668971071484024,
-    (1, 0): 8180011540420906155,
-}
-
-
-class TestSeeds:
-    def test_golden_table(self):
-        for path, expected in GOLDEN_SEEDS.items():
-            assert derive_seed(*path) == expected, path
-
-    def test_range(self):
-        for path in GOLDEN_SEEDS:
-            assert 0 <= derive_seed(*path) < 2**SEED_BITS
-
-    def test_spawn_prefix_stable(self):
-        assert spawn_seeds(7, 3) == spawn_seeds(7, 5)[:3]
-
-    def test_spawn_matches_derive(self):
-        assert spawn_seeds(7, 3) == tuple(derive_seed(7, i) for i in range(3))
-
-    def test_distinct_paths_distinct_seeds(self):
-        seeds = [derive_seed(0, i) for i in range(100)]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_string_components(self):
-        assert derive_seed(0, "conformance") != derive_seed(0, "ensemble")
-
-    def test_bool_rejected(self):
-        with pytest.raises(TypeError):
-            derive_seed(True)
-
-    @given(st.integers(0, 2**63 - 1), st.integers(0, 1000))
-    def test_derivation_total_and_in_range(self, root, index):
-        seed = derive_seed(root, index)
-        assert 0 <= seed < 2**SEED_BITS
-        assert seed == derive_seed(root, index)
-
 
 # ----------------------------------------------------------------------
 # Chunking
@@ -161,28 +113,20 @@ class TestChunking:
 def _echo_task(task: TaskEnvelope):
     """Module-level (picklable) task: report what the worker saw."""
     get_metrics("parallel.test").add("tasks.run")
-    return (task.index, task.payload, task.seed)
+    return (task.index, task.payload)
 
 
 class TestRunTasks:
     def test_inline_matches_pool(self):
         payloads = [f"item-{i}" for i in range(7)]
-        serial = run_tasks(_echo_task, payloads, jobs=1, root_seed=5)
-        pooled = run_tasks(_echo_task, payloads, jobs=3, root_seed=5)
+        serial = run_tasks(_echo_task, payloads, jobs=1)
+        pooled = run_tasks(_echo_task, payloads, jobs=3)
         assert [e.value for e in serial] == [e.value for e in pooled]
 
     def test_results_in_task_order(self):
         envelopes = run_tasks(_echo_task, list(range(11)), jobs=2)
         assert [e.index for e in envelopes] == list(range(11))
         assert [e.value[0] for e in envelopes] == list(range(11))
-
-    def test_seeds_derive_from_root(self):
-        envelopes = run_tasks(_echo_task, ["a", "b"], jobs=2, root_seed=42)
-        assert [e.value[2] for e in envelopes] == [derive_seed(42, 0), derive_seed(42, 1)]
-
-    def test_no_root_seed_means_no_seed(self):
-        envelopes = run_tasks(_echo_task, ["a"], jobs=1)
-        assert envelopes[0].value[2] is None
 
     def test_worker_metrics_merge_into_parent(self):
         get_metrics("parallel.test").clear()
@@ -341,6 +285,50 @@ class TestSweepDifferentials:
                 protocol, 9, trials=8, seed=3, jobs=jobs, chunk_size=chunk_size
             )
             assert parallel == serial
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trial_t_runs_under_seed_plus_t(self, jobs):
+        """The one seeding rule of the count-engine sweeps.
+
+        Trial ``t`` of a sweep seeded ``seed`` is exactly the run of
+        ``CountScheduler(protocol, seed=seed + t)``, whichever worker
+        runs it.  A near-tie approximate majority under a short budget
+        gives both verdicts and unconverged trials.
+        """
+        protocol = approximate_majority()
+        inputs, seed, trials = {"x": 6, "y": 5}, 11, 8
+        population = protocol.initial_configuration(inputs).size
+
+        def runs(max_steps):
+            return [
+                CountScheduler(protocol, seed=seed + t).run(inputs, max_steps=max_steps)
+                for t in range(trials)
+            ]
+
+        reference = runs(math.ceil(3.0 * population))
+        ensemble = run_ensemble(
+            protocol, inputs, trials=trials, max_parallel_time=3.0, seed=seed, jobs=jobs
+        )
+        verdicts = [protocol.output_of(r.configuration) for r in reference]
+        assert ensemble.verdicts == {v: verdicts.count(v) for v in verdicts}
+        assert ensemble.converged == sum(r.converged for r in reference)
+        assert ensemble.parallel_times == tuple(
+            r.parallel_time for r in reference if r.converged
+        )
+        assert 0 < ensemble.converged < trials and len(ensemble.verdicts) > 1
+
+        reference = runs(4 * population)
+        times = [r.parallel_time for r in reference]
+        assert measure_convergence(
+            protocol, inputs, trials=trials, max_steps_factor=4, seed=seed, jobs=jobs
+        ) == ConvergenceStats(
+            population=population,
+            trials=trials,
+            mean_parallel_time=statistics.fmean(times),
+            stdev_parallel_time=statistics.stdev(times),
+            max_parallel_time=max(times),
+            all_converged=all(r.converged for r in reference),
+        )
 
 
 # ----------------------------------------------------------------------

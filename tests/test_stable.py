@@ -20,6 +20,7 @@ from repro.bounds.enumeration import (
     protocol_at,
 )
 from repro.cli import resolve_protocol
+from repro.core.errors import ConfigurationError
 from repro.core.multiset import Multiset
 from repro.protocols.majority import majority_protocol
 from repro.reachability.graph import ReachabilityGraph
@@ -43,6 +44,11 @@ class TestSingleConfigurationStability:
 
     def test_non_consensus_not_stable(self, threshold4):
         assert stability_of(threshold4, Multiset({"2^2": 1, "zero": 1})) is None
+
+    def test_unknown_state_rejected(self, threshold4):
+        # regression: the unknown agents were dropped and the verdict was 0
+        with pytest.raises(ConfigurationError):
+            stability_of(threshold4, Multiset({"nosuch": 3, "zero": 2}))
 
 
 class TestStableSlice:

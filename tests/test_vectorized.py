@@ -47,12 +47,6 @@ class TestVectorScheduler:
         with pytest.raises(ValueError):
             VectorEnsembleScheduler(threshold4, trials=0)
 
-    def test_epsilon_validated(self, threshold4):
-        with pytest.raises(ValueError):
-            VectorEnsembleScheduler(threshold4, trials=2, epsilon=0.0)
-        with pytest.raises(ValueError):
-            VectorEnsembleScheduler(threshold4, trials=2, epsilon=1.5)
-
     def test_reset_tiles_initial_row(self, threshold4):
         scheduler = VectorEnsembleScheduler(threshold4, trials=5, seed=0)
         scheduler.reset(6)
