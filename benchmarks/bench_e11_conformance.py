@@ -40,9 +40,10 @@ def test_e11_conformance_timing(benchmark):
     assert report.ok, report.render()
     # Capture how much sampling sits behind the timing: the perf
     # trajectory then records work done, not just wall clock.
-    assert report.instrumentation is not None
     benchmark.extra_info["seed"] = report.seed
-    benchmark.extra_info["instrumentation"] = report.instrumentation.as_dict()
+    benchmark.extra_info["trajectory_interactions"] = sum(
+        t.steps_checked for t in report.trajectories
+    )
 
 
 def test_e11_report():

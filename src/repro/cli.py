@@ -516,8 +516,8 @@ def _cmd_simulate(args) -> int:
     result = scheduler.run(inputs, max_steps=args.max_steps)
     verdict = protocol.output_of(result.configuration)
     if args.json:
-        # Self-describing artifact: the seed and the work counters make
-        # the run reproducible and auditable from the file alone.
+        # Self-describing artifact: the seed makes the run reproducible
+        # from the file alone.
         payload = {
             "protocol": protocol.name,
             "seed": args.seed,
@@ -529,11 +529,6 @@ def _cmd_simulate(args) -> int:
             "converged": result.converged,
             "configuration": {str(q): c for q, c in result.configuration.items()},
             "output": verdict,
-            "instrumentation": (
-                result.instrumentation.as_dict()
-                if result.instrumentation is not None
-                else None
-            ),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -583,11 +578,6 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
             ),
             "parallel_time_p90": (
                 result.time_quantile(0.9) if result.parallel_times else None
-            ),
-            "instrumentation": (
-                result.instrumentation.as_dict()
-                if result.instrumentation is not None
-                else None
             ),
         }
         print(json.dumps(payload, indent=2))
@@ -1366,7 +1356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "numpy (tau-leap; much faster at large populations; "
                    "requires --trials, runs in-process so --jobs is ignored)")
     p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable result (seed + instrumentation included)")
+                   help="emit a machine-readable result (seed included)")
     _add_jobs_flag(p)
     _add_obs_flags(p)
     p.set_defaults(handler=_cmd_simulate)

@@ -149,6 +149,13 @@ class PopulationProtocol:
     def __post_init__(self) -> None:
         states = tuple(dict.fromkeys(self.states))  # dedupe, keep order
         object.__setattr__(self, "states", states)
+        # Pairs are ordered by name (`_pair`), so two states with one
+        # name would make an unordered pair ambiguous.
+        names: Dict[str, State] = {}
+        for state in states:
+            first = names.setdefault(str(state), state)
+            if first is not state:
+                raise ProtocolError(f"states {first!r} and {state!r} share the name {str(state)!r}")
         state_set = set(states)
         seen: Dict[Transition, None] = {}
         for t in self.transitions:

@@ -12,8 +12,8 @@ This package makes them observable from three angles:
   JSON (Perfetto / ``chrome://tracing``);
 * :mod:`repro.obs.progress` — rate-limited heartbeats (frontier size,
   basis size, iterations/sec) for the iterative loops;
-* :mod:`repro.obs.metrics` — the counters/timers layer shared with the
-  simulators, with a process-wide registry;
+* :mod:`repro.obs.metrics` — the process-wide registry of counters,
+  timers and histograms that finished spans and the cache fold into;
 * :mod:`repro.obs.summary` — reading traces back, and the per-span-name
   table behind ``repro trace summarize`` (a view of the profile fold);
 * :mod:`repro.obs.profile` — the one fold of recorded spans:

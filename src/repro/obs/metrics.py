@@ -1,33 +1,24 @@
-"""Named counters and phase timers — the metrics half of :mod:`repro.obs`.
+"""Named counters, timers and histograms — the metrics half of :mod:`repro.obs`.
 
-It started as the schedulers' instrumentation and is now the shared
-metrics layer for the whole toolkit (``repro.simulation`` re-exports
-:class:`Instrumentation` and :class:`InstrumentationSnapshot`).
-Simulator runs and the long-running analysis searches
-(Karp–Miller, Pottier completion, the Lemma 5.4 saturation sequence,
-the certificate pipelines) all report through one process-wide
-registry of named :class:`Instrumentation` objects, so a benchmark or
-a ``--json`` artifact can capture *work done* (nodes expanded, leaps
-rejected, rounds saturated) next to wall-clock time.
+One process-wide registry of named :class:`Instrumentation` objects
+(:func:`get_metrics`) collects what spans and caches report: the
+tracer folds every finished span into the ``"spans"`` entry (top-level
+time per name, a latency histogram per name, and each span counter as
+``<span>.<counter>``), and the analysis cache counts its lookups under
+``"cache"``.  Worker envelopes ship registry deltas as
+:class:`InstrumentationSnapshot` dicts, and run manifests snapshot the
+registry, so untraced consumers see the same totals as a trace.
 
-The conventions keep the hot paths cheap:
-
-* per-*interaction* work is never counted one increment at a time;
-  the run loops add aggregates (``interactions``, ``silent_checks``)
-  once per run or per leap;
-* schedulers reset their instrumentation in ``reset``, so counters
-  describe the most recent run;
-* results carry an immutable :class:`InstrumentationSnapshot`, not the
-  live object, so stored results do not mutate under later runs.
+Work is recorded once, as span counters (``simulate.run``'s
+``interactions`` and ``silent_checks``, for instance); the registry
+only aggregates them.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "Histogram",
@@ -208,13 +199,11 @@ class InstrumentationSnapshot:
 
 
 class Instrumentation:
-    """Named counters plus wall-clock phase timers.
+    """Named counters, accumulated timers and histograms.
 
     >>> inst = Instrumentation()
     >>> inst.add("leaps")
     >>> inst.add("interactions", 500)
-    >>> with inst.phase("run"):
-    ...     pass
     >>> inst.snapshot().counter("interactions")
     500
     """
@@ -223,7 +212,6 @@ class Instrumentation:
         self.counters: Dict[str, int] = {}
         self.timers: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self._phase_depth: Dict[str, int] = {}
 
     def add(self, name: str, value: int = 1) -> None:
         """Increment a counter (created at zero on first use)."""
@@ -236,37 +224,14 @@ class Instrumentation:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accumulate wall-clock time of the enclosed block under ``name``.
-
-        Re-entrant: when a phase of the same name is opened inside an
-        active one, only the *outermost* block accumulates time.  (The
-        naive implementation added the inner elapsed time twice — once
-        on the inner exit and again as part of the outer exit.)
-        """
-        depth = self._phase_depth.get(name, 0)
-        self._phase_depth[name] = depth + 1
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            if depth == 0:
-                del self._phase_depth[name]
-                self.timers[name] = self.timers.get(name, 0.0) + elapsed
-            else:
-                self._phase_depth[name] = depth
-
     def clear(self) -> None:
-        """Drop all counters and timers (called by scheduler ``reset``)."""
+        """Drop all counters, timers and histograms."""
         self.counters.clear()
         self.timers.clear()
         self.histograms.clear()
-        self._phase_depth.clear()
 
     def merge(self, other: "InstrumentationSnapshot") -> None:
-        """Fold a snapshot into this object (ensemble aggregation)."""
+        """Fold a snapshot into this object (a worker's registry delta)."""
         for name, value in other.counters.items():
             self.add(name, value)
         for name, value in other.timers.items():

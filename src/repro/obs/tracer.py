@@ -18,8 +18,7 @@ Design constraints, in order:
 2. **Nesting is immune to double counting by construction.**  Every
    span owns exactly one start and one end timestamp; aggregate views
    (``repro trace summarize``) derive *self* time by subtracting child
-   durations, so re-entering the same span name never inflates totals
-   (unlike the historical ``Instrumentation.phase`` bug).
+   durations, so re-entering the same span name never inflates totals.
 3. **Exporters are pluggable.**  A finished span is handed to each
    exporter; shipped exporters write JSONL event logs and Chrome
    trace-event JSON (loadable in Perfetto / ``chrome://tracing``).
@@ -222,9 +221,9 @@ class Tracer:
         for exporter in self._exporters:
             exporter.export(span)
         # Fold the finished span into the shared metrics registry so
-        # untraced consumers (benchmarks, --json artifacts) see the
-        # same totals.  Only top-level time per name is accumulated —
-        # the same outer-only rule as Instrumentation.phase.
+        # untraced consumers (benchmarks, run manifests) see the same
+        # totals.  Only top-level time per name is accumulated: a span
+        # re-entered inside one of its own name adds no time twice.
         from .metrics import get_metrics
 
         metrics = get_metrics("spans")

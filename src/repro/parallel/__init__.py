@@ -22,7 +22,7 @@ worker runs a task.
 """
 
 from .envelopes import ResultEnvelope, TaskEnvelope
-from .merge import adopt_recorded_spans, merge_registry_delta, merge_snapshots
+from .merge import adopt_recorded_spans, merge_registry_delta
 from .pool import chunk_ranges, default_chunk_size, resolve_jobs, run_tasks, worker_pool
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "resolve_jobs",
     "chunk_ranges",
     "default_chunk_size",
-    "merge_snapshots",
     "merge_registry_delta",
     "adopt_recorded_spans",
 ]

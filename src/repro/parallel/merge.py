@@ -1,19 +1,16 @@
 """Merging worker observability back into the parent process.
 
-Parallel execution must not degrade the observability story PR 2
-built: a ``--json`` artifact still carries one coherent
-instrumentation snapshot, and a ``--trace`` file still describes the
-whole run.  Three merge operations make that true:
+Parallel execution must not degrade observability: the parent's
+metrics registry still holds every worker's span totals, and a
+``--trace`` file still describes the whole run.  Two merge operations
+make that true:
 
-* :func:`merge_snapshots` — fold any number of
-  :class:`~repro.obs.InstrumentationSnapshot` objects into one, in
-  order.  Counters are sums (and therefore identical between serial
-  and parallel runs — the differential suite asserts this); timers are
-  sums of per-worker wall clock, i.e. *CPU-style* totals that may
-  exceed the parent's elapsed time under real parallelism.
 * :func:`merge_registry_delta` — fold a worker's metrics-registry
   delta (shipped in the result envelope as plain dicts) into the
-  parent's process-wide registry.
+  parent's process-wide registry.  Counters are sums (and therefore
+  identical between serial and parallel runs); timers are sums of
+  per-worker wall clock, i.e. *CPU-style* totals that may exceed the
+  parent's elapsed time under real parallelism.
 * :func:`adopt_recorded_spans` — re-emit spans recorded by a worker
   into the parent's live tracer: ids remapped onto the parent's id
   space, timestamps re-based onto a container span, parent links
@@ -24,23 +21,12 @@ whole run.  Three merge operations make that true:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
-from ..obs import Instrumentation, InstrumentationSnapshot, get_metrics
+from ..obs import InstrumentationSnapshot, get_metrics
 from ..obs.metrics import HistogramSnapshot
 
-__all__ = ["merge_snapshots", "merge_registry_delta", "adopt_recorded_spans"]
-
-
-def merge_snapshots(
-    snapshots: Iterable[Optional[InstrumentationSnapshot]],
-) -> InstrumentationSnapshot:
-    """Fold snapshots (``None`` entries skipped) into one, in order."""
-    merged = Instrumentation()
-    for snapshot in snapshots:
-        if snapshot is not None:
-            merged.merge(snapshot)
-    return merged.snapshot()
+__all__ = ["merge_registry_delta", "adopt_recorded_spans"]
 
 
 def _snapshot_from_dict(payload: Mapping[str, Mapping[str, Any]]) -> InstrumentationSnapshot:

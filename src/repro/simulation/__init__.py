@@ -1,6 +1,5 @@
 """Stochastic simulation: exact schedulers, tau-leap ensembles, convergence stats."""
 
-from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 from .conformance import (
     ChiSquaredResult,
     ConformanceReport,
@@ -43,8 +42,6 @@ __all__ = [
     "ENSEMBLE_ENGINES",
     "VectorEnsembleScheduler",
     "VectorRunResult",
-    "Instrumentation",
-    "InstrumentationSnapshot",
     "ChiSquaredResult",
     "ConformanceReport",
     "MatchedSeedCheck",

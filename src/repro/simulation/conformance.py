@@ -51,8 +51,7 @@ from ..core.errors import ConfigurationError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
 from ..obs import get_tracer
-from ..obs.metrics import Instrumentation, InstrumentationSnapshot
-from ..parallel import TaskEnvelope, merge_snapshots, run_tasks
+from ..parallel import TaskEnvelope, run_tasks
 from .scheduler import AgentListScheduler, CountScheduler
 from .vectorized import VectorEnsembleScheduler
 
@@ -550,7 +549,6 @@ class ConformanceReport:
     trajectories: Tuple[TrajectoryCheck, ...]
     matched_seed: MatchedSeedCheck
     seed: Optional[int] = None
-    instrumentation: Optional[InstrumentationSnapshot] = None
     jobs: int = 1
 
     @property
@@ -568,10 +566,9 @@ class ConformanceReport:
             "population": self.population,
             "samples": self.samples,
             "significance": self.significance,
-            # The root RNG seed, worker count, and work counters make
-            # the artifact self-describing: the exact run can be
-            # reproduced (results are jobs-independent by contract) and
-            # the amount of sampling behind each verdict is recorded.
+            # The root RNG seed and worker count make the artifact
+            # self-describing: the exact run can be reproduced (results
+            # are jobs-independent by contract).
             "seed": self.seed,
             "jobs": self.jobs,
             "first_step": [r.to_dict() for r in self.first_step],
@@ -579,9 +576,6 @@ class ConformanceReport:
             "vector_distribution_ok": self.vector_distribution_ok,
             "trajectories": [t.to_dict() for t in self.trajectories],
             "matched_seed": self.matched_seed.to_dict(),
-            "instrumentation": (
-                self.instrumentation.as_dict() if self.instrumentation is not None else None
-            ),
             "ok": self.ok,
         }
 
@@ -666,7 +660,7 @@ _EXACT_SCHEDULERS = {"agent-list": AgentListScheduler, "count": CountScheduler}
 
 
 def _conformance_task(task: TaskEnvelope):
-    """One conformance sub-check; returns ``(value, harness snapshot)``.
+    """One conformance sub-check; returns its value.
 
     The sub-checks are the per-sampler seeded sweeps of the suite —
     each is self-contained (builds its own schedulers from the settings
@@ -674,68 +668,58 @@ def _conformance_task(task: TaskEnvelope):
     out over workers cannot change any verdict.
     """
     kind, argument, settings = task.payload
-    harness = Instrumentation()
     if kind == "first_step_exact":
-        with harness.phase("first_step"):
-            analytic = _analytic_first_step(settings)
-            scheduler = _EXACT_SCHEDULERS[argument](settings.protocol, seed=settings.seed)
-            pairs, deltas = _sample_exact_first_steps(
-                scheduler, settings.inputs, settings.samples,
-                settings.protocol.indexed().index,
-            )
-            harness.add("first_step_samples", settings.samples)
-            value = (
-                _chi_squared_test(
-                    argument, "pair", pairs, analytic[0], settings.samples,
-                    settings.significance,
-                ),
-                _chi_squared_test(
-                    argument, "delta", deltas, analytic[1], settings.samples,
-                    settings.significance,
-                ),
-            )
-    elif kind == "first_step_vector":
-        with harness.phase("first_step"):
-            analytic = _analytic_first_step(settings)
-            vector = VectorEnsembleScheduler(
-                settings.protocol, trials=settings.samples, seed=settings.seed
-            )
-            vector_deltas = _sample_vector_first_steps(
-                vector, settings.inputs, settings.samples
-            )
-            harness.add("first_step_samples", settings.samples)
-            chi = _chi_squared_test(
-                "vector", "delta", vector_deltas, analytic[1], settings.samples,
+        analytic = _analytic_first_step(settings)
+        scheduler = _EXACT_SCHEDULERS[argument](settings.protocol, seed=settings.seed)
+        pairs, deltas = _sample_exact_first_steps(
+            scheduler, settings.inputs, settings.samples,
+            settings.protocol.indexed().index,
+        )
+        return (
+            _chi_squared_test(
+                argument, "pair", pairs, analytic[0], settings.samples,
                 settings.significance,
+            ),
+            _chi_squared_test(
+                argument, "delta", deltas, analytic[1], settings.samples,
+                settings.significance,
+            ),
+        )
+    if kind == "first_step_vector":
+        analytic = _analytic_first_step(settings)
+        vector = VectorEnsembleScheduler(
+            settings.protocol, trials=settings.samples, seed=settings.seed
+        )
+        vector_deltas = _sample_vector_first_steps(
+            vector, settings.inputs, settings.samples
+        )
+        chi = _chi_squared_test(
+            "vector", "delta", vector_deltas, analytic[1], settings.samples,
+            settings.significance,
+        )
+        # The engine's sampling distribution is available in closed
+        # form: compare it against the analytic law exactly, not
+        # just statistically.
+        vector.reset(settings.inputs)
+        error = _exact_pair_error(vector.pair_distribution(), analytic[0])
+        return (chi, error, error < 1e-9)
+    if kind == "trajectory":
+        if argument == "vector":
+            return _check_vector_trajectories(
+                settings.protocol, settings.inputs, settings.trajectory_seeds,
+                settings.trajectory_steps, leap_size=settings.leap_size,
             )
-            # The engine's sampling distribution is available in closed
-            # form: compare it against the analytic law exactly, not
-            # just statistically.
-            vector.reset(settings.inputs)
-            error = _exact_pair_error(vector.pair_distribution(), analytic[0])
-            value = (chi, error, error < 1e-9)
-    elif kind == "trajectory":
-        with harness.phase("trajectories"):
-            if argument == "vector":
-                value = _check_vector_trajectories(
-                    settings.protocol, settings.inputs, settings.trajectory_seeds,
-                    settings.trajectory_steps, leap_size=settings.leap_size,
-                )
-            else:
-                value = _check_exact_trajectories(
-                    settings.protocol, _EXACT_SCHEDULERS[argument], argument,
-                    settings.inputs, settings.trajectory_seeds,
-                    settings.trajectory_steps,
-                )
-    elif kind == "matched":
-        with harness.phase("matched_seeds"):
-            value = _check_matched_seed(
-                settings.protocol, settings.inputs, argument, settings.max_steps,
-                settings.compare_verdicts,
-            )
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown conformance task kind {kind!r}")
-    return value, harness.snapshot()
+        return _check_exact_trajectories(
+            settings.protocol, _EXACT_SCHEDULERS[argument], argument,
+            settings.inputs, settings.trajectory_seeds,
+            settings.trajectory_steps,
+        )
+    if kind == "matched":
+        return _check_matched_seed(
+            settings.protocol, settings.inputs, argument, settings.max_steps,
+            settings.compare_verdicts,
+        )
+    raise ValueError(f"unknown conformance task kind {kind!r}")  # pragma: no cover
 
 
 def _analytic_first_step(settings: _SweepSettings):
@@ -776,6 +760,10 @@ def check_conformance(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if trajectory_steps < 1:
+        raise ValueError(f"trajectory_steps must be >= 1, got {trajectory_steps}")
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must lie in (0, 1), got {significance}")
     if not trajectory_seeds or not matched_seeds:
         raise ValueError("trajectory_seeds and matched_seeds must each name at least one seed")
     initial = protocol.initial_configuration(inputs)
@@ -800,25 +788,19 @@ def check_conformance(
         ("trajectory", "vector", settings),
     ] + [("matched", matched_seed, settings) for matched_seed in matched_seeds]
 
-    harness = Instrumentation()
-    span_cm = get_tracer().span(
+    with get_tracer().span(
         "conformance.check",
         protocol=protocol.name,
         population=initial.size,
         seed=seed,
         jobs=jobs,
-    )
-    with span_cm, harness.phase("conformance"):
+    ):
         envelopes = run_tasks(_conformance_task, payloads, jobs=jobs, label="conformance")
-        values = [envelope.value[0] for envelope in envelopes]
-        harness.merge(merge_snapshots(envelope.value[1] for envelope in envelopes))
+        values = [envelope.value for envelope in envelopes]
 
         agent_chi, count_chi, (vector_chi, vector_error, vector_ok) = values[:3]
         first_step = (*agent_chi, *count_chi, vector_chi)
         trajectories = values[3:6]
-        harness.add(
-            "trajectory_interactions", sum(t.steps_checked for t in trajectories)
-        )
 
         mismatches: List[str] = []
         converged = 0
@@ -830,7 +812,6 @@ def check_conformance(
             runs_converged=converged,
             mismatches=tuple(mismatches),
         )
-        harness.add("matched_seed_runs", 2 * len(matched.seeds))
 
     return ConformanceReport(
         protocol=protocol.name,
@@ -843,6 +824,5 @@ def check_conformance(
         trajectories=tuple(trajectories),
         matched_seed=matched,
         seed=seed,
-        instrumentation=harness.snapshot(),
         jobs=jobs,
     )

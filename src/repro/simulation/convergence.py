@@ -62,6 +62,8 @@ def measure_convergence(
     trials: trial ``t`` runs under ``seed + t`` whichever worker runs
     it, so ``jobs > 1`` changes the wall clock and nothing else.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     times: List[float] = []
     converged = True
     population = protocol.initial_configuration(inputs).size
@@ -77,7 +79,7 @@ def measure_convergence(
         label="convergence",
     )
     for envelope in envelopes:
-        for _, run_converged, parallel_time, _ in envelope.value:
+        for _, run_converged, parallel_time in envelope.value:
             times.append(parallel_time)
             converged = converged and run_converged
     return ConvergenceStats(

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.protocol import PopulationProtocol
-from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 from ..parallel import TaskEnvelope, chunk_ranges, default_chunk_size, run_tasks
 from .scheduler import CountScheduler
 
@@ -47,18 +46,12 @@ ENSEMBLE_ENGINES = ("count", "vector")
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Aggregated outcome of an ensemble of seeded runs.
-
-    ``instrumentation`` sums the per-run counters and timers over the
-    whole ensemble (total interactions simulated, total silent checks,
-    total wall-clock in the run loops).
-    """
+    """Aggregated outcome of an ensemble of seeded runs."""
 
     trials: int
     converged: int
     verdicts: Dict[Optional[int], int]
     parallel_times: Tuple[float, ...]
-    instrumentation: Optional[InstrumentationSnapshot] = None
 
     @property
     def convergence_rate(self) -> float:
@@ -107,13 +100,14 @@ class EnsembleResult:
         return "\n".join(lines)
 
 
-def _ensemble_chunk(task: TaskEnvelope) -> List[Tuple[Optional[int], bool, float, Optional[InstrumentationSnapshot]]]:
+def _ensemble_chunk(task: TaskEnvelope) -> List[Tuple[Optional[int], bool, float]]:
     """Run one contiguous block of trials; per-trial rows in trial order.
 
-    Trial ``t`` always runs under ``seed + t`` regardless of which
-    worker executes the block, so the merged ensemble is bit-identical
-    for every ``jobs``/``chunk_size`` combination.  This is the one
-    seeding rule of the count-engine sweeps: ``run_ensemble`` and
+    A row is ``(verdict, converged, parallel_time)``.  Trial ``t``
+    always runs under ``seed + t`` regardless of which worker executes
+    the block, so the merged ensemble is bit-identical for every
+    ``jobs``/``chunk_size`` combination.  This is the one seeding rule
+    of the count-engine sweeps: ``run_ensemble`` and
     ``measure_convergence`` both run their trials here.
     """
     protocol, inputs, start, stop, seed, budget = task.payload
@@ -122,12 +116,7 @@ def _ensemble_chunk(task: TaskEnvelope) -> List[Tuple[Optional[int], bool, float
         scheduler = CountScheduler(protocol, seed=seed + trial)
         result = scheduler.run(inputs, max_steps=budget)
         rows.append(
-            (
-                protocol.output_of(result.configuration),
-                result.converged,
-                result.parallel_time,
-                result.instrumentation,
-            )
+            (protocol.output_of(result.configuration), result.converged, result.parallel_time)
         )
     return rows
 
@@ -155,7 +144,6 @@ def _run_vector_ensemble(
         converged=int(run.converged.sum()),
         verdicts=verdicts,
         parallel_times=tuple(times),
-        instrumentation=run.instrumentation,
     )
 
 
@@ -198,7 +186,6 @@ def run_ensemble(
     verdicts: Dict[Optional[int], int] = {}
     times: List[float] = []
     converged = 0
-    aggregate = Instrumentation()
     population = protocol.initial_configuration(inputs).size
     # Ceil, not truncate: a positive time budget must simulate at least
     # one interaction (the same rule as the vector engine's run()).
@@ -215,18 +202,14 @@ def run_ensemble(
         label="ensemble",
     )
     for envelope in envelopes:
-        for verdict, trial_converged, parallel_time, snapshot in envelope.value:
+        for verdict, trial_converged, parallel_time in envelope.value:
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
             if trial_converged:
                 converged += 1
                 times.append(parallel_time)
-            if snapshot is not None:
-                aggregate.merge(snapshot)
-    aggregate.add("runs", trials)
     return EnsembleResult(
         trials=trials,
         converged=converged,
         verdicts=verdicts,
         parallel_times=tuple(times),
-        instrumentation=aggregate.snapshot(),
     )

@@ -32,7 +32,6 @@ from typing import Hashable, List, Optional, Sequence, Tuple, Union
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
-from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 from .scheduler import CountScheduler, _is_silent_consensus
 
 __all__ = ["Fault", "crash", "corrupt", "FaultyRunResult", "run_with_faults"]
@@ -106,9 +105,7 @@ class FaultyRunResult:
     ``faults_skipped`` counts scheduled :class:`Fault` objects that
     never affected any agent — either no victim was ever available
     (e.g. a state-restricted fault on an empty state) or the fault was
-    scheduled beyond the step budget.  ``instrumentation`` carries the
-    run counters (interactions, silent checks, no-op interactions
-    fast-forwarded over after stabilisation).
+    scheduled beyond the step budget.
     """
 
     configuration: Multiset
@@ -118,7 +115,6 @@ class FaultyRunResult:
     survivors: int
     verdict: Optional[int]
     faults_skipped: int = 0
-    instrumentation: Optional["InstrumentationSnapshot"] = None
 
 
 def _pick_state(configuration: Multiset, restrict: Optional[State], rng: random.Random) -> Optional[State]:
@@ -157,7 +153,6 @@ def run_with_faults(
     scheduler.reset(inputs)
     rng = random.Random(None if seed is None else seed + 7919)
     pending = sorted(faults, key=lambda f: f.at_interaction)
-    instrumentation = Instrumentation()
     applied = 0
     skipped = 0
     interactions = 0
@@ -186,36 +181,28 @@ def run_with_faults(
             if affected == 0:
                 skipped += 1
 
-    with instrumentation.phase("run"):
-        while interactions < max_steps:
-            apply_due_faults()
-            instrumentation.add("silent_checks")
-            if _is_silent_consensus(protocol, scheduler.configuration):
-                if not pending:
-                    converged = True
-                    break
-                # The configuration is silent but faults are still
-                # scheduled: stepping would only burn no-op interactions
-                # until the next fault fires.  Fast-forward the
-                # interaction clock to it and apply it directly.
-                next_at = pending[0].at_interaction
-                if next_at >= max_steps:
-                    # the remaining faults lie beyond the budget: they are
-                    # skipped, and the population *did* reach silent consensus
-                    converged = True
-                    break
-                instrumentation.add(
-                    "fast_forwarded_interactions", max(0, next_at - interactions)
-                )
-                interactions = max(interactions, next_at)
-                continue
-            scheduler.step()
-            interactions += 1
+    while interactions < max_steps:
+        apply_due_faults()
+        if _is_silent_consensus(protocol, scheduler.configuration):
+            if not pending:
+                converged = True
+                break
+            # The configuration is silent but faults are still
+            # scheduled: stepping would only burn no-op interactions
+            # until the next fault fires.  Fast-forward the
+            # interaction clock to it and apply it directly.
+            next_at = pending[0].at_interaction
+            if next_at >= max_steps:
+                # the remaining faults lie beyond the budget: they are
+                # skipped, and the population *did* reach silent consensus
+                converged = True
+                break
+            interactions = max(interactions, next_at)
+            continue
+        scheduler.step()
+        interactions += 1
 
     skipped += len(pending)
-    instrumentation.add("interactions", interactions)
-    instrumentation.add("faults_applied", applied)
-    instrumentation.add("faults_skipped", skipped)
     final = scheduler.configuration
     return FaultyRunResult(
         configuration=final,
@@ -225,5 +212,4 @@ def run_with_faults(
         survivors=final.size,
         verdict=protocol.output_of(final),
         faults_skipped=skipped,
-        instrumentation=instrumentation.snapshot(),
     )

@@ -34,7 +34,6 @@ from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import IndexedProtocol, PopulationProtocol
 from ..obs import get_tracer, progress
-from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 
 __all__ = ["StepOutcome", "AgentListScheduler", "CountScheduler", "SimulationResult"]
 
@@ -64,17 +63,12 @@ class SimulationResult:
         Final configuration (multiset over states).
     converged:
         Whether the stop condition was met (vs the step budget).
-    instrumentation:
-        Counters and phase timers recorded during the run (steps,
-        silent-consensus checks, leap statistics for the batch
-        scheduler); ``None`` for results built outside the run loops.
     """
 
     interactions: int
     population: int
     configuration: Multiset
     converged: bool
-    instrumentation: Optional[InstrumentationSnapshot] = None
 
     @property
     def parallel_time(self) -> float:
@@ -109,14 +103,12 @@ class AgentListScheduler:
         self.table = _TransitionTable(protocol)
         self.rng = random.Random(seed)
         self.agents: List[State] = []
-        self.instrumentation = Instrumentation()
 
     def reset(self, inputs: Union[int, Mapping, Multiset]) -> None:
         """Initialise the population to ``IC(inputs)``."""
         configuration = self.protocol.initial_configuration(inputs)
         self.agents = list(configuration.elements())
         self.rng.shuffle(self.agents)
-        self.instrumentation.clear()
 
     @property
     def configuration(self) -> Multiset:
@@ -151,12 +143,10 @@ class CountScheduler:
         self.table = _TransitionTable(protocol)
         self.rng = random.Random(seed)
         self.counts: List[int] = [0] * self.indexed.n
-        self.instrumentation = Instrumentation()
 
     def reset(self, inputs: Union[int, Mapping, Multiset]) -> None:
         """Initialise the population to ``IC(inputs)``."""
         self.counts = list(self.indexed.initial_counts(inputs))
-        self.instrumentation.clear()
 
     @property
     def configuration(self) -> Multiset:
@@ -227,7 +217,6 @@ def _run_loop(scheduler, max_steps: int) -> SimulationResult:
         scheduler.population if isinstance(scheduler, CountScheduler) else len(scheduler.agents)
     )
     check_every = max(1, population)  # silence checks are O(|T|); amortise
-    instrumentation = scheduler.instrumentation
     silent_checks = 0
     interactions = 0
     converged = False
@@ -236,7 +225,7 @@ def _run_loop(scheduler, max_steps: int) -> SimulationResult:
     meter = progress(
         "simulate", lambda: {"interactions": interactions, "population": population}
     )
-    with instrumentation.phase("run"), get_tracer().span(
+    with get_tracer().span(
         "simulate.run",
         scheduler=type(scheduler).__name__,
         population=population,
@@ -258,12 +247,9 @@ def _run_loop(scheduler, max_steps: int) -> SimulationResult:
         span.add("interactions", interactions)
         span.add("silent_checks", silent_checks)
         span.set(converged=converged)
-    instrumentation.add("interactions", interactions)
-    instrumentation.add("silent_checks", silent_checks)
     return SimulationResult(
         interactions=interactions,
         population=population,
         configuration=scheduler.configuration,
         converged=converged,
-        instrumentation=instrumentation.snapshot(),
     )

@@ -52,7 +52,6 @@ from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
 from ..obs import get_tracer, progress
-from ..obs.metrics import Instrumentation, InstrumentationSnapshot
 
 __all__ = ["VectorEnsembleScheduler", "VectorRunResult", "EPSILON"]
 
@@ -87,7 +86,6 @@ class VectorRunResult:
     converged: np.ndarray  # bool (trials,)
     parallel_times: np.ndarray  # float64 (trials,)
     verdicts: Tuple[Optional[int], ...]
-    instrumentation: Optional[InstrumentationSnapshot] = None
 
 
 class VectorEnsembleScheduler:
@@ -112,7 +110,6 @@ class VectorEnsembleScheduler:
         self.trials = trials
         self.rng = np.random.default_rng(seed)
         self.counts = np.zeros((trials, self.indexed.n), dtype=np.int64)
-        self.instrumentation = Instrumentation()
 
         # --- transition classes, one column per registered state pair.
         # Outcomes of nondeterministic pairs occupy contiguous rows of
@@ -176,7 +173,6 @@ class VectorEnsembleScheduler:
             )
         self.counts = np.tile(np.array(row, dtype=np.int64), (self.trials, 1))
         self._population = n
-        self.instrumentation.clear()
 
     @property
     def population(self) -> int:
@@ -260,7 +256,6 @@ class VectorEnsembleScheduler:
         weights (inert meetings included, per the pair law).  A sampled
         pair is present, so firing it never drives a count negative.
         """
-        self.instrumentation.add("exact_steps")
         c = self.counts[trial]
         weights = [
             int(c[i]) * (int(c[i]) - 1) if i == j else 2 * int(c[i]) * int(c[j])
@@ -308,7 +303,6 @@ class VectorEnsembleScheduler:
             )
         if (request < 0).any():
             raise ValueError("per-trial interaction requests must be >= 0")
-        self.instrumentation.add("leap_calls")
         remaining = request.copy()
         attempt = remaining.copy()
         while True:
@@ -325,18 +319,12 @@ class VectorEnsembleScheduler:
                 self.counts[accepted] = updated[accepted]
                 remaining[accepted] -= k[accepted]
             if rejected.any():
-                self.instrumentation.add("leap_rejections", int(rejected.sum()))
                 fallback = rejected & (attempt <= 1)
                 for trial in np.nonzero(fallback)[0]:
                     self._exact_step(int(trial))
                     remaining[trial] -= 1
-                if fallback.any():
-                    self.instrumentation.add("leap_fallbacks", int(fallback.sum()))
                 halved = rejected & (attempt > 1)
-                if halved.any():
-                    self.instrumentation.add("leap_halvings", int(halved.sum()))
-                    attempt[halved] //= 2
-        self.instrumentation.add("leap_interactions", int(request.sum()))
+                attempt[halved] //= 2
         return request.copy()
 
     # ------------------------------------------------------------------
@@ -423,7 +411,7 @@ class VectorEnsembleScheduler:
                 "population": n,
             },
         )
-        with self.instrumentation.phase("run"), get_tracer().span(
+        with get_tracer().span(
             "simulate.run",
             scheduler=type(self).__name__,
             population=n,
@@ -445,13 +433,9 @@ class VectorEnsembleScheduler:
                 done += self.leap(request)
                 meter.tick(int(request.sum()))
             meter.finish()
-            total = int(done.sum())
-            span.add("interactions", total)
+            span.add("interactions", int(done.sum()))
             span.add("silent_checks", silent_checks)
             span.set(trials_converged=int(converged.sum()))
-        self.instrumentation.add("interactions", total)
-        self.instrumentation.add("silent_checks", silent_checks)
-        self.instrumentation.add("runs", self.trials)
         return VectorRunResult(
             trials=self.trials,
             population=n,
@@ -459,5 +443,4 @@ class VectorEnsembleScheduler:
             converged=converged,
             parallel_times=conv_times,
             verdicts=self.verdicts(),
-            instrumentation=self.instrumentation.snapshot(),
         )

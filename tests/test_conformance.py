@@ -116,6 +116,18 @@ class TestHarness:
         with pytest.raises(ValueError, match="at least one seed"):
             check_conformance(majority_protocol(), {"x": 5, "y": 3}, samples=50, **{seeds: ()})
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_rejects_degenerate_trajectory_steps(self, steps):
+        # zero steps used to check 0 interactions per sampler and report ok
+        with pytest.raises(ValueError, match="trajectory_steps"):
+            check_conformance(binary_threshold(4), 6, samples=100, trajectory_steps=steps)
+
+    @pytest.mark.parametrize("significance", [0.0, -0.1, 1.0, 2.0])
+    def test_rejects_significance_outside_unit_interval(self, significance):
+        # at 0 every chi-squared test passed, at 1 or more nearly all failed
+        with pytest.raises(ValueError, match="significance"):
+            check_conformance(binary_threshold(4), 6, samples=100, significance=significance)
+
     def test_majority_passes(self, majority):
         report = check_conformance(
             majority, {"x": 5, "y": 3}, samples=600, trajectory_steps=150

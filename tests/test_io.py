@@ -62,19 +62,13 @@ class TestJsonRoundTrip:
         with pytest.raises(ProtocolError, match="format"):
             protocol_from_dict(data)
 
-    def test_colliding_stringification_rejected(self):
-        from repro.core.multiset import Multiset
-        from repro.core.protocol import PopulationProtocol, Transition
-
-        protocol = PopulationProtocol(
-            states=(1, "1"),
-            transitions=(Transition(1, "1", 1, 1),),
-            leaders=Multiset(),
-            input_mapping={"x": 1},
-            output={1: 0, "1": 1},
-        )
+    def test_colliding_stringification_rejected(self, threshold4):
+        # The constructor rejects two states with one name (1 and "1"),
+        # so only a hand-edited file can repeat a serialised state.
+        data = protocol_to_dict(threshold4)
+        data["states"][1] = data["states"][0]
         with pytest.raises(ProtocolError, match="not distinct"):
-            protocol_to_dict(protocol) and protocol_from_dict(protocol_to_dict(protocol))
+            protocol_from_dict(data)
 
 
 class TestDot:

@@ -105,6 +105,17 @@ class TestProtocolValidation:
         p = tiny_protocol(states=("p", "q", "p"))
         assert p.num_states == 2
 
+    def test_states_sharing_a_name_rejected(self):
+        # Pairs are ordered by str(state): with 1 and "1" both present the
+        # samplers missed the transition on half of the draws of the pair.
+        with pytest.raises(ProtocolError, match="1 and '1' share the name"):
+            PopulationProtocol(
+                states=[1, "1", "t"],
+                transitions=[Transition("1", 1, "t", "t")],
+                input_mapping={"x": 1, "y": "1"},
+                output={1: 0, "1": 0, "t": 1},
+            )
+
 
 class TestProtocolStructure:
     def test_is_leaderless(self):

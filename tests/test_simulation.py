@@ -120,6 +120,11 @@ class TestConvergence:
         c, d = fit_nlogn(stats)
         assert isinstance(c, float) and isinstance(d, float)
 
+    def test_trials_validated(self, threshold4):
+        # zero trials used to fail inside statistics.fmean
+        with pytest.raises(ValueError, match="at least one trial"):
+            measure_convergence(threshold4, 9, trials=0)
+
     def test_fit_needs_two_points(self, threshold4):
         with pytest.raises(ValueError):
             fit_nlogn([measure_convergence(threshold4, 4, trials=2)])

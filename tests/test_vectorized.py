@@ -136,10 +136,6 @@ class TestVectorScheduler:
         assert result.converged.all()
         assert result.verdicts == (verdict,) * 10
         assert (result.parallel_times > 0).all()
-        snapshot = result.instrumentation
-        assert snapshot.counter("runs") == 10
-        assert snapshot.counter("leap_interactions") == result.interactions.sum()
-        assert snapshot.counter("interactions") == result.interactions.sum()
 
     def test_run_validates_time_budget(self, threshold4):
         scheduler = VectorEnsembleScheduler(threshold4, trials=2, seed=0)
@@ -183,15 +179,20 @@ class TestVectorScheduler:
         rigged[0, bad_class] = 1
         rigged[1, -1] = 1  # inert meeting: accepted, nothing changes
         scheduler.rng = _RiggedRng(scheduler.rng, rigged)
+        exact_steps = []
+        real_exact_step = scheduler._exact_step
+
+        def spy(trial):
+            exact_steps.append(trial)
+            real_exact_step(trial)
+
+        scheduler._exact_step = spy
 
         advanced = scheduler.leap(np.ones(2, dtype=np.int64))
         assert (advanced == 1).all()
         assert (scheduler.counts.sum(axis=1) == n).all()
         assert (scheduler.counts >= 0).all()
-        snapshot = scheduler.instrumentation.snapshot()
-        assert snapshot.counter("leap_rejections") == 1
-        assert snapshot.counter("leap_fallbacks") == 1
-        assert snapshot.counter("exact_steps") == 1
+        assert exact_steps == [0]  # the rigged trial only, once
 
     def test_exact_step_follows_the_pair_law(self):
         """The fallback step's two-draw pair pick, chi-squared against
@@ -420,7 +421,6 @@ class TestCliVectorEngine:
         assert payload["trials"] == 8
         assert payload["convergence_rate"] == 1.0
         assert payload["verdicts"] == {"1": 8}
-        assert payload["instrumentation"]["counters"]["runs"] == 8
 
     @pytest.mark.parametrize(
         "argv",
