@@ -20,20 +20,21 @@ from repro.simulation import AgentListScheduler, CountScheduler, VectorEnsembleS
 PROTOCOL = binary_threshold(8)
 
 
-def drive_agent_list(n: int, interactions: int) -> dict:
-    scheduler = AgentListScheduler(PROTOCOL, seed=0)
+def _drive_exact(scheduler, n: int, interactions: int) -> dict:
+    # Advance n interactions at a time, the way `run` does between its
+    # silence checks: no per-interaction StepOutcome.
     scheduler.reset(n)
-    for _ in range(interactions):
-        scheduler.step()
+    for start in range(0, interactions, n):
+        scheduler.advance(min(n, interactions - start))
     return {"interactions": interactions}
+
+
+def drive_agent_list(n: int, interactions: int) -> dict:
+    return _drive_exact(AgentListScheduler(PROTOCOL, seed=0), n, interactions)
 
 
 def drive_count(n: int, interactions: int) -> dict:
-    scheduler = CountScheduler(PROTOCOL, seed=0)
-    scheduler.reset(n)
-    for _ in range(interactions):
-        scheduler.step()
-    return {"interactions": interactions}
+    return _drive_exact(CountScheduler(PROTOCOL, seed=0), n, interactions)
 
 
 def drive_tau_leap(n: int, interactions: int) -> dict:

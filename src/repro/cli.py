@@ -541,10 +541,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int:
-    """``simulate --trials N``: a seeded ensemble, optionally parallel."""
-    # Batch mode needs a concrete seed so the run is reproducible from
-    # the emitted artifact alone: trial t runs under seed + t.
-    seed = args.seed if args.seed is not None else 0
+    """``simulate --trials N``: a seeded ensemble, optionally parallel.
+
+    Trial ``t`` runs under ``--seed`` + ``t``.
+    """
     population = protocol.initial_configuration(inputs).size
     try:
         result = run_ensemble(
@@ -552,7 +552,7 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
             inputs,
             trials=args.trials,
             max_parallel_time=args.max_steps / max(1, population),
-            seed=seed,
+            seed=args.seed,
             jobs=args.jobs,
             engine=args.engine,
         )
@@ -563,7 +563,7 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
         payload = {
             "protocol": protocol.name,
             "engine": args.engine,
-            "seed": seed,
+            "seed": args.seed,
             "jobs": resolve_jobs(args.jobs),
             "trials": args.trials,
             "input": {variable: count for variable, count in inputs.items()},
@@ -582,7 +582,7 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"population: {population} (root seed {seed})")
+        print(f"population: {population} (root seed {args.seed})")
         print(result.summary())
     return 0 if result.converged == result.trials else 2
 
@@ -1345,11 +1345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the uniform random scheduler")
     p.add_argument("protocol")
     p.add_argument("--input", required=True, help='"x=60,y=40" or a bare count')
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_positive_int, default=1_000_000)
     p.add_argument("--trials", type=_positive_int, default=None, metavar="N",
-                   help="run a seeded N-run ensemble instead of a single run "
-                   "(root seed defaults to 0 when --seed is omitted)")
+                   help="run a seeded N-run ensemble instead of a single run")
     p.add_argument("--engine", choices=("count", "vector"), default="count",
                    help="ensemble engine: 'count' steps each trial exactly, "
                    "'vector' advances the whole trial batch at once with "

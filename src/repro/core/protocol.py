@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Dict,
     FrozenSet,
@@ -462,6 +463,24 @@ class IndexedProtocol:
         self.pres: Tuple[Tuple[int, ...], ...] = tuple(pres)
         self.deltas: Tuple[Tuple[int, ...], ...] = tuple(deltas)
         self.non_silent: Tuple[int, ...] = tuple(non_silent)
+
+    @cached_property
+    def pair_outcomes(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
+        """The exact samplers' table: what an ordered state pair turns into.
+
+        ``pair_outcomes[i][j]`` lists the post index pairs of the
+        transitions from ``<i, j>`` in ``protocol.transitions`` order,
+        or holds the identity ``((i, j),)`` when none is registered, so
+        a sampler picks uniformly from it with one ``rng.choice``.  Built
+        on first use: the analyses never read it.
+        """
+        registered: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for t, pre in zip(self.protocol.transitions, self.pre_pairs):
+            registered.setdefault(pre, []).append((self.index[t.p2], self.index[t.q2]))
+        return tuple(
+            tuple(tuple(registered.get((min(i, j), max(i, j)), ((i, j),))) for j in range(self.n))
+            for i in range(self.n)
+        )
 
     def encode(self, configuration: Multiset) -> Tuple[int, ...]:
         """Dense count tuple of a configuration; a state the protocol lacks is an error."""

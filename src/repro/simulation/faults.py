@@ -143,8 +143,11 @@ def run_with_faults(
 
     Crashes that would leave fewer than two agents are skipped (the
     model needs interacting pairs).  Corruption to a state outside the
-    protocol raises :class:`ProtocolError`.
+    protocol raises :class:`ProtocolError`, and a ``max_steps`` below 1
+    raises ``ValueError``, as in the schedulers' ``run``.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     for fault in faults:
         if fault.kind == "corrupt" and fault.target_state not in protocol.states:
             raise ProtocolError(f"corruption target {fault.target_state!r} is not a state")
@@ -183,7 +186,7 @@ def run_with_faults(
 
     while interactions < max_steps:
         apply_due_faults()
-        if _is_silent_consensus(protocol, scheduler.configuration):
+        if _is_silent_consensus(scheduler.indexed, scheduler.counts):
             if not pending:
                 converged = True
                 break
@@ -199,7 +202,7 @@ def run_with_faults(
                 break
             interactions = max(interactions, next_at)
             continue
-        scheduler.step()
+        scheduler.advance(1)
         interactions += 1
 
     skipped += len(pending)

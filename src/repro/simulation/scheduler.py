@@ -5,20 +5,27 @@ The stochastic semantics behind "parallel time": at each step an
 the (unique, for deterministic protocols) transition of their states
 fires.  Parallel time is interactions divided by the population size.
 
-Two exact samplers are provided:
+Two exact samplers are provided.  Both work on state indices and read
+one table, :attr:`IndexedProtocol.pair_outcomes`: for an ordered pair
+of states it lists the post index pairs of the registered transitions,
+or the identity when there is none, and a nondeterministic pair picks
+one of them with ``rng.choice``.
 
 * :class:`AgentListScheduler` — the textbook implementation keeping an
-  explicit list of agents.  O(1) per interaction but heavy constants
-  and O(population) memory; serves as the naive baseline of experiment
-  E10.
-* :class:`CountScheduler` — keeps only the state *counts* and samples
-  the unordered state pair of the next interaction directly from the
-  pair distribution (probability proportional to ``c_p * c_q`` for
-  ``p != q`` and ``c_p * (c_p - 1)`` for ``p = q``).  O(|Q|^2) per
-  interaction, independent of the population size — the first rung of
-  the "simulation is too slow for large populations" ladder (the
-  tau-leaping :mod:`repro.simulation.vectorized` is the second).
+  explicit list of agents.  O(1) per interaction but O(population)
+  memory; serves as the naive baseline of experiment E10.
+* :class:`CountScheduler` — keeps only the state *counts*.  One draw
+  among the ``n(n-1)`` ordered pairs of distinct agents, split with
+  ``divmod`` into the two agents, and two scans of the counts find
+  their states: O(|Q|) per interaction, independent of the population
+  size — the first rung of the "simulation is too slow for large
+  populations" ladder (the tau-leaping
+  :mod:`repro.simulation.vectorized` is the second).
 
+Each sampler's ``advance(k)`` runs ``k`` interactions without reporting
+them, which is what ``run`` does between two silence checks; ``step()``
+runs one and returns its :class:`StepOutcome` for the readers that
+need it (the conformance harness, :func:`~repro.simulation.trace.record_trace`).
 Both samplers produce identically distributed runs (chi-squared
 smoke-tested in the suite) and support seeding for reproducibility.
 """
@@ -27,9 +34,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.configuration import is_silent
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import IndexedProtocol, PopulationProtocol
@@ -76,23 +82,13 @@ class SimulationResult:
         return self.interactions / self.population
 
 
-class _TransitionTable:
-    """Per-unordered-pair transition lookup with uniform tie-breaking."""
-
-    def __init__(self, protocol: PopulationProtocol):
-        self.protocol = protocol
-        self.table: Dict[Tuple[State, State], List[Tuple[State, State]]] = {}
-        for t in protocol.transitions:
-            self.table.setdefault((t.p, t.q), []).append((t.p2, t.q2))
-
-    def outcome(self, p: State, q: State, rng: random.Random) -> Tuple[State, State]:
-        key = (p, q) if str(p) <= str(q) else (q, p)
-        choices = self.table.get(key)
-        if choices is None:
-            return (p, q)  # implicit identity transition (completeness)
-        if len(choices) == 1:
-            return choices[0]
-        return rng.choice(choices)
+def _step_outcome(states: Sequence[State], i: int, j: int, i2: int, j2: int) -> StepOutcome:
+    """The :class:`StepOutcome` of pre indices ``(i, j)`` and post ``(i2, j2)``."""
+    return StepOutcome(
+        pre=(states[i], states[j]),
+        post=(states[i2], states[j2]),
+        changed=(i, j) != (i2, j2) and (i, j) != (j2, i2),
+    )
 
 
 class AgentListScheduler:
@@ -100,7 +96,7 @@ class AgentListScheduler:
 
     def __init__(self, protocol: PopulationProtocol, seed: Optional[int] = None):
         self.protocol = protocol
-        self.table = _TransitionTable(protocol)
+        self.indexed: IndexedProtocol = protocol.indexed()
         self.rng = random.Random(seed)
         self.agents: List[State] = []
 
@@ -114,19 +110,41 @@ class AgentListScheduler:
     def configuration(self) -> Multiset:
         return Multiset(self.agents)
 
-    def step(self) -> StepOutcome:
-        """Simulate one uniformly random interaction."""
-        n = len(self.agents)
+    @property
+    def population(self) -> int:
+        return len(self.agents)
+
+    @property
+    def counts(self) -> Tuple[int, ...]:
+        """The agents' state counts, by state index."""
+        return self.indexed.encode(self.configuration)
+
+    def _interact(self) -> Tuple[int, int, int, int]:
+        """One uniformly random interaction: ``(i, j, i2, j2)`` as state indices."""
+        agents = self.agents
+        n = len(agents)
         if n < 2:
             raise ProtocolError("population must have at least two agents")
-        i = self.rng.randrange(n)
-        j = self.rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        p, q = self.agents[i], self.agents[j]
-        p2, q2 = self.table.outcome(p, q, self.rng)
-        self.agents[i], self.agents[j] = p2, q2
-        return StepOutcome(pre=(p, q), post=(p2, q2), changed=(p, q) != (p2, q2) and Multiset([p, q]) != Multiset([p2, q2]))
+        first = self.rng.randrange(n)
+        second = self.rng.randrange(n - 1)
+        if second >= first:
+            second += 1
+        index = self.indexed.index
+        i, j = index[agents[first]], index[agents[second]]
+        outcomes = self.indexed.pair_outcomes[i][j]
+        i2, j2 = outcomes[0] if len(outcomes) == 1 else self.rng.choice(outcomes)
+        states = self.indexed.states
+        agents[first], agents[second] = states[i2], states[j2]
+        return i, j, i2, j2
+
+    def step(self) -> StepOutcome:
+        """Simulate one uniformly random interaction and report it."""
+        return _step_outcome(self.indexed.states, *self._interact())
+
+    def advance(self, k: int) -> None:
+        """Simulate ``k`` uniformly random interactions."""
+        for _ in range(k):
+            self._interact()
 
     def run(self, inputs, max_steps: int) -> SimulationResult:
         """Run until silent consensus or the step budget."""
@@ -135,12 +153,11 @@ class AgentListScheduler:
 
 
 class CountScheduler:
-    """Exact simulation on state counts: O(|Q|^2) per interaction."""
+    """Exact simulation on state counts: O(|Q|) per interaction."""
 
     def __init__(self, protocol: PopulationProtocol, seed: Optional[int] = None):
         self.protocol = protocol
         self.indexed: IndexedProtocol = protocol.indexed()
-        self.table = _TransitionTable(protocol)
         self.rng = random.Random(seed)
         self.counts: List[int] = [0] * self.indexed.n
 
@@ -156,47 +173,52 @@ class CountScheduler:
     def population(self) -> int:
         return sum(self.counts)
 
-    def step(self) -> StepOutcome:
-        """Simulate one uniformly random interaction via pair weights."""
-        counts = self.counts
-        states = self.indexed.states
-        n = sum(counts)
+    def _checked_population(self) -> int:
+        """The population now, which must hold two agents to interact.
+
+        Read on every call, never cached: the fault runner crashes and
+        corrupts agents by editing ``counts`` between calls.
+        """
+        n = self.population
         if n < 2:
             raise ProtocolError("population must have at least two agents")
-        # sample the unordered pair of *states* involved
-        total_weight = n * (n - 1)  # ordered pairs
-        pick = self.rng.randrange(total_weight)
-        p_index = q_index = -1
-        cumulative = 0
-        for i, ci in enumerate(counts):
-            if ci == 0:
-                continue
-            # ordered pairs with first agent in state i
-            row = ci * (n - 1)
-            if pick < cumulative + row:
-                p_index = i
-                within = pick - cumulative
-                # second agent: among the remaining n-1 agents
-                second = within % (n - 1)
-                # walk the counts, with state i reduced by one
-                running = 0
-                for j, cj in enumerate(counts):
-                    avail = cj - (1 if j == i else 0)
-                    if second < running + avail:
-                        q_index = j
-                        break
-                    running += avail
-                break
-            cumulative += row
-        assert p_index >= 0 and q_index >= 0
+        return n
 
-        p, q = states[p_index], states[q_index]
-        p2, q2 = self.table.outcome(p, q, self.rng)
-        counts[p_index] -= 1
-        counts[q_index] -= 1
-        counts[self.indexed.index[p2]] += 1
-        counts[self.indexed.index[q2]] += 1
-        return StepOutcome(pre=(p, q), post=(p2, q2), changed=Multiset([p, q]) != Multiset([p2, q2]))
+    def _interact(self, n: int) -> Tuple[int, int, int, int]:
+        """One uniformly random interaction among ``n`` agents, on state indices.
+
+        Agent ``first`` of the ``n`` (ordered by state) meets agent
+        ``second`` of the other ``n - 1``; each scan finds the state
+        holding its agent.  Returns ``(i, j, i2, j2)``.
+        """
+        counts = self.counts
+        first, second = divmod(self.rng.randrange(n * (n - 1)), n - 1)
+        i = 0
+        while first >= counts[i]:
+            first -= counts[i]
+            i += 1
+        counts[i] -= 1
+        j = 0
+        while second >= counts[j]:
+            second -= counts[j]
+            j += 1
+        counts[j] -= 1
+        outcomes = self.indexed.pair_outcomes[i][j]
+        i2, j2 = outcomes[0] if len(outcomes) == 1 else self.rng.choice(outcomes)
+        counts[i2] += 1
+        counts[j2] += 1
+        return i, j, i2, j2
+
+    def step(self) -> StepOutcome:
+        """Simulate one uniformly random interaction and report it."""
+        interaction = self._interact(self._checked_population())
+        return _step_outcome(self.indexed.states, *interaction)
+
+    def advance(self, k: int) -> None:
+        """Simulate ``k`` uniformly random interactions."""
+        n = self._checked_population()
+        for _ in range(k):
+            self._interact(n)
 
     def run(self, inputs, max_steps: int) -> SimulationResult:
         """Run until silent consensus or the step budget."""
@@ -204,22 +226,21 @@ class CountScheduler:
         return _run_loop(self, max_steps)
 
 
-def _is_silent_consensus(protocol: PopulationProtocol, configuration: Multiset) -> bool:
-    """Silent (no transition changes anything) and output defined."""
-    return protocol.output_of(configuration) is not None and is_silent(protocol, configuration)
+def _is_silent_consensus(indexed: IndexedProtocol, counts: Sequence[int]) -> bool:
+    """Output defined and no enabled transition changes the dense configuration."""
+    return indexed.output_of(counts) is not None and not any(
+        indexed.enabled(counts, k) for k in indexed.non_silent
+    )
 
 
 def _run_loop(scheduler, max_steps: int) -> SimulationResult:
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    protocol = scheduler.protocol
-    population = (
-        scheduler.population if isinstance(scheduler, CountScheduler) else len(scheduler.agents)
-    )
+    indexed = scheduler.indexed
+    population = scheduler.population
     check_every = max(1, population)  # silence checks are O(|T|); amortise
     silent_checks = 0
     interactions = 0
-    converged = False
     # Observability rides the silent-check cadence (one tick per
     # `check_every` interactions), never the per-interaction hot path.
     meter = progress(
@@ -231,18 +252,16 @@ def _run_loop(scheduler, max_steps: int) -> SimulationResult:
         population=population,
         max_steps=max_steps,
     ) as span:
-        while interactions < max_steps:
-            if interactions % check_every == 0:
-                silent_checks += 1
-                meter.tick(check_every)
-                if _is_silent_consensus(protocol, scheduler.configuration):
-                    converged = True
-                    break
-            scheduler.step()
-            interactions += 1
-        else:
+        while True:
             silent_checks += 1
-            converged = _is_silent_consensus(protocol, scheduler.configuration)
+            if interactions < max_steps:
+                meter.tick(check_every)
+            converged = _is_silent_consensus(indexed, scheduler.counts)
+            if converged or interactions == max_steps:
+                break
+            chunk = min(check_every, max_steps - interactions)
+            scheduler.advance(chunk)
+            interactions += chunk
         meter.finish()
         span.add("interactions", interactions)
         span.add("silent_checks", silent_checks)

@@ -130,12 +130,15 @@ def record_time_series(
     def configuration() -> Multiset:
         return scheduler.configuration(0) if use_batch else scheduler.configuration
 
+    def counts() -> List[int]:
+        return scheduler.counts[0].tolist() if use_batch else scheduler.counts
+
     series.record(0.0, configuration())
     steps_per_sample = max(1, int(resolution * n))
     total_budget = max(1, math.ceil(max_parallel_time * n))
     done = 0
     while done < total_budget:
-        if _is_silent_consensus(protocol, configuration()):
+        if _is_silent_consensus(scheduler.indexed, counts()):
             break
         chunk = min(steps_per_sample, total_budget - done)
         if use_batch:
@@ -143,8 +146,7 @@ def record_time_series(
             for start in range(0, chunk, leap_size):
                 scheduler.leap([min(leap_size, chunk - start)])
         else:
-            for _ in range(chunk):
-                scheduler.step()
+            scheduler.advance(chunk)
         done += chunk
         series.record(done / n, configuration())
     return series

@@ -93,13 +93,16 @@ def record_trace(
 ) -> Trace:
     """Record every interaction of a :class:`CountScheduler` run.
 
-    The run stops at silent consensus or after ``max_steps``.
+    The run stops at silent consensus or after ``max_steps``, which
+    must be at least 1, as in the schedulers' ``run``.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     scheduler = CountScheduler(protocol, seed=seed)
     scheduler.reset(inputs)
     trace = Trace(protocol=protocol, initial=scheduler.configuration)
     for index in range(max_steps):
-        if _is_silent_consensus(protocol, scheduler.configuration):
+        if _is_silent_consensus(scheduler.indexed, scheduler.counts):
             break
         outcome = scheduler.step()
         trace.events.append(TraceEvent(index=index, pre=outcome.pre, post=outcome.post))

@@ -317,6 +317,18 @@ def _run_cli(argv):
     )
 
 
+class TestSimulateSeedDefault:
+    """Regression: a single run without `--seed` recorded `"seed": null`
+    and drew a fresh trajectory on every call."""
+
+    def test_two_runs_print_the_same_bytes(self):
+        argv = ["simulate", "binary:4", "--input", "60", "--json"]
+        first, second = _run_cli(argv), _run_cli(argv)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
+        assert json.loads(first.stdout)["seed"] == 0
+
+
 class TestEscapedReproErrors:
     """A `ReproError` escaping a handler ends in one `error:` line, exit 1.
 

@@ -55,6 +55,43 @@ class TestAgentListScheduler:
         assert a.configuration == b.configuration
 
 
+@pytest.mark.parametrize("sampler", [AgentListScheduler, CountScheduler])
+class TestAdvance:
+    def test_advance_equals_steps(self, sampler, majority):
+        stepped = sampler(majority, seed=4)
+        advanced = sampler(majority, seed=4)
+        stepped.reset({"x": 9, "y": 6})
+        advanced.reset({"x": 9, "y": 6})
+        for _ in range(37):
+            stepped.step()
+        advanced.advance(37)
+        assert advanced.counts == stepped.counts
+        assert advanced.rng.random() == stepped.rng.random()
+
+    def test_reads_population_edited_between_calls(self, sampler, threshold4):
+        scheduler = sampler(threshold4, seed=0)
+        scheduler.reset(6)
+        scheduler.advance(5)
+        if sampler is CountScheduler:
+            scheduler.counts[threshold4.indexed().index["2^0"]] += 3
+        else:
+            scheduler.agents.extend(["2^0"] * 3)
+        scheduler.advance(40)
+        assert scheduler.population == 9
+        assert sum(scheduler.counts) == 9
+
+    def test_population_too_small(self, sampler, threshold4):
+        scheduler = sampler(threshold4, seed=0)
+        scheduler.reset(2)
+        scheduler.advance(3)
+        if sampler is CountScheduler:
+            scheduler.counts = [1, 0, 0, 0]
+        else:
+            scheduler.agents = ["2^0"]
+        with pytest.raises(ProtocolError):
+            scheduler.advance(1)
+
+
 class TestCountScheduler:
     def test_matches_initial(self, threshold4):
         scheduler = CountScheduler(threshold4, seed=0)
@@ -151,6 +188,13 @@ class TestTrace:
         trace = record_trace(threshold4, 5, max_steps=2000, seed=1)
         text = trace.summary()
         assert "initial" in text and "final" in text
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_non_positive_budget_rejected(self, threshold4, max_steps):
+        # regression: max_steps=-1 returned an empty trace, where the
+        # schedulers' run raises
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            record_trace(threshold4, 6, max_steps=max_steps)
 
     def test_inconsistent_trace_rejected(self, threshold4):
         from repro.simulation.trace import Trace, TraceEvent

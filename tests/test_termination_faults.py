@@ -79,6 +79,13 @@ class TestFaultValidation:
         with pytest.raises(ValueError):
             crash(0, count=0)
 
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_non_positive_budget_rejected(self, threshold4, max_steps):
+        # regression: max_steps=0 returned an unconverged result with a
+        # verdict, where the schedulers' run raises
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            run_with_faults(threshold4, 6, [], max_steps=max_steps)
+
     def test_negative_schedule_rejected(self):
         # regression: a negative at_interaction used to be accepted and
         # silently fire at step 0
@@ -138,13 +145,13 @@ class TestFaultFastForward:
 
     def test_post_convergence_fault_completes_quickly(self, threshold4, monkeypatch):
         steps = []
-        real_step = CountScheduler.step
+        real_advance = CountScheduler.advance
 
-        def spy(scheduler):
-            steps.append(None)
-            return real_step(scheduler)
+        def spy(scheduler, k):
+            steps.extend([None] * k)
+            return real_advance(scheduler, k)
 
-        monkeypatch.setattr(CountScheduler, "step", spy)
+        monkeypatch.setattr(CountScheduler, "advance", spy)
         fault_at = 50_000
         result = run_with_faults(
             threshold4, 8, [crash(fault_at, count=3)], seed=3, max_steps=1_000_000

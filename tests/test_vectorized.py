@@ -27,6 +27,7 @@ from hypothesis import given
 
 from repro import ProtocolBuilder, binary_threshold, majority_protocol
 from repro.cli import main
+from repro.core.configuration import is_silent
 from repro.core.multiset import Multiset
 from repro.core.protocol import PopulationProtocol, Transition
 from repro.protocols.leaders import leader_unary_threshold
@@ -227,7 +228,11 @@ class TestVectorisedPredicates:
         for trial in range(matrix.shape[0]):
             configuration = scheduler.configuration(trial)
             assert verdicts[trial] == protocol.output_of(configuration)
-            assert bool(mask[trial]) == _is_silent_consensus(protocol, configuration)
+            silent = protocol.output_of(configuration) is not None and is_silent(
+                protocol, configuration
+            )
+            assert bool(mask[trial]) == silent
+            assert _is_silent_consensus(protocol.indexed(), matrix[trial].tolist()) == silent
 
     @given(count_matrices(4, max_trials=4, max_count=10))
     def test_masks_match_on_threshold(self, matrix):
@@ -239,7 +244,11 @@ class TestVectorisedPredicates:
         for trial in range(matrix.shape[0]):
             configuration = scheduler.configuration(trial)
             assert verdicts[trial] == protocol.output_of(configuration)
-            assert bool(mask[trial]) == _is_silent_consensus(protocol, configuration)
+            silent = protocol.output_of(configuration) is not None and is_silent(
+                protocol, configuration
+            )
+            assert bool(mask[trial]) == silent
+            assert _is_silent_consensus(protocol.indexed(), matrix[trial].tolist()) == silent
 
 
 class TestDifferentialEnsemble:
