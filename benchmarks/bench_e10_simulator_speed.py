@@ -2,9 +2,9 @@
 
 Reproduction-brief context: pure-Python per-interaction simulation
 cannot reach chemically interesting population sizes.  This bench
-quantifies the ladder: the agent-list baseline, the exact count-based
-sampler, and the tau-leap engine at one trial, in interactions/second
-and in wall-clock time to a fixed amount of parallel time.
+quantifies the ladder: the exact count-based sampler and the tau-leap
+engine at one trial, in interactions/second and in wall-clock time to
+a fixed amount of parallel time.
 """
 
 from __future__ import annotations
@@ -15,26 +15,19 @@ import pytest
 
 from repro import binary_threshold
 from repro.fmt import render_table, section
-from repro.simulation import AgentListScheduler, CountScheduler, VectorEnsembleScheduler
+from repro.simulation import CountScheduler, VectorEnsembleScheduler
 
 PROTOCOL = binary_threshold(8)
 
 
-def _drive_exact(scheduler, n: int, interactions: int) -> dict:
+def drive_count(n: int, interactions: int) -> dict:
     # Advance n interactions at a time, the way `run` does between its
     # silence checks: no per-interaction StepOutcome.
+    scheduler = CountScheduler(PROTOCOL, seed=0)
     scheduler.reset(n)
     for start in range(0, interactions, n):
         scheduler.advance(min(n, interactions - start))
     return {"interactions": interactions}
-
-
-def drive_agent_list(n: int, interactions: int) -> dict:
-    return _drive_exact(AgentListScheduler(PROTOCOL, seed=0), n, interactions)
-
-
-def drive_count(n: int, interactions: int) -> dict:
-    return _drive_exact(CountScheduler(PROTOCOL, seed=0), n, interactions)
 
 
 def drive_tau_leap(n: int, interactions: int) -> dict:
@@ -48,14 +41,9 @@ def drive_tau_leap(n: int, interactions: int) -> dict:
 
 
 @pytest.mark.parametrize("n", [1_000, 10_000])
-def test_e10_agent_list(benchmark, n):
+def test_e10_count(benchmark, n):
     # extra_info records the work done (not just wall clock), so the
     # stored benchmark JSON can distinguish "got faster" from "did less".
-    benchmark.extra_info.update(benchmark(drive_agent_list, n, 5_000))
-
-
-@pytest.mark.parametrize("n", [1_000, 10_000])
-def test_e10_count(benchmark, n):
     benchmark.extra_info.update(benchmark(drive_count, n, 5_000))
 
 
@@ -68,30 +56,14 @@ def test_e10_report():
     rows = []
     for n in (1_000, 10_000, 100_000):
         budget = 2 * n  # two units of parallel time
-        timings = {}
-        for name, driver in (
-            ("agent list", drive_agent_list),
-            ("count", drive_count),
-            ("tau-leap", drive_tau_leap),
-        ):
-            if name != "tau-leap" and n > 10_000:
-                timings[name] = None
-                continue
+        row = [n, budget]
+        for driver in (drive_count, drive_tau_leap):
             t0 = time.perf_counter()
             driver(n, budget)
-            timings[name] = time.perf_counter() - t0
-        rows.append(
-            [
-                n,
-                budget,
-                *(
-                    f"{timings[k]:.3f}s" if timings[k] is not None else "(skipped)"
-                    for k in ("agent list", "count", "tau-leap")
-                ),
-            ]
-        )
+            row.append(f"{time.perf_counter() - t0:.3f}s")
+        rows.append(row)
     print(section("E10 — simulator ladder: wall clock for 2 units of parallel time"))
-    print(render_table(["n", "interactions", "agent list", "count-based", "tau-leap"], rows))
+    print(render_table(["n", "interactions", "count-based", "tau-leap"], rows))
     # The tau-leap engine must dominate at scale.
     t0 = time.perf_counter()
     drive_tau_leap(1_000_000, 1_000_000)

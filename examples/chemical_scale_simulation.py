@@ -7,9 +7,8 @@ The paper's motivation for *few states* is exactly that each state is a
 chemical species that must be engineered.
 
 This example exercises the simulation ladder on populations far beyond
-what naive agent-list simulation can handle:
+what per-interaction simulation can handle:
 
-* ``AgentListScheduler``      — the textbook implementation (baseline);
 * ``CountScheduler``          — exact, O(|Q|) per interaction;
 * ``VectorEnsembleScheduler`` — tau-leaping (here one trial at a time):
   thousands of interactions per numpy step, the only one that reaches
@@ -22,7 +21,7 @@ import time
 
 from repro import binary_threshold, majority_protocol
 from repro.fmt import render_table, section
-from repro.simulation import AgentListScheduler, CountScheduler, VectorEnsembleScheduler
+from repro.simulation import CountScheduler, VectorEnsembleScheduler
 
 # ----------------------------------------------------------------------
 # The detection system: "are at least 8 signal molecules present?"
@@ -38,18 +37,14 @@ print(section("Simulator ladder: time to consensus by population size"))
 rows = []
 for n in (100, 1_000, 10_000):
     t0 = time.perf_counter()
-    result = AgentListScheduler(protocol, seed=0).run(n, max_steps=40 * n)
-    t_list = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    result = CountScheduler(protocol, seed=0).run(n, max_steps=40 * n)
+    CountScheduler(protocol, seed=0).run(n, max_steps=40 * n)
     t_count = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     VectorEnsembleScheduler(protocol, trials=1, seed=0).run(n, max_parallel_time=40)
     t_leap = time.perf_counter() - t0
-    rows.append([n, f"{t_list:.3f}s", f"{t_count:.3f}s", f"{t_leap:.3f}s"])
-print(render_table(["n", "agent list", "count-based", "tau-leap"], rows))
+    rows.append([n, f"{t_count:.3f}s", f"{t_leap:.3f}s"])
+print(render_table(["n", "count-based", "tau-leap"], rows))
 
 # ----------------------------------------------------------------------
 # The headline run: one million molecules.

@@ -607,8 +607,6 @@ def _cmd_conformance(args) -> int:
         inputs,
         samples=args.samples,
         trajectory_seeds=tuple(range(args.trajectory_seeds)),
-        matched_seeds=tuple(range(args.trajectory_seeds)),
-        max_steps=args.max_steps,
         seed=args.seed,
         jobs=args.jobs,
     )
@@ -1248,7 +1246,6 @@ def _run_scenario_instance(args, scenario, instance, *, conformance: bool) -> di
             scenario.conformance_input,
             samples=args.samples,
             seed=args.seed,
-            compare_verdicts=scenario.compare_verdicts,
             jobs=args.jobs,
         )
         record["conformance_ok"] = report.ok
@@ -1362,15 +1359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "conformance",
-        help="cross-check all simulators against the analytic one-step semantics",
+        help="check both simulators against the analytic one-step semantics",
     )
     p.add_argument("protocol")
     p.add_argument("--input", default=None, help='"x=60,y=40" or a bare count (default: small input)')
     p.add_argument("--samples", type=_positive_int, default=2000,
                    help="first-step samples per scheduler")
     p.add_argument("--trajectory-seeds", type=_positive_int, default=3,
-                   help="seeded differential sweeps")
-    p.add_argument("--max-steps", type=_positive_int, default=200_000)
+                   help="seeds per trajectory invariant sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit the machine-readable report")
     _add_jobs_flag(p)

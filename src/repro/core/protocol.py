@@ -466,7 +466,7 @@ class IndexedProtocol:
 
     @cached_property
     def pair_outcomes(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
-        """The exact samplers' table: what an ordered state pair turns into.
+        """The exact sampler's table: what an ordered state pair turns into.
 
         ``pair_outcomes[i][j]`` lists the post index pairs of the
         transitions from ``<i, j>`` in ``protocol.transitions`` order,

@@ -70,7 +70,6 @@ class Scenario:
     references: Tuple[str, ...]
     instances: Tuple[ScenarioInstance, ...]
     conformance_input: Multiset
-    compare_verdicts: bool = True
 
     @property
     def smallest(self) -> ScenarioInstance:
@@ -175,9 +174,6 @@ _register(
             ),
         ),
         conformance_input=Multiset({"x": 8, "y": 4}),
-        # The consensus a clash resolves to is itself random, so the
-        # matched-seed verdict comparison is out of scope.
-        compare_verdicts=False,
     )
 )
 

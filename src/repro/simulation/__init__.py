@@ -1,9 +1,8 @@
-"""Stochastic simulation: exact schedulers, tau-leap ensembles, convergence stats."""
+"""Stochastic simulation: the exact count sampler, tau-leap ensembles, convergence stats."""
 
 from .conformance import (
     ChiSquaredResult,
     ConformanceReport,
-    MatchedSeedCheck,
     TrajectoryCheck,
     analytic_delta_distribution,
     analytic_pair_distribution,
@@ -14,12 +13,11 @@ from .ensembles import ENSEMBLE_ENGINES, EnsembleResult, run_ensemble
 from .convergence import ConvergenceStats, convergence_scaling, fit_nlogn, measure_convergence
 from .vectorized import VectorEnsembleScheduler, VectorRunResult
 from .faults import Fault, FaultyRunResult, corrupt, crash, run_with_faults
-from .scheduler import AgentListScheduler, CountScheduler, SimulationResult, StepOutcome
+from .scheduler import CountScheduler, SimulationResult, StepOutcome
 from .statistics import TimeSeries, record_time_series
 from .trace import Trace, TraceEvent, record_trace
 
 __all__ = [
-    "AgentListScheduler",
     "CountScheduler",
     "SimulationResult",
     "StepOutcome",
@@ -44,7 +42,6 @@ __all__ = [
     "VectorRunResult",
     "ChiSquaredResult",
     "ConformanceReport",
-    "MatchedSeedCheck",
     "TrajectoryCheck",
     "analytic_pair_distribution",
     "analytic_delta_distribution",

@@ -1,39 +1,38 @@
-"""Scheduler conformance: cross-check every sampler against the semantics.
+"""Scheduler conformance: check every sampler against the semantics.
 
-The repo ships three samplers of the *same* stochastic semantics —
-:class:`~repro.simulation.scheduler.AgentListScheduler` (explicit
-agents), :class:`~repro.simulation.scheduler.CountScheduler` (exact
-count-based sampling) and
+The repo ships two samplers of the *same* stochastic semantics —
+:class:`~repro.simulation.scheduler.CountScheduler` (exact count-based
+sampling) and
 :class:`~repro.simulation.vectorized.VectorEnsembleScheduler`
 (tau-leaping over a whole trials×states ensemble matrix) — plus a
 fault-injecting runner on top.  Every
 parallel-time claim reproduced from the paper (Section 2's semantics,
 the ``O(n log n)`` convergence of [6] measured in E9/E10) is only as
 trustworthy as these samplers, and every future fast backend must be
-held to the same standard.  This module is that standard:
+held to the same standard.  This module is that standard: each sampler
+is checked against a closed-form law, never against another sampler.
 
-1. **Analytic one-step distributions.**  In a configuration ``C`` with
-   ``n`` agents, the probability that the next interaction involves
-   the unordered state pair ``{p, q}`` is ``C(p) C(q) * 2 / (n(n-1))``
-   for ``p != q`` and ``C(p)(C(p)-1) / (n(n-1))`` for ``p = q``; for
-   nondeterministic protocols each transition of the pair then fires
-   with equal probability.  :func:`analytic_pair_distribution` and
-   :func:`analytic_delta_distribution` compute these exactly.
+The law: in a configuration ``C`` with ``n`` agents, the probability
+that the next interaction involves the unordered state pair ``{p, q}``
+is ``C(p) C(q) * 2 / (n(n-1))`` for ``p != q`` and
+``C(p)(C(p)-1) / (n(n-1))`` for ``p = q``; for nondeterministic
+protocols each transition of the pair then fires with equal
+probability.  :func:`analytic_pair_distribution` and
+:func:`analytic_delta_distribution` compute it exactly.  The harness
+runs two checks against it:
 
-2. **Chi-squared first-step tests.**  Each scheduler repeatedly
-   samples its first step from the initial configuration; the observed
-   pair (exact samplers) and displacement (all samplers) frequencies
-   are chi-squared-tested against the analytic distribution, with a
-   pure-Python survival function (no scipy dependency).
+1. **Chi-squared first-step tests.**  Each sampler repeatedly samples
+   its first step from the initial configuration; the observed pair
+   (exact sampler) and displacement (both samplers) frequencies are
+   chi-squared-tested against the analytic distribution, with a
+   pure-Python survival function (no scipy dependency).  The tau-leap
+   engine's closed-form pair distribution is also compared with the
+   law exactly.
 
-3. **Seeded differential trajectory sweeps.**  Fixed-seed runs of all
-   three schedulers are checked step by step: population conservation,
-   non-negative counts, legal configurations, and (for the exact
-   samplers) that every reported interaction was enabled and fired a
-   registered transition.  Matched seeds across the two exact samplers
-   must agree on the run-level :class:`SimulationResult` fields that
-   are seed-independent for well-specified protocols (population, and
-   the consensus verdict whenever both runs converge).
+2. **Seeded trajectory sweeps.**  Fixed-seed runs of both samplers are
+   checked step by step: population conservation, non-negative counts,
+   legal configurations, and (for the exact sampler) that every
+   reported interaction was enabled and fired a registered transition.
 
 The result is a machine-readable :class:`ConformanceReport` — the
 standing correctness gate (experiment E11, ``repro conformance`` on
@@ -52,13 +51,12 @@ from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
 from ..obs import get_tracer
 from ..parallel import TaskEnvelope, run_tasks
-from .scheduler import AgentListScheduler, CountScheduler
+from .scheduler import CountScheduler
 from .vectorized import VectorEnsembleScheduler
 
 __all__ = [
     "ChiSquaredResult",
     "TrajectoryCheck",
-    "MatchedSeedCheck",
     "ConformanceReport",
     "analytic_pair_distribution",
     "analytic_delta_distribution",
@@ -275,16 +273,23 @@ def _delta_of_outcome(pre: PairKey, post: PairKey, index: Mapping[State, int], n
     return tuple(delta)
 
 
-def _sample_exact_first_steps(scheduler, inputs, samples: int, index: Mapping[State, int]):
-    """Pair and displacement frequencies of the first step, resampled."""
+def _sample_exact_first_steps(protocol: PopulationProtocol, inputs, samples: int, seed: int):
+    """Pair and displacement frequencies of the count sampler's first step.
+
+    The initial counts are encoded once and copied before each sample:
+    ``reset`` draws no randomness, so the draws are those of a reset
+    per sample.
+    """
+    scheduler = CountScheduler(protocol, seed=seed)
+    indexed = scheduler.indexed
+    initial = indexed.initial_counts(inputs)
     pairs: Counter = Counter()
     deltas: Counter = Counter()
-    n = len(index)
     for _ in range(samples):
-        scheduler.reset(inputs)
+        scheduler.counts = list(initial)
         outcome = scheduler.step()
         pairs[_pair(*outcome.pre)] += 1
-        deltas[_delta_of_outcome(outcome.pre, outcome.post, index, n)] += 1
+        deltas[_delta_of_outcome(outcome.pre, outcome.post, indexed.index, indexed.n)] += 1
     return pairs, deltas
 
 
@@ -360,12 +365,11 @@ class TrajectoryCheck:
 
 def _check_exact_trajectories(
     protocol: PopulationProtocol,
-    scheduler_class,
-    name: str,
     inputs,
     seeds: Sequence[int],
     steps: int,
 ) -> TrajectoryCheck:
+    """Invariant sweep of the count sampler, checked per reported step."""
     allowed: Dict[PairKey, set] = {}
     for t in protocol.transitions:
         allowed.setdefault((t.p, t.q), set()).add(_pair(t.p2, t.q2))
@@ -374,14 +378,14 @@ def _check_exact_trajectories(
     checked = 0
 
     for seed in seeds:
-        scheduler = scheduler_class(protocol, seed=seed)
+        scheduler = CountScheduler(protocol, seed=seed)
         scheduler.reset(inputs)
         expected = scheduler.configuration
         population = expected.size
         for step_index in range(steps):
             outcome = scheduler.step()
             checked += 1
-            where = f"{name} seed={seed} step={step_index}"
+            where = f"count seed={seed} step={step_index}"
             pre = _pair(*outcome.pre)
             post = _pair(*outcome.post)
             if not expected >= Multiset([pre[0], pre[1]]):
@@ -401,15 +405,14 @@ def _check_exact_trajectories(
                 violations.append(f"{where}: population changed {population} -> {actual.size}")
             if not actual.support() <= legal_states:
                 violations.append(f"{where}: illegal states {actual.support() - legal_states}")
-            counts = getattr(scheduler, "counts", None)
-            if counts is not None and min(counts) < 0:
+            if min(scheduler.counts) < 0:
                 violations.append(f"{where}: negative state count")
             if len(violations) >= 10:
                 break
         if len(violations) >= 10:
             break
     return TrajectoryCheck(
-        scheduler=name, seeds=tuple(seeds), steps_checked=checked, violations=tuple(violations)
+        scheduler="count", seeds=tuple(seeds), steps_checked=checked, violations=tuple(violations)
     )
 
 
@@ -470,67 +473,6 @@ def _check_vector_trajectories(
 
 
 # ----------------------------------------------------------------------
-# Matched-seed differential runs (the two exact samplers)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchedSeedCheck:
-    """Run-level agreement of the exact samplers under matched seeds.
-
-    The two exact samplers consume randomness differently, so their
-    trajectories differ even under one seed; what must agree are the
-    seed-independent :class:`SimulationResult` fields — the population,
-    and (for well-specified protocols, which converge to the predicate
-    value with probability 1) the consensus verdict whenever both runs
-    reach silent consensus within budget.
-    """
-
-    seeds: Tuple[int, ...]
-    runs_converged: int
-    mismatches: Tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-    def to_dict(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "runs_converged": self.runs_converged,
-            "mismatches": list(self.mismatches),
-            "passed": self.passed,
-        }
-
-
-def _check_matched_seed(
-    protocol: PopulationProtocol,
-    inputs,
-    seed: int,
-    max_steps: int,
-    compare_verdicts: bool,
-) -> Tuple[Tuple[str, ...], bool]:
-    """One matched-seed differential run: (mismatches, both converged)."""
-    mismatches: List[str] = []
-    agent_run = AgentListScheduler(protocol, seed=seed).run(inputs, max_steps=max_steps)
-    count_run = CountScheduler(protocol, seed=seed).run(inputs, max_steps=max_steps)
-    if agent_run.population != count_run.population:
-        mismatches.append(
-            f"seed={seed}: population {agent_run.population} != {count_run.population}"
-        )
-    converged = agent_run.converged and count_run.converged
-    if converged and compare_verdicts:
-        agent_verdict = protocol.output_of(agent_run.configuration)
-        count_verdict = protocol.output_of(count_run.configuration)
-        if agent_verdict != count_verdict:
-            mismatches.append(
-                f"seed={seed}: verdicts differ (agent-list {agent_verdict}, "
-                f"count {count_verdict})"
-            )
-    return tuple(mismatches), converged
-
-
-# ----------------------------------------------------------------------
 # The report
 # ----------------------------------------------------------------------
 
@@ -547,7 +489,6 @@ class ConformanceReport:
     vector_distribution_error: float
     vector_distribution_ok: bool
     trajectories: Tuple[TrajectoryCheck, ...]
-    matched_seed: MatchedSeedCheck
     seed: Optional[int] = None
     jobs: int = 1
 
@@ -557,7 +498,6 @@ class ConformanceReport:
             all(r.passed for r in self.first_step)
             and self.vector_distribution_ok
             and all(t.passed for t in self.trajectories)
-            and self.matched_seed.passed
         )
 
     def to_dict(self) -> dict:
@@ -575,7 +515,6 @@ class ConformanceReport:
             "vector_distribution_error": self.vector_distribution_error,
             "vector_distribution_ok": self.vector_distribution_ok,
             "trajectories": [t.to_dict() for t in self.trajectories],
-            "matched_seed": self.matched_seed.to_dict(),
             "ok": self.ok,
         }
 
@@ -622,14 +561,6 @@ class ConformanceReport:
         for t in self.trajectories:
             for violation in t.violations:
                 lines.append(f"  ! {violation}")
-        lines.append(
-            f"matched-seed exact samplers: "
-            f"{'ok' if self.matched_seed.passed else 'FAIL'} "
-            f"({len(self.matched_seed.seeds)} seeds, "
-            f"{self.matched_seed.runs_converged} fully converged)"
-        )
-        for mismatch in self.matched_seed.mismatches:
-            lines.append(f"  ! {mismatch}")
         lines.append("")
         lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines)
@@ -651,37 +582,30 @@ class _SweepSettings:
     seed: int
     trajectory_seeds: Tuple[int, ...]
     trajectory_steps: int
-    max_steps: int
-    compare_verdicts: bool
     leap_size: int
-
-
-_EXACT_SCHEDULERS = {"agent-list": AgentListScheduler, "count": CountScheduler}
 
 
 def _conformance_task(task: TaskEnvelope):
     """One conformance sub-check; returns its value.
 
     The sub-checks are the per-sampler seeded sweeps of the suite —
-    each is self-contained (builds its own schedulers from the settings
+    each is self-contained (builds its own samplers from the settings
     blob, with the same seeds the serial path uses), so fanning them
     out over workers cannot change any verdict.
     """
-    kind, argument, settings = task.payload
+    kind, settings = task.payload
     if kind == "first_step_exact":
         analytic = _analytic_first_step(settings)
-        scheduler = _EXACT_SCHEDULERS[argument](settings.protocol, seed=settings.seed)
         pairs, deltas = _sample_exact_first_steps(
-            scheduler, settings.inputs, settings.samples,
-            settings.protocol.indexed().index,
+            settings.protocol, settings.inputs, settings.samples, settings.seed
         )
         return (
             _chi_squared_test(
-                argument, "pair", pairs, analytic[0], settings.samples,
+                "count", "pair", pairs, analytic[0], settings.samples,
                 settings.significance,
             ),
             _chi_squared_test(
-                argument, "delta", deltas, analytic[1], settings.samples,
+                "count", "delta", deltas, analytic[1], settings.samples,
                 settings.significance,
             ),
         )
@@ -703,21 +627,15 @@ def _conformance_task(task: TaskEnvelope):
         vector.reset(settings.inputs)
         error = _exact_pair_error(vector.pair_distribution(), analytic[0])
         return (chi, error, error < 1e-9)
-    if kind == "trajectory":
-        if argument == "vector":
-            return _check_vector_trajectories(
-                settings.protocol, settings.inputs, settings.trajectory_seeds,
-                settings.trajectory_steps, leap_size=settings.leap_size,
-            )
+    if kind == "trajectory_exact":
         return _check_exact_trajectories(
-            settings.protocol, _EXACT_SCHEDULERS[argument], argument,
-            settings.inputs, settings.trajectory_seeds,
+            settings.protocol, settings.inputs, settings.trajectory_seeds,
             settings.trajectory_steps,
         )
-    if kind == "matched":
-        return _check_matched_seed(
-            settings.protocol, settings.inputs, argument, settings.max_steps,
-            settings.compare_verdicts,
+    if kind == "trajectory_vector":
+        return _check_vector_trajectories(
+            settings.protocol, settings.inputs, settings.trajectory_seeds,
+            settings.trajectory_steps, leap_size=settings.leap_size,
         )
     raise ValueError(f"unknown conformance task kind {kind!r}")  # pragma: no cover
 
@@ -738,10 +656,7 @@ def check_conformance(
     significance: float = 1e-3,
     trajectory_seeds: Sequence[int] = (0, 1, 2),
     trajectory_steps: int = 300,
-    matched_seeds: Sequence[int] = (0, 1, 2),
-    max_steps: int = 200_000,
     seed: int = 0,
-    compare_verdicts: bool = True,
     jobs: int = 1,
 ) -> ConformanceReport:
     """Run the full conformance suite on one protocol and input.
@@ -752,11 +667,6 @@ def check_conformance(
     per-sampler sweeps out over a process pool; every sub-check carries
     its own explicit seeds, so the report is identical for any worker
     count (the differential suite asserts it field by field).
-
-    ``compare_verdicts=False`` skips the matched-seed verdict
-    comparison for protocols that are not well-specified (ones whose
-    consensus value is itself random, e.g. a symmetric coin-flip
-    protocol) — populations are still compared.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -764,8 +674,8 @@ def check_conformance(
         raise ValueError(f"trajectory_steps must be >= 1, got {trajectory_steps}")
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
-    if not trajectory_seeds or not matched_seeds:
-        raise ValueError("trajectory_seeds and matched_seeds must each name at least one seed")
+    if not trajectory_seeds:
+        raise ValueError("trajectory_seeds must name at least one seed")
     initial = protocol.initial_configuration(inputs)
     settings = _SweepSettings(
         protocol=protocol,
@@ -775,18 +685,9 @@ def check_conformance(
         seed=seed,
         trajectory_seeds=tuple(trajectory_seeds),
         trajectory_steps=trajectory_steps,
-        max_steps=max_steps,
-        compare_verdicts=compare_verdicts,
         leap_size=max(1, initial.size // 10),
     )
-    payloads = [
-        ("first_step_exact", "agent-list", settings),
-        ("first_step_exact", "count", settings),
-        ("first_step_vector", None, settings),
-        ("trajectory", "agent-list", settings),
-        ("trajectory", "count", settings),
-        ("trajectory", "vector", settings),
-    ] + [("matched", matched_seed, settings) for matched_seed in matched_seeds]
+    kinds = ("first_step_exact", "first_step_vector", "trajectory_exact", "trajectory_vector")
 
     with get_tracer().span(
         "conformance.check",
@@ -795,22 +696,12 @@ def check_conformance(
         seed=seed,
         jobs=jobs,
     ):
-        envelopes = run_tasks(_conformance_task, payloads, jobs=jobs, label="conformance")
-        values = [envelope.value for envelope in envelopes]
-
-        agent_chi, count_chi, (vector_chi, vector_error, vector_ok) = values[:3]
-        first_step = (*agent_chi, *count_chi, vector_chi)
-        trajectories = values[3:6]
-
-        mismatches: List[str] = []
-        converged = 0
-        for seed_mismatches, seed_converged in values[6:]:
-            mismatches.extend(seed_mismatches)
-            converged += 1 if seed_converged else 0
-        matched = MatchedSeedCheck(
-            seeds=tuple(matched_seeds),
-            runs_converged=converged,
-            mismatches=tuple(mismatches),
+        envelopes = run_tasks(
+            _conformance_task, [(kind, settings) for kind in kinds],
+            jobs=jobs, label="conformance",
+        )
+        count_chi, (vector_chi, vector_error, vector_ok), *trajectories = (
+            envelope.value for envelope in envelopes
         )
 
     return ConformanceReport(
@@ -818,11 +709,10 @@ def check_conformance(
         population=initial.size,
         samples=samples,
         significance=significance,
-        first_step=first_step,
+        first_step=(*count_chi, vector_chi),
         vector_distribution_error=vector_error,
         vector_distribution_ok=vector_ok,
         trajectories=tuple(trajectories),
-        matched_seed=matched,
         seed=seed,
         jobs=jobs,
     )

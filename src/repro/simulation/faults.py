@@ -142,13 +142,16 @@ def run_with_faults(
     """Simulate under the uniform scheduler with scheduled faults.
 
     Crashes that would leave fewer than two agents are skipped (the
-    model needs interacting pairs).  Corruption to a state outside the
-    protocol raises :class:`ProtocolError`, and a ``max_steps`` below 1
-    raises ``ValueError``, as in the schedulers' ``run``.
+    model needs interacting pairs).  A fault restricted to, or
+    corrupting into, a state outside the protocol raises
+    :class:`ProtocolError`, and a ``max_steps`` below 1 raises
+    ``ValueError``, as in :meth:`CountScheduler.run`.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     for fault in faults:
+        if fault.state is not None and fault.state not in protocol.states:
+            raise ProtocolError(f"fault state {fault.state!r} is not a state")
         if fault.kind == "corrupt" and fault.target_state not in protocol.states:
             raise ProtocolError(f"corruption target {fault.target_state!r} is not a state")
 

@@ -5,29 +5,24 @@ The stochastic semantics behind "parallel time": at each step an
 the (unique, for deterministic protocols) transition of their states
 fires.  Parallel time is interactions divided by the population size.
 
-Two exact samplers are provided.  Both work on state indices and read
-one table, :attr:`IndexedProtocol.pair_outcomes`: for an ordered pair
-of states it lists the post index pairs of the registered transitions,
-or the identity when there is none, and a nondeterministic pair picks
-one of them with ``rng.choice``.
+:class:`CountScheduler` is the one exact sampler.  It keeps only the
+state *counts* and works on state indices: one draw among the
+``n(n-1)`` ordered pairs of distinct agents, split with ``divmod`` into
+the two agents, and two scans of the counts find their states.  One
+table, :attr:`IndexedProtocol.pair_outcomes`, then gives the post index
+pairs of the registered transitions of the ordered pair of states, or
+the identity when there is none, and a nondeterministic pair picks one
+of them with ``rng.choice``.  That is O(|Q|) per interaction,
+independent of the population size — the first rung of the
+"simulation is too slow for large populations" ladder (the tau-leaping
+:mod:`repro.simulation.vectorized` is the second).
 
-* :class:`AgentListScheduler` — the textbook implementation keeping an
-  explicit list of agents.  O(1) per interaction but O(population)
-  memory; serves as the naive baseline of experiment E10.
-* :class:`CountScheduler` — keeps only the state *counts*.  One draw
-  among the ``n(n-1)`` ordered pairs of distinct agents, split with
-  ``divmod`` into the two agents, and two scans of the counts find
-  their states: O(|Q|) per interaction, independent of the population
-  size — the first rung of the "simulation is too slow for large
-  populations" ladder (the tau-leaping
-  :mod:`repro.simulation.vectorized` is the second).
-
-Each sampler's ``advance(k)`` runs ``k`` interactions without reporting
-them, which is what ``run`` does between two silence checks; ``step()``
-runs one and returns its :class:`StepOutcome` for the readers that
-need it (the conformance harness, :func:`~repro.simulation.trace.record_trace`).
-Both samplers produce identically distributed runs (chi-squared
-smoke-tested in the suite) and support seeding for reproducibility.
+``advance(k)`` runs ``k`` interactions without reporting them, which is
+what ``run`` does between two silence checks; ``step()`` runs one and
+returns its :class:`StepOutcome` for the readers that need it (the
+conformance harness, :func:`~repro.simulation.trace.record_trace`).
+Runs are seeded for reproducibility, and the conformance harness holds
+the sampler to the analytic one-step law.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from ..core.multiset import Multiset
 from ..core.protocol import IndexedProtocol, PopulationProtocol
 from ..obs import get_tracer, progress
 
-__all__ = ["StepOutcome", "AgentListScheduler", "CountScheduler", "SimulationResult"]
+__all__ = ["StepOutcome", "CountScheduler", "SimulationResult"]
 
 State = Hashable
 
@@ -57,7 +52,7 @@ class StepOutcome:
 
 @dataclass
 class SimulationResult:
-    """Outcome of :meth:`run` on either scheduler.
+    """Outcome of :meth:`CountScheduler.run`.
 
     Attributes
     ----------
@@ -80,76 +75,6 @@ class SimulationResult:
     def parallel_time(self) -> float:
         """``interactions / population`` — the standard normalisation."""
         return self.interactions / self.population
-
-
-def _step_outcome(states: Sequence[State], i: int, j: int, i2: int, j2: int) -> StepOutcome:
-    """The :class:`StepOutcome` of pre indices ``(i, j)`` and post ``(i2, j2)``."""
-    return StepOutcome(
-        pre=(states[i], states[j]),
-        post=(states[i2], states[j2]),
-        changed=(i, j) != (i2, j2) and (i, j) != (j2, i2),
-    )
-
-
-class AgentListScheduler:
-    """Naive exact simulation over an explicit agent list."""
-
-    def __init__(self, protocol: PopulationProtocol, seed: Optional[int] = None):
-        self.protocol = protocol
-        self.indexed: IndexedProtocol = protocol.indexed()
-        self.rng = random.Random(seed)
-        self.agents: List[State] = []
-
-    def reset(self, inputs: Union[int, Mapping, Multiset]) -> None:
-        """Initialise the population to ``IC(inputs)``."""
-        configuration = self.protocol.initial_configuration(inputs)
-        self.agents = list(configuration.elements())
-        self.rng.shuffle(self.agents)
-
-    @property
-    def configuration(self) -> Multiset:
-        return Multiset(self.agents)
-
-    @property
-    def population(self) -> int:
-        return len(self.agents)
-
-    @property
-    def counts(self) -> Tuple[int, ...]:
-        """The agents' state counts, by state index."""
-        return self.indexed.encode(self.configuration)
-
-    def _interact(self) -> Tuple[int, int, int, int]:
-        """One uniformly random interaction: ``(i, j, i2, j2)`` as state indices."""
-        agents = self.agents
-        n = len(agents)
-        if n < 2:
-            raise ProtocolError("population must have at least two agents")
-        first = self.rng.randrange(n)
-        second = self.rng.randrange(n - 1)
-        if second >= first:
-            second += 1
-        index = self.indexed.index
-        i, j = index[agents[first]], index[agents[second]]
-        outcomes = self.indexed.pair_outcomes[i][j]
-        i2, j2 = outcomes[0] if len(outcomes) == 1 else self.rng.choice(outcomes)
-        states = self.indexed.states
-        agents[first], agents[second] = states[i2], states[j2]
-        return i, j, i2, j2
-
-    def step(self) -> StepOutcome:
-        """Simulate one uniformly random interaction and report it."""
-        return _step_outcome(self.indexed.states, *self._interact())
-
-    def advance(self, k: int) -> None:
-        """Simulate ``k`` uniformly random interactions."""
-        for _ in range(k):
-            self._interact()
-
-    def run(self, inputs, max_steps: int) -> SimulationResult:
-        """Run until silent consensus or the step budget."""
-        self.reset(inputs)
-        return _run_loop(self, max_steps)
 
 
 class CountScheduler:
@@ -211,8 +136,13 @@ class CountScheduler:
 
     def step(self) -> StepOutcome:
         """Simulate one uniformly random interaction and report it."""
-        interaction = self._interact(self._checked_population())
-        return _step_outcome(self.indexed.states, *interaction)
+        i, j, i2, j2 = self._interact(self._checked_population())
+        states = self.indexed.states
+        return StepOutcome(
+            pre=(states[i], states[j]),
+            post=(states[i2], states[j2]),
+            changed=(i, j) != (i2, j2) and (i, j) != (j2, i2),
+        )
 
     def advance(self, k: int) -> None:
         """Simulate ``k`` uniformly random interactions."""
@@ -222,53 +152,49 @@ class CountScheduler:
 
     def run(self, inputs, max_steps: int) -> SimulationResult:
         """Run until silent consensus or the step budget."""
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         self.reset(inputs)
-        return _run_loop(self, max_steps)
+        indexed = self.indexed
+        population = self.population
+        check_every = max(1, population)  # silence checks are O(|T|); amortise
+        silent_checks = 0
+        interactions = 0
+        # Observability rides the silent-check cadence (one tick per
+        # `check_every` interactions), never the per-interaction hot path.
+        meter = progress(
+            "simulate", lambda: {"interactions": interactions, "population": population}
+        )
+        with get_tracer().span(
+            "simulate.run",
+            scheduler=type(self).__name__,
+            population=population,
+            max_steps=max_steps,
+        ) as span:
+            while True:
+                silent_checks += 1
+                if interactions < max_steps:
+                    meter.tick(check_every)
+                converged = _is_silent_consensus(indexed, self.counts)
+                if converged or interactions == max_steps:
+                    break
+                chunk = min(check_every, max_steps - interactions)
+                self.advance(chunk)
+                interactions += chunk
+            meter.finish()
+            span.add("interactions", interactions)
+            span.add("silent_checks", silent_checks)
+            span.set(converged=converged)
+        return SimulationResult(
+            interactions=interactions,
+            population=population,
+            configuration=self.configuration,
+            converged=converged,
+        )
 
 
 def _is_silent_consensus(indexed: IndexedProtocol, counts: Sequence[int]) -> bool:
     """Output defined and no enabled transition changes the dense configuration."""
     return indexed.output_of(counts) is not None and not any(
         indexed.enabled(counts, k) for k in indexed.non_silent
-    )
-
-
-def _run_loop(scheduler, max_steps: int) -> SimulationResult:
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    indexed = scheduler.indexed
-    population = scheduler.population
-    check_every = max(1, population)  # silence checks are O(|T|); amortise
-    silent_checks = 0
-    interactions = 0
-    # Observability rides the silent-check cadence (one tick per
-    # `check_every` interactions), never the per-interaction hot path.
-    meter = progress(
-        "simulate", lambda: {"interactions": interactions, "population": population}
-    )
-    with get_tracer().span(
-        "simulate.run",
-        scheduler=type(scheduler).__name__,
-        population=population,
-        max_steps=max_steps,
-    ) as span:
-        while True:
-            silent_checks += 1
-            if interactions < max_steps:
-                meter.tick(check_every)
-            converged = _is_silent_consensus(indexed, scheduler.counts)
-            if converged or interactions == max_steps:
-                break
-            chunk = min(check_every, max_steps - interactions)
-            scheduler.advance(chunk)
-            interactions += chunk
-        meter.finish()
-        span.add("interactions", interactions)
-        span.add("silent_checks", silent_checks)
-        span.set(converged=converged)
-    return SimulationResult(
-        interactions=interactions,
-        population=population,
-        configuration=scheduler.configuration,
-        converged=converged,
     )

@@ -112,7 +112,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "overall: PASS" in out
-        assert "agent-list" in out and "count" in out and "vector" in out
+        assert "count" in out and "vector" in out
 
     def test_conformance_rejects_zero_samples(self):
         # regression: samples=0 used to render a vacuous all-ok report
@@ -126,9 +126,16 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] is True
-        assert {r["scheduler"] for r in payload["first_step"]} == {
-            "agent-list", "count", "vector",
-        }
+        assert {r["scheduler"] for r in payload["first_step"]} == {"count", "vector"}
+
+    def test_conformance_random_consensus_passes(self, capsys):
+        # regression: a matched-seed check compared the verdicts of two
+        # samplers run to silence, so approximate majority, whose
+        # consensus is random, failed with "seed=6: verdicts differ"
+        code = main(["conformance", "approx-majority", "--trajectory-seeds", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "overall: PASS" in out
 
 
 class TestBusyBeaverArguments:
@@ -206,9 +213,8 @@ class TestNumericFlagRanges:
 
     Regression: `certify --max-input 1` searched nothing and printed
     `no certificate found`, `conformance --trajectory-seeds 0` checked
-    no seed and printed `overall: PASS`, `conformance --max-steps 0`
-    ended in a traceback, and `analyze --node-budget -5` reported
-    `exceeded -5 configurations` in every section with exit 0.
+    no seed and printed `overall: PASS`, and `analyze --node-budget -5`
+    reported `exceeded -5 configurations` in every section with exit 0.
     `simulate --max-steps`/`--trials`, `conformance --samples` and the
     `bb` state count were checked in their handlers and exited 1.
     """
@@ -225,7 +231,6 @@ class TestNumericFlagRanges:
                 ["conformance", "binary:4", "--trajectory-seeds", "0"],
                 "--trajectory-seeds: must be >= 1",
             ),
-            (["conformance", "binary:4", "--max-steps", "0"], "--max-steps: must be >= 1"),
             (["analyze", "binary:4", "--node-budget", "-5"], "--node-budget: must be >= 1"),
             (
                 ["simulate", "binary:4", "--input", "6", "--max-steps", "0"],
@@ -242,7 +247,6 @@ class TestNumericFlagRanges:
             "certify-max-input",
             "certify-section5-max-input",
             "conformance-trajectory-seeds",
-            "conformance-max-steps",
             "analyze-node-budget",
             "simulate-max-steps",
             "simulate-trials",

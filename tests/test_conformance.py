@@ -16,6 +16,7 @@ from repro import (
 from repro.core.multiset import Multiset
 from repro.protocols.builders import ProtocolBuilder
 from repro.protocols.leader_election import leader_election
+from repro.simulation import conformance
 from repro.simulation.conformance import (
     _chi_squared_test,
     _check_exact_trajectories,
@@ -110,7 +111,7 @@ class TestHarness:
         with pytest.raises(ValueError):
             check_conformance(majority_protocol(), {"x": 5, "y": 3}, samples=0)
 
-    @pytest.mark.parametrize("seeds", ["trajectory_seeds", "matched_seeds"])
+    @pytest.mark.parametrize("seeds", ["trajectory_seeds"])
     def test_rejects_empty_seed_list(self, seeds):
         # an empty list used to check nothing there and still report ok
         with pytest.raises(ValueError, match="at least one seed"):
@@ -134,8 +135,8 @@ class TestHarness:
         )
         assert report.ok, report.render()
         assert report.vector_distribution_error < 1e-9
-        # pair+delta per exact sampler, delta for the tau-leap engine
-        assert len(report.first_step) == 5
+        # pair+delta for the count sampler, delta for the tau-leap engine
+        assert len(report.first_step) == 3
 
     def test_flat_threshold_passes(self, flat3):
         report = check_conformance(flat3, 6, samples=600, trajectory_steps=150)
@@ -147,9 +148,6 @@ class TestHarness:
             {"x": 4, "y": 4},
             samples=600,
             trajectory_steps=150,
-            # the coin is a martingale: its consensus value is random, so
-            # matched seeds cannot be expected to agree on the verdict
-            compare_verdicts=False,
         )
         assert report.ok, report.render()
 
@@ -159,10 +157,10 @@ class TestHarness:
         report = check_conformance(threshold4, 5, samples=400, trajectory_steps=100)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is True
-        assert len(payload["first_step"]) == 5
+        assert len(payload["first_step"]) == 3
         assert payload["population"] == 5
 
-    def test_broken_scheduler_is_caught(self, threshold4):
+    def test_broken_scheduler_is_caught(self, threshold4, monkeypatch):
         class LeakyScheduler(CountScheduler):
             """Drops an agent every 10th step — violates conservation."""
 
@@ -180,9 +178,8 @@ class TestHarness:
                             break
                 return outcome
 
-        check = _check_exact_trajectories(
-            threshold4, LeakyScheduler, "leaky", 6, seeds=(0,), steps=50
-        )
+        monkeypatch.setattr(conformance, "CountScheduler", LeakyScheduler)
+        check = _check_exact_trajectories(threshold4, 6, seeds=(0,), steps=50)
         assert not check.passed
         assert any("population" in v for v in check.violations)
 

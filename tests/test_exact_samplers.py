@@ -1,17 +1,17 @@
-"""The exact samplers draw the same interactions on every commit.
+"""The exact sampler draws the same interactions on every commit.
 
 Golden regeneration
 -------------------
 
 ``tests/golden/exact_samplers.json`` pins seeded output of every caller
-of the two exact samplers (:class:`CountScheduler` and
-:class:`AgentListScheduler`): the first 200 :class:`StepOutcome` s of
-both samplers, seeded ``run`` results to silence and under a budget,
-count-engine ensembles at one and two jobs, ``measure_convergence``,
-exact ``record_time_series`` and ``record_trace``, and ``run_with_faults``
-with a crash and a corruption.  The file carries a ``version`` field
-checked against :data:`SAMPLER_GOLDEN_VERSION` below, mirroring
-``REPORT_GOLDEN_VERSION`` in ``tests/test_report.py``: whenever a
+of the exact sampler, :class:`CountScheduler`: its first 200
+:class:`StepOutcome` s, seeded ``run`` results to silence and under a
+budget, count-engine ensembles at one and two jobs,
+``measure_convergence``, exact ``record_time_series`` and
+``record_trace``, and ``run_with_faults`` with a crash and a
+corruption.  The file carries a ``version`` field checked against
+:data:`SAMPLER_GOLDEN_VERSION` below, mirroring
+``REPORT_GOLDEN_VERSION`` in ``tests/test_report.py``: whenever the
 sampler deliberately draws differently (a new pair order, a different
 use of the random stream), bump ``SAMPLER_GOLDEN_VERSION`` here and
 regenerate the golden with::
@@ -19,7 +19,7 @@ regenerate the golden with::
     PYTHONPATH=src:. python -c \
         "from tests.test_exact_samplers import regenerate_golden; regenerate_golden()"
 
-then eyeball the diff: a speed-up of the samplers must leave it empty.
+then eyeball the diff: a speed-up of the sampler must leave it empty.
 
 Besides the golden, :class:`_ReferenceCountSampler` is the count sampler
 as it was written before the pair-outcome table (a per-pair dictionary of
@@ -52,12 +52,7 @@ from repro.simulation import (
     run_ensemble,
     run_with_faults,
 )
-from repro.simulation.scheduler import (
-    AgentListScheduler,
-    CountScheduler,
-    StepOutcome,
-    _is_silent_consensus,
-)
+from repro.simulation.scheduler import CountScheduler, StepOutcome, _is_silent_consensus
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "exact_samplers.json")
 SAMPLER_GOLDEN_VERSION = 1
@@ -69,7 +64,6 @@ PROTOCOLS = {
     "approx-majority": (approximate_majority, {"x": 6, "y": 5}),
     "leader-unary:3": (lambda: leader_unary_threshold(3), 5),
 }
-SAMPLERS = {"count": CountScheduler, "agent-list": AgentListScheduler}
 STEPS = 200
 BUDGET = 61  # one past a multiple of most populations: the last chunk is one interaction
 
@@ -105,18 +99,15 @@ def _golden_cases() -> Dict[str, object]:
     cases: Dict[str, object] = {}
     for name, (build, inputs) in PROTOCOLS.items():
         protocol = build()
-        for sampler, cls in SAMPLERS.items():
-            scheduler = cls(protocol, seed=1)
-            scheduler.reset(inputs)
-            cases[f"steps/{sampler}/{name}"] = [
-                _outcome(scheduler.step()) for _ in range(STEPS)
-            ]
-            cases[f"run/{sampler}/{name}/silence"] = _run(
-                cls(protocol, seed=2).run(inputs, max_steps=200_000)
-            )
-            cases[f"run/{sampler}/{name}/budget"] = _run(
-                cls(protocol, seed=3).run(inputs, max_steps=BUDGET)
-            )
+        scheduler = CountScheduler(protocol, seed=1)
+        scheduler.reset(inputs)
+        cases[f"steps/count/{name}"] = [_outcome(scheduler.step()) for _ in range(STEPS)]
+        cases[f"run/count/{name}/silence"] = _run(
+            CountScheduler(protocol, seed=2).run(inputs, max_steps=200_000)
+        )
+        cases[f"run/count/{name}/budget"] = _run(
+            CountScheduler(protocol, seed=3).run(inputs, max_steps=BUDGET)
+        )
     threshold = binary_threshold(8)
     for jobs in (1, 2):
         cases[f"ensemble/binary:8/jobs{jobs}"] = _ensemble(

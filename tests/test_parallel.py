@@ -250,8 +250,7 @@ class TestSweepDifferentials:
     def test_conformance(self, protocol):
         reports = [
             check_conformance(
-                protocol, 6, samples=200,
-                trajectory_seeds=(0, 1), matched_seeds=(0, 1), jobs=jobs,
+                protocol, 6, samples=200, trajectory_seeds=(0, 1), jobs=jobs,
             )
             for jobs in (1, 2, 4)
         ]
@@ -261,9 +260,7 @@ class TestSweepDifferentials:
         assert reports[0].ok
 
     def test_conformance_jobs_recorded(self, protocol):
-        report = check_conformance(
-            protocol, 6, samples=100, trajectory_seeds=(0,), matched_seeds=(0,), jobs=2
-        )
+        report = check_conformance(protocol, 6, samples=100, trajectory_seeds=(0,), jobs=2)
         assert report.jobs == 2
         assert report.to_dict()["jobs"] == 2
 
@@ -335,24 +332,29 @@ class TestSweepDifferentials:
 # ----------------------------------------------------------------------
 
 
-GOLDEN_CONFORMANCE = os.path.join(
-    os.path.dirname(__file__), "golden", "conformance_jobs2.json"
-)
+# golden file -> the `conformance` arguments that print it
+GOLDEN_CONFORMANCE = {
+    "conformance_jobs2.json": [
+        "binary:4", "--input", "6", "--samples", "200", "--trajectory-seeds", "2",
+    ],
+    "conformance_jobs2_majority.json": [
+        "majority", "--input", "x=5,y=3", "--samples", "600", "--trajectory-seeds", "2",
+    ],
+    "conformance_jobs2_approx_majority.json": [
+        "approx-majority", "--samples", "600", "--trajectory-seeds", "3",
+    ],
+}
 
 
 class TestCliArtifacts:
     def test_conformance_golden(self, capsys):
-        code = main(
-            [
-                "conformance", "binary:4", "--input", "6", "--samples", "200",
-                "--trajectory-seeds", "2", "--jobs", "2", "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        with open(GOLDEN_CONFORMANCE) as handle:
-            golden = json.load(handle)
-        assert payload == golden
+        for name, argv in GOLDEN_CONFORMANCE.items():
+            code = main(["conformance", *argv, "--jobs", "2", "--json"])
+            assert code == 0, name
+            payload = json.loads(capsys.readouterr().out)
+            with open(os.path.join(os.path.dirname(__file__), "golden", name)) as handle:
+                golden = json.load(handle)
+            assert payload == golden, name
 
     def test_conformance_json_embeds_seed_and_jobs(self, capsys):
         code = main(

@@ -13,49 +13,11 @@ from repro.simulation.convergence import (
     fit_nlogn,
     measure_convergence,
 )
-from repro.simulation.scheduler import AgentListScheduler, CountScheduler
+from repro.simulation.scheduler import CountScheduler
 from repro.simulation.trace import record_trace
 
 
-class TestAgentListScheduler:
-    def test_reset_builds_initial(self, threshold4):
-        scheduler = AgentListScheduler(threshold4, seed=0)
-        scheduler.reset(5)
-        assert scheduler.configuration == Multiset({"2^0": 5})
-
-    def test_step_preserves_population(self, threshold4):
-        scheduler = AgentListScheduler(threshold4, seed=0)
-        scheduler.reset(5)
-        for _ in range(50):
-            scheduler.step()
-            assert len(scheduler.agents) == 5
-
-    def test_run_converges_to_acceptance(self, threshold4):
-        scheduler = AgentListScheduler(threshold4, seed=1)
-        result = scheduler.run(8, max_steps=50_000)
-        assert result.converged
-        assert threshold4.output_of(result.configuration) == 1
-
-    def test_run_converges_to_rejection(self, threshold4):
-        scheduler = AgentListScheduler(threshold4, seed=1)
-        result = scheduler.run(3, max_steps=50_000)
-        assert result.converged
-        assert threshold4.output_of(result.configuration) == 0
-
-    def test_population_too_small(self, threshold4):
-        scheduler = AgentListScheduler(threshold4, seed=0)
-        scheduler.agents = ["2^0"]
-        with pytest.raises(ProtocolError):
-            scheduler.step()
-
-    def test_seeded_reproducibility(self, threshold4):
-        a = AgentListScheduler(threshold4, seed=42).run(6, max_steps=10_000)
-        b = AgentListScheduler(threshold4, seed=42).run(6, max_steps=10_000)
-        assert a.interactions == b.interactions
-        assert a.configuration == b.configuration
-
-
-@pytest.mark.parametrize("sampler", [AgentListScheduler, CountScheduler])
+@pytest.mark.parametrize("sampler", [CountScheduler])
 class TestAdvance:
     def test_advance_equals_steps(self, sampler, majority):
         stepped = sampler(majority, seed=4)
@@ -72,10 +34,7 @@ class TestAdvance:
         scheduler = sampler(threshold4, seed=0)
         scheduler.reset(6)
         scheduler.advance(5)
-        if sampler is CountScheduler:
-            scheduler.counts[threshold4.indexed().index["2^0"]] += 3
-        else:
-            scheduler.agents.extend(["2^0"] * 3)
+        scheduler.counts[threshold4.indexed().index["2^0"]] += 3
         scheduler.advance(40)
         assert scheduler.population == 9
         assert sum(scheduler.counts) == 9
@@ -84,10 +43,7 @@ class TestAdvance:
         scheduler = sampler(threshold4, seed=0)
         scheduler.reset(2)
         scheduler.advance(3)
-        if sampler is CountScheduler:
-            scheduler.counts = [1, 0, 0, 0]
-        else:
-            scheduler.agents = ["2^0"]
+        scheduler.counts = [1, 0, 0, 0]
         with pytest.raises(ProtocolError):
             scheduler.advance(1)
 
@@ -128,18 +84,6 @@ class TestCountScheduler:
         scheduler.reset(4)
         outcome = scheduler.step()
         assert len(outcome.pre) == 2 and len(outcome.post) == 2
-
-    def test_distribution_agrees_with_agent_list(self, majority):
-        """Both exact samplers should produce similar outcome frequencies."""
-        inputs = {"x": 5, "y": 3}
-        wins = {"count": 0, "list": 0}
-        for seed in range(30):
-            c = CountScheduler(majority, seed=seed).run(inputs, max_steps=40_000)
-            l = AgentListScheduler(majority, seed=seed + 1000).run(inputs, max_steps=40_000)
-            wins["count"] += majority.output_of(c.configuration) == 1
-            wins["list"] += majority.output_of(l.configuration) == 1
-        # x has an absolute majority of active pairs; both should mostly accept
-        assert abs(wins["count"] - wins["list"]) <= 12
 
 
 class TestConvergence:

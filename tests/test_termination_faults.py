@@ -75,6 +75,17 @@ class TestFaultValidation:
         with pytest.raises(ProtocolError):
             run_with_faults(threshold4, 5, [corrupt(0, target_state="nope")])
 
+    @pytest.mark.parametrize(
+        "fault",
+        [crash(0, state="nosuch"), corrupt(0, "2^0", state="nosuch")],
+        ids=["crash", "corrupt"],
+    )
+    def test_restricting_state_must_exist(self, threshold4, fault):
+        # regression: the fault was dropped as skipped (faults_skipped=1)
+        # and the run reported the verdict of a fault-free run
+        with pytest.raises(ProtocolError, match="'nosuch' is not a state"):
+            run_with_faults(threshold4, 6, [fault], seed=0)
+
     def test_count_positive(self):
         with pytest.raises(ValueError):
             crash(0, count=0)
