@@ -28,14 +28,26 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
 from ..obs import get_tracer
 from .stable import is_stable, stable_slice
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BasisElement", "check_basis_element", "infer_basis", "covers"]
 
@@ -178,6 +190,8 @@ def infer_basis(
     generalisation to larger sizes (checked by :func:`covers`).
     Raises ``ValueError`` for a negative ``cap`` or ``pump_depth``.
     """
+    import numpy as np
+
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if pump_depth < 0:
@@ -225,6 +239,8 @@ def _subsumed(elements: Sequence[BasisElement], states: Sequence[State]) -> np.n
     The mask is built block by block and state by state, so temporaries
     stay ``_BLOCK x len(elements)``.
     """
+    import numpy as np
+
     count = len(elements)
     subsumed = np.zeros(count, dtype=bool)
     if not count:

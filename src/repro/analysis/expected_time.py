@@ -25,15 +25,16 @@ transitions sharing a precondition, matching the simulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import ReproError, SearchBudgetExceeded
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
 from ..reachability.graph import ReachabilityGraph
 from .stable import stable_verdicts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ExpectedTime", "expected_convergence_time", "transition_matrix"]
 
@@ -59,6 +60,8 @@ def transition_matrix(
     uniformly random interaction from ``order[i]`` (self-loops included
     for silent pairs).
     """
+    import numpy as np
+
     indexed = graph.indexed
     outcomes = _pair_outcomes(protocol)
     index_of = {config: i for i, config in enumerate(order)}
@@ -129,6 +132,8 @@ def expected_convergence_time(
     configuration cannot reach the stable set at all (the protocol does
     not stabilise and the expectation is infinite).
     """
+    import numpy as np
+
     indexed = protocol.indexed()
     initial = indexed.encode(protocol.initial_configuration(inputs))
     graph = ReachabilityGraph.from_roots(protocol, [initial], node_budget=node_budget)

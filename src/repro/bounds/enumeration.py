@@ -4,7 +4,7 @@
 doubly-exponential space (already ~10^6 deterministic protocols at
 ``n = 3``), which is why the paper attacks it with structural bounds
 rather than search.  For ``n <= 2``, though, the space is enumerable,
-and this module does so:
+and so are windows of the ``n = 3`` space; this module does so:
 
 * :func:`all_deterministic_protocols` — every complete deterministic
   single-input protocol over ``n`` states (up to the choice of input
@@ -27,10 +27,18 @@ and this module does so:
   :class:`~repro.core.errors.SearchBudgetExceeded`;
 * :func:`busy_beaver_search` — the largest apparent threshold over the
   enumeration, with every winner cross-examined by a Section 4
-  pumping certificate.  ``jobs > 1`` distributes contiguous chunks of
-  the index space over a process pool; chunk outcomes merge in index
-  order, so the result is bit-identical for every worker count and
-  chunk size (enforced by ``tests/test_parallel.py``).
+  pumping certificate.  A chunk decides each index before it builds
+  anything: it decodes the index into its input state, outputs and
+  transitions, applies the coverable-output rule to that decoded form
+  (:func:`~repro.core.protocol.support_closure`), and calls
+  :func:`protocol_at` only for an index the rule leaves undecided and
+  for the witnesses it keeps — the same verdicts as
+  :func:`threshold_behaviour` on the built protocol, without a
+  :class:`PopulationProtocol` per index.  ``jobs > 1`` distributes
+  contiguous chunks of the index space over a process pool; chunk
+  outcomes merge in index order, so the result is bit-identical for
+  every worker count and chunk size (enforced by
+  ``tests/test_parallel.py``).
 
 Semantics note: a population has at least two agents, so the
 predicates ``x >= 1`` and ``x >= 2`` are indistinguishable from the
@@ -50,7 +58,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.multiset import Multiset
-from ..core.protocol import PopulationProtocol, Transition
+from ..core.protocol import PopulationProtocol, Transition, support_closure
 from ..analysis.verification import verify_input
 from ..obs import get_tracer, progress
 from ..parallel import TaskEnvelope, chunk_ranges, default_chunk_size, run_tasks
@@ -81,18 +89,34 @@ def count_deterministic_protocols(n: int) -> int:
 def protocol_at(n: int, index: int) -> PopulationProtocol:
     """The ``index``-th protocol of :func:`all_deterministic_protocols`.
 
-    Decodes the index through the same nested-loop order the generator
-    uses — input state outermost, then the output assignment (first
-    state's bit most significant), then one post-pair per pre-pair in
-    mixed radix (last pair varying fastest) — so
+    Builds the protocol :func:`_decode` reads off the index, so
     ``protocol_at(n, i) == nth element of all_deterministic_protocols(n)``
     including the ``enum[n]#i+1`` name.  O(n^2) per call: chunk workers
     regenerate their slice without replaying the prefix.
     """
+    input_state, outputs, transitions = _decode(n, index)
+    states = tuple(range(n))
+    return PopulationProtocol(
+        states=states,
+        transitions=transitions,
+        leaders=Multiset(),
+        input_mapping={"x": input_state},
+        output=dict(zip(states, outputs)),
+        name=f"enum[{n}]#{index + 1}",
+    )
+
+
+def _decode(n: int, index: int) -> Tuple[int, Tuple[int, ...], Tuple[Transition, ...]]:
+    """``(input state, outputs, transitions)`` of the ``index``-th protocol.
+
+    Decodes the index through the same nested-loop order
+    :func:`all_deterministic_protocols` uses: input state outermost, then
+    the output assignment (first state's bit most significant), then one
+    post-pair per pre-pair in mixed radix (last pair varying fastest).
+    """
     total = count_deterministic_protocols(n)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside enumeration of size {total}")
-    states = tuple(range(n))
     table = _transition_table(n)
     k = len(table)
     post_block = k ** k
@@ -100,19 +124,11 @@ def protocol_at(n: int, index: int) -> PopulationProtocol:
     input_state, rest = divmod(index, output_block)
     output_bits, posts_code = divmod(rest, post_block)
     outputs = tuple((output_bits >> (n - 1 - i)) & 1 for i in range(n))
-    choices = []
-    for _ in range(k):  # last pre-pair varies fastest: decode it first
+    transitions = [None] * k
+    for pair in reversed(range(k)):  # last pre-pair varies fastest: decode it first
         posts_code, choice = divmod(posts_code, k)
-        choices.append(choice)
-    transitions = tuple(row[choice] for row, choice in zip(table, reversed(choices)))
-    return PopulationProtocol(
-        states=states,
-        transitions=transitions,
-        leaders=Multiset(),
-        input_mapping={"x": input_state},
-        output={s: b for s, b in zip(states, outputs)},
-        name=f"enum[{n}]#{index + 1}",
-    )
+        transitions[pair] = table[pair][choice]
+    return input_state, outputs, tuple(transitions)
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,8 +136,8 @@ def _transition_table(n: int) -> Tuple[Tuple[Transition, ...], ...]:
     """``table[i][j]``: the transition taking the ``i``-th pre-pair to the ``j``-th pair.
 
     Pairs are the unordered pairs over ``0 .. n-1`` in
-    ``combinations_with_replacement`` order.  :func:`protocol_at` picks
-    one row entry per pre-pair instead of building its ``Transition``
+    ``combinations_with_replacement`` order.  :func:`_decode` picks one
+    row entry per pre-pair instead of building its ``Transition``
     objects; they are frozen, so every protocol can share them.
     """
     pairs = list(itertools.combinations_with_replacement(range(n), 2))
@@ -187,9 +203,11 @@ def threshold_behaviour(
     per input.
     """
     if max_input >= 2 and len(protocol.input_mapping) == 1:
-        outputs = {protocol.output[state] for state in protocol.coverable_states()}
-        if len(outputs) == 1:
-            return 2 if outputs == {1} else None
+        decided, eta = _coverable_output_rule(
+            protocol.output[state] for state in protocol.coverable_states()
+        )
+        if decided:
+            return eta
     verdicts: List[int] = []
     for i in range(2, max_input + 1):
         # verdict = the consensus all bottom SCCs agree on, else None
@@ -206,6 +224,35 @@ def threshold_behaviour(
         if verdict == 0 and first_accept is not None:
             return None  # flipped back: not a threshold
     return first_accept
+
+
+def _coverable_output_rule(coverable_outputs: Iterable[int]) -> Tuple[bool, Optional[int]]:
+    """``(True, threshold)`` when every coverable state has one output.
+
+    The rule :func:`threshold_behaviour` applies before any search: the
+    threshold is ``2`` when that output is ``1`` and ``None`` when it is
+    ``0``.  ``(False, None)`` when the outputs differ.
+    """
+    outputs = set(coverable_outputs)
+    if len(outputs) != 1:
+        return False, None
+    return True, (2 if outputs == {1} else None)
+
+
+def _index_threshold(n: int, index: int, max_input: int) -> Optional[int]:
+    """``threshold_behaviour(protocol_at(n, index), max_input)``, built lazily.
+
+    The coverable-output rule runs on the decoded index, so the protocol
+    is built only when the rule leaves it undecided.
+    """
+    if max_input >= 2:
+        input_state, outputs, transitions = _decode(n, index)
+        decided, eta = _coverable_output_rule(
+            outputs[state] for state in support_closure((input_state,), transitions)
+        )
+        if decided:
+            return eta
+    return threshold_behaviour(protocol_at(n, index), max_input)
 
 
 @dataclass(frozen=True)
@@ -304,15 +351,14 @@ def _search_chunk(task: TaskEnvelope) -> BusyBeaverChunk:
             lambda: {"chunk": f"{start}:{stop}", "enumerated": evaluated},
         )
 
-        def candidates() -> Iterator[Tuple[PopulationProtocol, Optional[int]]]:
+        def candidates() -> Iterator[Tuple[int, Optional[int]]]:
             nonlocal evaluated
             for index in range(start, stop):
                 meter.tick()
                 evaluated += 1
-                protocol = protocol_at(n, index)
-                yield protocol, threshold_behaviour(protocol, max_input)
+                yield index, _index_threshold(n, index, max_input)
 
-        best, witnesses, count = fold_threshold_candidates(
+        best, winners, count = fold_threshold_candidates(
             candidates(),
             # Chunks keep the full witness budget: the merge step cuts
             # down to max_witnesses globally, in enumeration order.
@@ -322,7 +368,8 @@ def _search_chunk(task: TaskEnvelope) -> BusyBeaverChunk:
         # The enclosing bounds.busy_beaver span counts the protocols.
         span.set(best_eta=best)
     return BusyBeaverChunk(
-        start=start, stop=stop, best_eta=best, witnesses=witnesses,
+        start=start, stop=stop, best_eta=best,
+        witnesses=tuple(protocol_at(n, index) for index in winners),
         threshold_protocols=count,
     )
 

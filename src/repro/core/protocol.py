@@ -42,7 +42,7 @@ from typing import (
 from .errors import ConfigurationError, ProtocolError
 from .multiset import EMPTY, Multiset
 
-__all__ = ["Transition", "PopulationProtocol", "IndexedProtocol"]
+__all__ = ["Transition", "PopulationProtocol", "IndexedProtocol", "support_closure"]
 
 State = Hashable
 Variable = Hashable
@@ -51,6 +51,27 @@ Variable = Hashable
 def _pair(a: State, b: State) -> Tuple[State, State]:
     """Canonical ordering of an unordered pair (for hashing/display)."""
     return (a, b) if str(a) <= str(b) else (b, a)
+
+
+def support_closure(seeds: Iterable[State], transitions: Sequence["Transition"]) -> FrozenSet[State]:
+    """The states ``seeds`` can populate, at support level.
+
+    Repeatedly adds the posts of transitions whose pre lies inside the
+    set.  :meth:`PopulationProtocol.coverable_states` seeds it with the
+    leader support and the input states; the busy-beaver enumeration
+    runs it on a decoded index before building any protocol.
+    """
+    covered = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for t in transitions:
+            if t.p in covered and t.q in covered:
+                for produced in (t.p2, t.q2):
+                    if produced not in covered:
+                        covered.add(produced)
+                        changed = True
+    return frozenset(covered)
 
 
 @dataclass(frozen=True)
@@ -345,24 +366,13 @@ class PopulationProtocol:
     def coverable_states(self) -> FrozenSet[State]:
         """States that can be populated from *some* initial configuration.
 
-        Support-level forward closure: start from the leader support
-        and the input states, repeatedly add the posts of transitions
-        whose pre lies inside the set.  The paper assumes (wlog) that
-        every state is coverable; :meth:`restricted_to_coverable`
-        realises the "wlog".
+        The :func:`support_closure` of the leader support and the input
+        states.  The paper assumes (wlog) that every state is coverable;
+        :meth:`restricted_to_coverable` realises the "wlog".
         """
-        covered = set(self.leaders.support())
-        covered.update(self.input_mapping.values())
-        changed = True
-        while changed:
-            changed = False
-            for t in self.transitions:
-                if t.p in covered and t.q in covered:
-                    for produced in (t.p2, t.q2):
-                        if produced not in covered:
-                            covered.add(produced)
-                            changed = True
-        return frozenset(covered)
+        seeds = set(self.leaders.support())
+        seeds.update(self.input_mapping.values())
+        return support_closure(seeds, self.transitions)
 
     def restricted_to_coverable(self) -> "PopulationProtocol":
         """The semantically equivalent protocol on coverable states only.

@@ -52,12 +52,13 @@ wrapping.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import SearchBudgetExceeded
 from ..obs import get_tracer, progress
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "solve_equalities",
@@ -124,6 +125,8 @@ def solve_equalities(
     OverflowError
         If a generation's defect products could exceed the int64 range.
     """
+    import numpy as np
+
     if not matrix:
         raise ValueError("matrix must have at least one row (use [] rows of correct width)")
     num_vars = len(matrix[0])
@@ -222,6 +225,8 @@ def _dominating(
     ``found_at[k] < grown_from[c]``.  The mask is built block by block
     and column by column, so temporaries stay ``_BLOCK x len(solutions)``.
     """
+    import numpy as np
+
     dominated = np.zeros(len(candidates), dtype=bool)
     if not len(solutions):
         return dominated
@@ -237,6 +242,8 @@ def _dominating(
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct row."""
+    import numpy as np
+
     # One short bytes key per row, in the narrowest dtype holding these
     # naturals.  A dict keeps the first index per key in order; it is as
     # fast here as np.unique, which sorts, and it keeps peak memory lower.

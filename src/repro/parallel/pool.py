@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import (
     NULL_TRACER,
@@ -46,6 +45,9 @@ from ..obs import (
 from ..obs.runs import current_run
 from .envelopes import ResultEnvelope, TaskEnvelope
 from .merge import adopt_recorded_spans, merge_registry_delta
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["run_tasks", "worker_pool", "resolve_jobs", "chunk_ranges", "default_chunk_size"]
 
@@ -96,6 +98,8 @@ def worker_pool(jobs: Optional[int]) -> Iterator[Optional[ProcessPoolExecutor]]:
     if jobs <= 1:
         yield None
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     executor = ProcessPoolExecutor(max_workers=jobs)
     try:
         yield executor
@@ -160,6 +164,8 @@ def run_tasks(
             ResultEnvelope(index=task.index, value=fn(task), worker_pid=os.getpid())
             for task in tasks
         ]
+
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     tracer = get_tracer()
     done = 0

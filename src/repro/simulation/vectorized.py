@@ -44,14 +44,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
 from ..obs import get_tracer, progress
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["VectorEnsembleScheduler", "VectorRunResult", "EPSILON"]
 
@@ -59,7 +60,9 @@ __all__ = ["VectorEnsembleScheduler", "VectorRunResult", "EPSILON"]
 #: round is ``max(1, int(EPSILON * n))`` interactions (``leap_size``).
 EPSILON = 0.05
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# np.iinfo(np.int64).max, written out so that loading this module does
+# not load numpy.
+_INT64_MAX = 2**63 - 1
 # Largest population whose pair weights n(n-1) fit int64.  Up to it a
 # leap weighs pairs in int64; above it, in exact Python ints.
 _MAX_INT64_PAIRS = (1 + math.isqrt(4 * _INT64_MAX + 1)) // 2
@@ -103,6 +106,8 @@ class VectorEnsembleScheduler:
         trials: int,
         seed: Optional[int] = None,
     ):
+        import numpy as np
+
         if trials < 1:
             raise ValueError(f"need at least one trial, got {trials}")
         self.protocol = protocol
@@ -163,6 +168,8 @@ class VectorEnsembleScheduler:
 
     def reset(self, inputs: Union[int, Mapping, Multiset]) -> None:
         """Initialise every trial to ``IC(inputs)``."""
+        import numpy as np
+
         row = self.indexed.initial_counts(inputs)
         n = sum(row)
         if n > _MAX_POPULATION:
@@ -198,6 +205,8 @@ class VectorEnsembleScheduler:
         0's counts, so the conformance harness can hold the engine to
         the analytic one-step law.
         """
+        import numpy as np
+
         n = self._population
         if n < 2:
             raise ProtocolError("population must have at least two agents")
@@ -224,6 +233,8 @@ class VectorEnsembleScheduler:
         trials with ``k[t] == 0`` get a zero row.  The caller decides
         acceptance — this method never mutates ``self.counts``.
         """
+        import numpy as np
+
         c = self.counts
         n = self._population
         if n > _MAX_INT64_PAIRS:
@@ -294,6 +305,8 @@ class VectorEnsembleScheduler:
         always equals ``request`` (the exact fallback guarantees
         progress).
         """
+        import numpy as np
+
         if self._population < 2:
             raise ProtocolError("population must have at least two agents")
         request = np.asarray(request, dtype=np.int64)
@@ -339,6 +352,8 @@ class VectorEnsembleScheduler:
         the vectorised form of
         :func:`~repro.simulation.scheduler._is_silent_consensus`.
         """
+        import numpy as np
+
         if self._ns_i.size:
             enabled = (self.counts[:, self._ns_i] >= self._ns_need) & (
                 self.counts[:, self._ns_j] >= 1
@@ -356,6 +371,8 @@ class VectorEnsembleScheduler:
         a consensus exists iff exactly one output value has a present
         state.
         """
+        import numpy as np
+
         present = self.counts > 0
         has = np.stack(
             [(present & (self._outputs == v)).any(axis=1) for v in self._output_values]
@@ -386,6 +403,8 @@ class VectorEnsembleScheduler:
         continues.  The budget is ``max_parallel_time * n`` rounded up,
         so any positive budget performs at least one interaction.
         """
+        import numpy as np
+
         if not (math.isfinite(max_parallel_time) and max_parallel_time > 0):
             raise ValueError(
                 f"max_parallel_time must be positive and finite, got {max_parallel_time}"

@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
 from repro import verify_protocol
 from repro.analysis.verification import verify_input
+from repro.bounds import enumeration
 from repro.bounds.enumeration import (
+    MAX_WITNESSES,
+    _decode,
+    _index_threshold,
+    _search_chunk,
     all_deterministic_protocols,
     busy_beaver_search,
     count_deterministic_protocols,
+    fold_threshold_candidates,
     protocol_at,
     threshold_behaviour,
 )
+from repro.bounds.pipeline import section4_certificate
 from repro.core.errors import ConfigurationError
+from repro.core.protocol import support_closure
+from repro.parallel import TaskEnvelope
 from repro.protocols.intervals import (
     exact_predicate,
     exact_protocol,
@@ -216,3 +226,106 @@ class TestBusyBeaverSearch:
         result = busy_beaver_search(2, max_input=8)
         for witness in result.witnesses:
             assert threshold_behaviour(witness, max_input=8) == result.eta
+
+
+def _index_sample(n, per_block, seed):
+    """Indices that cover every input state and every output block."""
+    post_block = count_deterministic_protocols(n) // (n * 2**n)
+    rng = random.Random(seed)
+    for block in range(n * 2**n):  # input state outermost, then the output bits
+        for _ in range(per_block):
+            yield block * post_block + rng.randrange(post_block)
+
+
+def _index_cases():
+    for n in (1, 2):
+        for index in range(count_deterministic_protocols(n)):
+            yield n, index
+    for n, per_block in ((3, 6), (4, 2)):
+        for index in _index_sample(n, per_block, seed=26):
+            yield n, index
+
+
+class TestIndexDecision:
+    """The search decides an index from its decoded form, as the protocol would be."""
+
+    def test_verdict_equals_the_protocol_path(self):
+        decided = {3: 0, 4: 0}
+        searched = {3: 0, 4: 0}
+        for n, index in _index_cases():
+            protocol = protocol_at(n, index)
+            input_state, outputs, transitions = _decode(n, index)
+            assert outputs == tuple(protocol.output[s] for s in protocol.states)
+            assert support_closure((input_state,), transitions) == protocol.coverable_states()
+            for max_input in (1, 2, 8):
+                assert _index_threshold(n, index, max_input) == threshold_behaviour(
+                    protocol, max_input
+                ), (n, index, max_input)
+            if n in decided:
+                tally = decided if _decidable_without_search(protocol) else searched
+                tally[n] += 1
+        # The samples take both paths at both sizes.
+        assert min(decided.values()) > 10 and min(searched.values()) > 10
+
+    def test_decided_indices_are_never_built(self, monkeypatch):
+        built = []
+
+        def spy(n, index):
+            built.append(index)
+            return protocol_at(n, index)
+
+        monkeypatch.setattr(enumeration, "protocol_at", spy)
+        # `bb 3 --budget 8000`: the rule decides every index, none accepts.
+        chunk = _search_chunk(TaskEnvelope(index=0, payload=(3, 0, 8000, 8)))
+        assert (chunk.best_eta, chunk.threshold_protocols, chunk.witnesses) == (0, 0, ())
+        assert built == []
+        # n = 2: the undecided indices and the kept witnesses are built.
+        chunk = _search_chunk(TaskEnvelope(index=0, payload=(2, 0, 216, 8)))
+        undecided = [
+            i for i in range(216) if not _decidable_without_search(protocol_at(2, i))
+        ]
+        witnesses = [int(w.name.split("#")[1]) - 1 for w in chunk.witnesses]
+        assert built == undecided + witnesses
+
+    def test_window_equals_the_protocol_fold(self):
+        """A window of the n = 3 space that holds searched protocols and winners."""
+        start, stop = 55000, 56000
+        chunk = _search_chunk(TaskEnvelope(index=0, payload=(3, start, stop, 8)))
+        protocols = [protocol_at(3, index) for index in range(start, stop)]
+        best, witnesses, count = fold_threshold_candidates(
+            ((p, threshold_behaviour(p, 8)) for p in protocols), MAX_WITNESSES
+        )
+        assert (chunk.best_eta, chunk.witnesses, chunk.threshold_protocols) == (
+            best, witnesses, count,
+        )
+        assert (best, count, len(witnesses)) == (3, 27, 8)
+        assert witnesses[0].name == "enum[3]#55188"
+
+
+class TestFirstNontrivialBusyBeaver:
+    """A2's finding: ``x >= 3`` is the first non-trivial threshold, and 3 states decide it."""
+
+    def test_binary_threshold_2_is_trivial(self):
+        protocol = binary_threshold(2)
+        assert protocol.num_states == 3
+        # x >= 2 holds on every population: the always-true predicate.
+        assert threshold_behaviour(protocol, max_input=8) == 2
+
+    def test_enum_3_55188_decides_x_at_least_3(self):
+        protocol = protocol_at(3, 55187)  # names are 1-based, indices 0-based
+        assert protocol.name == "enum[3]#55188"
+        assert threshold_behaviour(protocol, max_input=8) == 3
+        assert threshold_behaviour(protocol, max_input=16) == 3
+        certificate = section4_certificate(protocol, max_length=12)
+        assert certificate is not None and certificate.a == 3
+
+    def test_a2_cites_it(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "EXPERIMENTS.md")) as handle:
+            experiments = handle.read()
+        a2 = experiments[experiments.index("## A2"):]
+        a2 = a2[: a2.index("\n## ")]
+        with open(os.path.join(root, "benchmarks", "bench_a2_enumeration.py")) as handle:
+            bench = handle.read()
+        for text in (a2, bench):
+            assert "enum[3]#55188" in text

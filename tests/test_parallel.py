@@ -391,6 +391,21 @@ class TestCliArtifacts:
             payloads.append(payload)
         assert payloads[0] == payloads[1]
 
+    def test_bb_golden(self, capsys):
+        """`bb --json` prints the same result at jobs 1 and 2, and the golden's.
+
+        The golden holds the output of the enumeration that built every
+        protocol before deciding it, minus the ``jobs`` field.
+        """
+        with open(os.path.join(os.path.dirname(__file__), "golden", "bb_json.json")) as handle:
+            golden = json.load(handle)
+        for command, expected in golden.items():
+            for jobs in ("1", "2"):
+                assert main([*command.split(), "--jobs", jobs, "--json"]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                assert payload.pop("jobs") == int(jobs)
+                assert payload == expected, (command, jobs)
+
     def test_bb_json(self, capsys):
         code = main(["bb", "2", "--max-input", "6", "--jobs", "2", "--json"])
         assert code == 0

@@ -64,6 +64,12 @@ class TestVectorScheduler:
         with pytest.raises(OverflowError, match="int64"):
             scheduler.reset(10**19)
 
+    def test_int64_max_is_numpys(self):
+        """The written-out limit behind both guards is numpy's int64 max."""
+        from repro.simulation import vectorized
+
+        assert vectorized._INT64_MAX == np.iinfo(np.int64).max
+
     def test_budget_guard(self, threshold4):
         scheduler = VectorEnsembleScheduler(threshold4, trials=4, seed=0)
         with pytest.raises(OverflowError, match="int64"):
