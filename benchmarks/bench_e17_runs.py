@@ -2,9 +2,10 @@
 
 The run registry records every long-running CLI invocation.  Its value
 is post-mortem (a SIGKILLed week-long search must still leave an
-inspectable manifest and event stream), so its cost must be front-
-loaded and tiny: one manifest write at open, one at finalize, one
-flushed line per event.  E17 measures and guards both sides:
+inspectable manifest and stream), so its cost must be front-loaded
+and tiny: one manifest write at open, one at finalize, one flushed
+line per span or event in the run's one stream, ``trace.jsonl``.
+E17 measures and guards both sides:
 
 * **Overhead** — open/finalize cycles per second (the same figure the
   ``runs.manifest_overhead`` ledger workload pins in CI), and the E12
@@ -15,8 +16,7 @@ flushed line per event.  E17 measures and guards both sides:
 * **Crash capture** — a subprocess running a traced search is killed
   with SIGTERM and with SIGKILL; the registry must report the run as
   ``killed`` either way (immediately for SIGTERM, post-hoc via the
-  stale-PID check for SIGKILL) with the already-flushed event stream
-  intact.
+  stale-PID check for SIGKILL) with the already-flushed stream intact.
 """
 
 from __future__ import annotations
@@ -126,14 +126,11 @@ def test_e17_kill_capture(tmp_path, signum, expected_signal):
         assert (status, stale) == ("killed", True)
         final = runlog.mark_stale_killed(root, raw)
     assert final["signal"] == expected_signal
-    events = runlog.iter_events(
-        os.path.join(runlog.run_directory(root, run_id), runlog.EVENTS_NAME)
-    )
+    # The partial stream survived the kill: every flushed line is
+    # complete JSON (read_stream raises on any other than a cut tail).
+    events, _ = runlog.read_stream(root, run_id)
     names = [event.get("name") for event in events]
     assert "run-start" in names
-    # The partial event stream survived the kill: every flushed line is
-    # complete JSON (iter_events drops at most a truncated tail).
-    assert all(isinstance(event, dict) for event in events)
 
 
 def test_e17_report(tmp_path):

@@ -17,7 +17,8 @@ sit on the CI critical path (every ``bench run`` and every red
   workload is bit-identical at ``jobs`` 1 and 2 (the repo's
   determinism contract, measured rather than assumed).
 * **Blame quality** — a deterministically perturbed ``simulate.count``
-  (step budget under the convergence point), recorded by the ledger,
+  (``CountScheduler.run`` capped under the convergence point), recorded
+  by the ledger,
   must show its span drift at the ``simulate.run`` path and nowhere
   else, from the two entries alone, just like in the profile-smoke CI
   job.
@@ -28,6 +29,7 @@ from __future__ import annotations
 from repro.fmt import render_table, section
 from repro.obs import compare_artifacts, profile as prof, run_suite, trace_workload
 from repro.obs.bench import _synthetic_frontier_trace, get_workload
+from repro.simulation import CountScheduler
 
 
 def test_e19_aggregate_synthetic_frontier(benchmark):
@@ -59,22 +61,27 @@ def test_e19_profiles_identical_across_jobs():
     assert serial.work_counts() == parallel.work_counts()
 
 
-def _ledger_entry(monkeypatch, max_steps=None):
-    if max_steps is not None:
-        monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", str(max_steps))
+def _ledger_entry(monkeypatch, cap=None):
+    if cap is not None:
+        run = CountScheduler.run
+        monkeypatch.setattr(
+            CountScheduler,
+            "run",
+            lambda self, inputs, max_steps: run(self, inputs, min(max_steps, cap)),
+        )
     artifact = run_suite(
         "micro",
         repeats=1,
         memory=False,
         workload_filter=lambda w: w.name == "simulate.count",
     )
-    monkeypatch.delenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", raising=False)
+    monkeypatch.undo()
     return artifact
 
 
 def test_e19_compare_names_perturbed_path(monkeypatch, benchmark):
     base = _ledger_entry(monkeypatch)
-    new = _ledger_entry(monkeypatch, max_steps=1600)
+    new = _ledger_entry(monkeypatch, cap=1600)
     report = benchmark.pedantic(
         compare_artifacts, args=(base, new), rounds=1, iterations=1
     )

@@ -51,7 +51,6 @@ from .core.protocol import PopulationProtocol
 from .io import dumps, loads, to_dot
 from .obs import (
     DEFAULT_BASELINE_PATH as _DEFAULT_BASELINE,
-    JsonlExporter,
     SpanExporter,
     Tracer,
     build_profile,
@@ -291,27 +290,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-class _RunEventExporter(SpanExporter):
-    """Mirrors tracer instant events (heartbeats) into ``events.jsonl``.
-
-    Spans are ignored here — they already land in the run-local
-    ``trace.jsonl`` through the standard JSONL exporter; this sink only
-    feeds the event stream ``repro runs tail`` follows.  Each heartbeat
-    reaches every sink exactly once: :class:`~repro.obs.ProgressMeter`
-    emits one tracer event per rate-limit window regardless of how many
-    exporters are attached.
-    """
-
-    def __init__(self, recorder: "runlog.RunRecorder"):
-        self._recorder = recorder
-
-    def export(self, span) -> None:
-        return None
-
-    def export_event(self, name, timestamp_us, attributes) -> None:
-        self._recorder.tracer_event(name, timestamp_us, dict(attributes))
-
-
 # Commands whose invocations are worth a registry entry: the
 # long-running analyses and searches, not the instant inspectors.
 _RECORDED_COMMANDS = frozenset({"analyze", "certify", "simulate", "conformance", "bb"})
@@ -361,9 +339,10 @@ def _open_run(args, argv: Optional[List[str]]) -> Optional["runlog.RunRecorder"]
 def _observability(args, recorder: Optional["runlog.RunRecorder"] = None) -> Iterator[None]:
     """Activate tracing/progress around a command, restoring on exit.
 
-    A recorded run always gets a live tracer: spans flow into the
-    run-local ``trace.jsonl`` and heartbeats into ``events.jsonl``,
-    whether or not the user asked for ``--trace``/``--progress``.
+    A recorded run always gets a live tracer with the recorder as one
+    of its exporters: spans and heartbeats flow into the run's one
+    stream, ``trace.jsonl``, whether or not the user asked for
+    ``--trace``/``--progress``.
     """
     trace_path = getattr(args, "trace", None)
     trace_memory = getattr(args, "trace_memory", False)
@@ -379,10 +358,7 @@ def _observability(args, recorder: Optional["runlog.RunRecorder"] = None) -> Ite
     if trace_path:
         exporters.append(exporter_for_path(trace_path))
     if recorder is not None:
-        exporters.append(
-            JsonlExporter(os.path.join(recorder.directory, runlog.TRACE_NAME))
-        )
-        exporters.append(_RunEventExporter(recorder))
+        exporters.append(recorder)
         if trace_path:
             recorder.link_artifact("user_trace", trace_path)
     tracer = Tracer(exporters, memory=trace_memory)
@@ -959,9 +935,10 @@ def _cmd_runs_show(args) -> int:
         print(json.dumps(manifest, indent=2, sort_keys=True))
         return 0
     directory = runlog.run_directory(root, run_id)
-    events = runlog.iter_events(os.path.join(directory, runlog.EVENTS_NAME))
-    trace_path = os.path.join(directory, runlog.TRACE_NAME)
-    spans = load_trace(trace_path) if os.path.exists(trace_path) else []
+    try:
+        events, spans = runlog.read_stream(root, run_id)
+    except runlog.RunsError as error:
+        raise SystemExit(f"error: {error}")
     orphans = build_profile(spans).orphan_count
     print(f"run: {run_id}")
     print(f"status: {status}" + (" (inferred: PID gone, never finalized)" if stale else ""))
@@ -1017,14 +994,17 @@ def _cmd_runs_tail(args) -> int:
     manifest = runlog.load_manifest(root, run_id)
     print(f"tailing run {run_id} ({manifest.get('command', '?')}, "
           f"pid {manifest.get('pid')})", file=sys.stderr)
-    for event in runlog.follow_events(
-        root,
-        run_id,
-        follow=not args.no_follow,
-        interval=args.interval,
-        timeout=args.timeout,
-    ):
-        print(_render_event_line(event))
+    try:
+        for event in runlog.follow_events(
+            root,
+            run_id,
+            follow=not args.no_follow,
+            interval=args.interval,
+            timeout=args.timeout,
+        ):
+            print(_render_event_line(event))
+    except runlog.RunsError as error:
+        raise SystemExit(f"error: {error}")
     status, _ = runlog.effective_status(runlog.load_manifest(root, run_id))
     print(f"run {run_id}: {status}", file=sys.stderr)
     return 0
@@ -1075,10 +1055,7 @@ def _cmd_runs_diff(args) -> int:
         for spec in (args.run_a, args.run_b):
             run_id = runlog.resolve_run_id(root, spec)
             manifest = runlog.load_manifest(root, run_id)
-            trace_path = os.path.join(
-                runlog.run_directory(root, run_id), runlog.TRACE_NAME
-            )
-            spans = load_trace(trace_path) if os.path.exists(trace_path) else []
+            _, spans = runlog.read_stream(root, run_id)
             if not spans:
                 print(f"warning: run {run_id} recorded no spans", file=sys.stderr)
             profiles.append(prof.build_profile(spans, meta={"run": run_id}))
@@ -1566,7 +1543,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runs_dir_flag(pr)
     pr.set_defaults(handler=_cmd_runs_show)
 
-    pr = runs_sub.add_parser("tail", help="follow a run's event stream live")
+    pr = runs_sub.add_parser("tail", help="follow a run's events live")
     pr.add_argument("run", nargs="?", default="latest")
     pr.add_argument("--interval", type=_positive_float, default=0.5, metavar="SECONDS",
                     help="poll interval while following (default 0.5)")

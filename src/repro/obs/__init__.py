@@ -28,8 +28,8 @@ This package makes them observable from three angles:
   workload's own counts beside them);
 * :mod:`repro.obs.runs` / :mod:`repro.obs.report` — the flight
   recorder: a persistent run registry every CLI invocation records
-  into (manifest, event stream, run-local trace; crash/kill capture)
-  and the static HTML report renderer behind ``repro runs``.
+  into (a manifest and one stream of spans and events; crash/kill
+  capture) and the static HTML report renderer behind ``repro runs``.
 """
 
 from .bench import (

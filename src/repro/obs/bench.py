@@ -145,41 +145,11 @@ def suite_names() -> Iterable[str]:
     description="CountScheduler to silent consensus (E10 exact sampler)",
 )
 def _simulate_count() -> Dict[str, int]:
-    import os
-    import sys
-
     from ..protocols import binary_threshold
     from ..simulation import CountScheduler
 
-    # Chaos hook for the profile-smoke CI job: overriding the step
-    # budget below the pinned-seed convergence point (3200 interactions)
-    # forces deterministic work drift that `bench compare` must trace
-    # back to the `simulate.run` span subtree.
-    max_steps = 200_000
-    raw = os.environ.get("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS")
-    if raw:
-        try:
-            max_steps = int(raw)
-        except ValueError:
-            raise ValueError(
-                "REPRO_BENCH_PERTURB_COUNT_MAX_STEPS must be an integer "
-                f"step budget, got {raw!r}"
-            ) from None
-        if max_steps <= 0:
-            raise ValueError(
-                "REPRO_BENCH_PERTURB_COUNT_MAX_STEPS must be positive, "
-                f"got {raw!r}"
-            )
-        # Loud on purpose: a stray setting in the environment would
-        # otherwise masquerade as a real ledger regression.
-        print(
-            f"warning: REPRO_BENCH_PERTURB_COUNT_MAX_STEPS={raw} is "
-            "perturbing the simulate.count workload; its work counts "
-            "are not comparable to an unperturbed ledger",
-            file=sys.stderr,
-        )
     scheduler = CountScheduler(binary_threshold(8), seed=0)
-    result = scheduler.run({"x": 400}, max_steps=max_steps)
+    result = scheduler.run({"x": 400}, max_steps=200_000)
     return {"converged": int(result.converged)}
 
 

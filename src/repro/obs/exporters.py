@@ -102,8 +102,8 @@ class RecordingExporter(SpanExporter):
     JSONL span shape understood by :func:`repro.obs.summary.load_trace`.
 
     Instant events (progress heartbeats) are buffered separately in
-    ``events`` — the per-worker event shard the run registry merges
-    into ``events.jsonl`` in task order.
+    ``events`` — the per-worker event shard the parent re-emits through
+    its own tracer in task order, beside the task's spans.
     """
 
     def __init__(self) -> None:

@@ -45,7 +45,7 @@ class ProgressMeter:
     ``emit_stderr=False`` keeps the stderr line off while still
     mirroring each heartbeat into the active tracer — the configuration
     a ``--trace``-only (or run-recorded) command uses, so trace files
-    and run event streams carry the frontier/rate trajectory without
+    and the run's stream carry the frontier/rate trajectory without
     any terminal noise.  Each rate-limited window emits exactly one
     tracer event however many sinks are on: the stderr line and the
     trace record come from the same ``_emit`` call, never two.
@@ -183,8 +183,8 @@ def progress(name: str, stats: Optional[StatsCallback] = None, **kwargs):
     Stderr heartbeats need :func:`enable_progress` (``--progress``);
     a live tracer alone (``--trace`` or a recorded run) also gets a
     real meter, with stderr off, so heartbeat history lands in the
-    trace/event stream.  With neither sink active the shared no-op
-    meter keeps the disabled path at a bare method call.
+    trace and the run's stream.  With neither sink active the shared
+    no-op meter keeps the disabled path at a bare method call.
     """
     if not _ENABLED and not get_tracer().enabled:
         return _NULL_METER

@@ -1,15 +1,16 @@
 """Static HTML run reports (``repro runs report``).
 
-Renders one recorded run — manifest, span trace, event stream — into a
-single self-contained HTML document: no JavaScript, no external assets,
-so the file can be attached to a CI artifact, mailed, or opened from a
-``file://`` URL years later and still work.  The span tree uses native
-``<details>``/``<summary>`` nesting (collapsible without scripts) with
-inline flame bars positioned on the run's time axis; per-worker
-timelines are rebuilt from the ``parallel.task`` container spans the
-pool merge emits; metrics, latency histograms (p50/p90/p99 from the
-bounded buckets), cache counters and heartbeat events come straight
-from the manifest and ``events.jsonl``.
+Renders one recorded run — its manifest and its one stream of spans
+and events — into a single self-contained HTML document: no
+JavaScript, no external assets, so the file can be attached to a CI
+artifact, mailed, or opened from a ``file://`` URL years later and
+still work.  The span tree uses native ``<details>``/``<summary>``
+nesting (collapsible without scripts) with inline flame bars
+positioned on the run's time axis; per-worker timelines are rebuilt
+from the ``parallel.task`` container spans the pool merge emits;
+metrics, latency histograms (p50/p90/p99 from the bounded buckets),
+cache counters and heartbeat events come straight from the manifest
+and the run's ``trace.jsonl``.
 
 Everything here is pure formatting over already-recorded data — a
 report renders identically for a live, finished, crashed, or killed
@@ -20,11 +21,10 @@ from __future__ import annotations
 
 import html
 import json
-import os
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from .summary import SpanRecord, load_trace
+from .summary import SpanRecord
 from . import runs as _runs
 
 __all__ = ["render_run_report", "render_report_for_run"]
@@ -366,10 +366,7 @@ def render_run_report(
 
 
 def render_report_for_run(root: str, run_id: str) -> str:
-    """Load a run's artifacts from disk and render the report."""
+    """Load a run's manifest and stream from disk and render the report."""
     manifest = _runs.load_manifest(root, run_id)
-    directory = _runs.run_directory(root, run_id)
-    trace_path = os.path.join(directory, _runs.TRACE_NAME)
-    spans = load_trace(trace_path) if os.path.exists(trace_path) else []
-    events = _runs.iter_events(os.path.join(directory, _runs.EVENTS_NAME))
+    events, spans = _runs.read_stream(root, run_id)
     return render_run_report(manifest, spans, events)

@@ -14,31 +14,34 @@ record under ``~/.local/state/repro/runs/<run_id>/``:
     (counters, timers, bounded-bucket latency histograms) and the
     cache hit/miss counters.  On a crash the traceback is recorded.
 
-``events.jsonl``
-    Line-flushed heartbeat/lifecycle stream a *second process* can
-    follow while the run is live (``repro runs tail``).  Parallel
-    workers ship their heartbeat events home in result envelopes
-    (per-worker shards) and :func:`repro.parallel.run_tasks` appends
-    them here in task order, so the merged stream is deterministic.
-
 ``trace.jsonl``
-    A run-local span log (the standard JSONL exporter), so
-    ``repro runs report`` can render the span tree even when the user
-    did not pass ``--trace``.
+    The run's one stream, line-flushed so a *second process* can follow
+    it while the run is live (``repro runs tail``).  The recorder is a
+    span exporter of the command's tracer, so the stream holds, in the
+    standard JSONL shape: every span; every tracer event (progress
+    heartbeats, worker event shards the parallel backend re-emits in
+    task order); and the recorder's own events (``run-start``,
+    ``run-finish``, ``km-checkpoint``/``km-resume``,
+    ``run-killed-detected``).  Every event carries ``wall_unix``.
+    ``repro runs show|tail|report|diff`` all read it through
+    :func:`repro.obs.summary.parse_jsonl`.
 
 Crash tolerance is layered: a normal exit finalizes through the CLI, a
 ``sys.exit`` deep in a handler finalizes through ``atexit``, SIGTERM /
 SIGINT finalize through a signal handler that marks the run
-``killed``, and SIGKILL — which nothing can catch — is detected *post
+``killed`` (spans the tracer closes on the way out still land in the
+stream), and SIGKILL — which nothing can catch — is detected *post
 mortem*: any reader that finds a ``running`` manifest whose PID no
 longer exists reports (and can persist) the run as ``killed``.  Every
-line already flushed to ``events.jsonl``/``trace.jsonl`` survives, so
-a killed run still has its partial event stream.
+line already flushed to ``trace.jsonl`` survives, so a killed run
+still has its partial stream; the post-mortem drops a line the kill
+cut short before it appends ``run-killed-detected``.
 
 Recording is opt-out (``REPRO_NO_RUNS=1``; the test suite sets it) and
 redirectable (``REPRO_RUNS_DIR``).  Opening and finalizing a manifest
 is a few JSON writes with no fsync — the ``runs.manifest_overhead``
-ledger workload pins the cost.
+ledger workload pins the cost.  Manifest schema 2 is this layout;
+schema 1 kept a second stream, ``events.jsonl``, which nothing reads.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ import signal
 import threading
 import time
 import uuid
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from .exporters import JsonlExporter, _clean
+from .summary import SpanRecord, parse_jsonl
 
 __all__ = [
     "MANIFEST_KIND",
@@ -71,17 +77,16 @@ __all__ = [
     "effective_status",
     "mark_stale_killed",
     "pid_alive",
-    "iter_events",
+    "read_stream",
     "follow_events",
     "gc_runs",
     "run_size_bytes",
 ]
 
 MANIFEST_KIND = "repro-run"
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 MANIFEST_NAME = "manifest.json"
-EVENTS_NAME = "events.jsonl"
 TRACE_NAME = "trace.jsonl"
 
 ENV_RUNS_DIR = "REPRO_RUNS_DIR"
@@ -190,16 +195,21 @@ def _new_run_id() -> str:
     return f"{stamp}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
-class RunRecorder:
-    """One live run: owns the manifest, the event stream, the finalizer."""
+class RunRecorder(JsonlExporter):
+    """One live run: owns the manifest, the run's stream, the finalizer.
+
+    As a span exporter it writes the command's spans and tracer events
+    to ``trace.jsonl``; :meth:`event` adds its own events to the same
+    stream, and every event is stamped with ``wall_unix``.
+    """
 
     def __init__(self, directory: str, manifest: Dict[str, Any]):
         self.directory = directory
         self.manifest = manifest
         self.run_id: str = manifest["run_id"]
-        self._events: Optional[TextIO] = None
         self._finalized = False
         self._previous_handlers: Dict[int, Any] = {}
+        super().__init__(os.path.join(directory, TRACE_NAME))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -214,7 +224,7 @@ class RunRecorder:
         jobs: Optional[int] = None,
         install_handlers: bool = True,
     ) -> "RunRecorder":
-        """Create the run directory and write the ``running`` manifest."""
+        """Create the run directory, its stream and the ``running`` manifest."""
         run_id = _new_run_id()
         directory = run_directory(root, run_id)
         os.makedirs(directory, exist_ok=True)
@@ -236,18 +246,13 @@ class RunRecorder:
             "exit_code": None,
             "signal": None,
             "error": None,
-            "artifacts": {
-                "events": EVENTS_NAME,
-                "trace": TRACE_NAME,
-            },
-            "worker_events": 0,
+            "artifacts": {"trace": TRACE_NAME},
             "checkpoints": {},
             "metrics": None,
             "cache": None,
         }
         recorder = cls(directory, manifest)
         recorder._write_manifest()
-        recorder._events = open(os.path.join(directory, EVENTS_NAME), "w")
         recorder.event("run-start", command=command, pid=os.getpid())
         atexit.register(recorder._atexit_finalize)
         if install_handlers:
@@ -257,50 +262,25 @@ class RunRecorder:
     def _write_manifest(self) -> None:
         _atomic_write_json(os.path.join(self.directory, MANIFEST_NAME), self.manifest)
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self._events is None or self._events.closed:
+    def _write(self, record: Dict[str, Any]) -> None:
+        if record["type"] == "event":
+            record["wall_unix"] = round(time.time(), 3)
+        if not self._handle.closed:
+            # Flushed per line, so `repro runs tail` in a second process
+            # and the post-mortem after a SIGKILL see every record.
+            super()._write(record)
             return
-        self._events.write(json.dumps(record) + "\n")
-        # Flushed per line so `repro runs tail` in a second process —
-        # and the post-mortem after a SIGKILL — see every complete event.
-        self._events.flush()
+        # Sealed by a signal while spans were open: the spans the tracer
+        # closes on the way out still belong to the run.
+        with open(self.path, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
 
     def event(self, name: str, **attributes: Any) -> None:
-        """Append one lifecycle event to ``events.jsonl``."""
-        self._append(
-            {
-                "type": "event",
-                "name": name,
-                "wall_unix": round(time.time(), 3),
-                "attrs": attributes,
-            }
-        )
+        """Append one of the recorder's own events to the stream."""
+        self._write({"type": "event", "name": name, "attrs": _clean(attributes)})
 
-    def tracer_event(self, name: str, timestamp_us: float, attributes: Dict[str, Any]) -> None:
-        """Mirror one tracer instant event (heartbeats) into the stream."""
-        self._append(
-            {
-                "type": "event",
-                "name": name,
-                "ts_us": timestamp_us,
-                "wall_unix": round(time.time(), 3),
-                "attrs": dict(attributes),
-            }
-        )
-
-    def append_worker_events(
-        self, task_index: int, worker_pid: Optional[int], events: Tuple[Dict[str, Any], ...]
-    ) -> int:
-        """Merge one task's event shard (called in task order by the pool)."""
-        for record in events:
-            merged = dict(record)
-            attrs = dict(merged.get("attrs", {}))
-            attrs.setdefault("task", task_index)
-            attrs.setdefault("worker_pid", worker_pid)
-            merged["attrs"] = attrs
-            self._append(merged)
-        self.manifest["worker_events"] = self.manifest.get("worker_events", 0) + len(events)
-        return len(events)
+    def close(self) -> None:
+        """The tracer is done with the stream; :meth:`finalize` ends it."""
 
     def link_artifact(self, kind: str, path: str) -> None:
         """Record an externally-written artifact (``--trace``, bench out)."""
@@ -358,8 +338,7 @@ class RunRecorder:
         except Exception:  # pragma: no cover - snapshot must never block sealing
             pass
         self.event("run-finish", status=status, exit_code=exit_code)
-        if self._events is not None and not self._events.closed:
-            self._events.close()
+        super().close()
         self._write_manifest()
         self._restore_signal_handlers()
         atexit.unregister(self._atexit_finalize)
@@ -512,46 +491,68 @@ def mark_stale_killed(root: str, manifest: Dict[str, Any]) -> Dict[str, Any]:
             manifest["duration_s"] = round(max(0.0, manifest["ended_unix"] - started), 3)
     directory = run_directory(root, run_id)
     _atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
+    record = {
+        "type": "event",
+        "name": "run-killed-detected",
+        "wall_unix": round(time.time(), 3),
+        "attrs": {"detected_by_pid": os.getpid()},
+    }
     try:
-        with open(os.path.join(directory, EVENTS_NAME), "a") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "type": "event",
-                        "name": "run-killed-detected",
-                        "wall_unix": round(time.time(), 3),
-                        "attrs": {"detected_by_pid": os.getpid()},
-                    }
-                )
-                + "\n"
-            )
+        with open(os.path.join(directory, TRACE_NAME), "rb+") as handle:
+            _drop_cut_line(handle)
+            handle.write((json.dumps(record) + "\n").encode())
     except OSError:
         pass
     return manifest
 
 
+def _drop_cut_line(handle: Any) -> None:
+    """Truncate a binary stream after its last newline, leaving it at the end.
+
+    A SIGKILL mid-write leaves one line without its newline; appending
+    after it would glue a record onto the cut line, so it goes first.
+    """
+    keep = handle.seek(0, os.SEEK_END)
+    while keep > 0:
+        start = max(0, keep - 4096)
+        handle.seek(start)
+        newline = handle.read(keep - start).rfind(b"\n")
+        if newline >= 0:
+            keep = start + newline + 1
+            break
+        keep = start
+    handle.truncate(keep)
+    handle.seek(keep)
+
+
 # ----------------------------------------------------------------------
-# Event streams
+# The run's stream
 # ----------------------------------------------------------------------
 
 
-def iter_events(path: str) -> List[Dict[str, Any]]:
-    """Parse an events file, skipping a truncated (killed-run) tail line."""
+def read_stream(root: str, run_id: str) -> Tuple[List[Dict[str, Any]], List[SpanRecord]]:
+    """``(events, spans)`` of a run, from one read of its ``trace.jsonl``.
+
+    A missing stream reads as empty; a corrupt one (a line other than a
+    cut tail that is not JSON) raises :class:`RunsError`.
+    """
+    path = os.path.join(run_directory(root, run_id), TRACE_NAME)
     try:
         with open(path) as handle:
-            lines = handle.readlines()
+            text = handle.read()
     except OSError:
-        return []
-    events = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return events
+        return [], []
+    records = _parse_stream(text, run_id, path)
+    events = [record for record in records if record.get("type") == "event"]
+    spans = [SpanRecord.from_dict(record) for record in records if record.get("type") == "span"]
+    return events, spans
+
+
+def _parse_stream(text: str, run_id: str, path: str) -> List[Dict[str, Any]]:
+    try:
+        return parse_jsonl(text)
+    except ValueError as error:
+        raise RunsError(f"run {run_id!r}: {path} is corrupt: {error}")
 
 
 def follow_events(
@@ -562,14 +563,15 @@ def follow_events(
     interval: float = 0.5,
     timeout: Optional[float] = None,
 ) -> Iterator[Dict[str, Any]]:
-    """Yield events as they appear; stop once the run is terminal.
+    """Yield the stream's events as they appear; stop once the run is terminal.
 
     This is the ``repro runs tail`` engine: it re-reads the manifest
     between polls, detects a stale run (PID gone), persists the
-    ``killed`` verdict, and stops.  Only complete lines are yielded —
-    a partially-flushed tail line is left for the next poll.
+    ``killed`` verdict, and stops.  Only complete lines are parsed — a
+    partially-flushed tail line is left for the next poll — and a
+    complete line that is not JSON raises :class:`RunsError`.
     """
-    path = os.path.join(run_directory(root, run_id), EVENTS_NAME)
+    path = os.path.join(run_directory(root, run_id), TRACE_NAME)
     deadline = None if timeout is None else time.monotonic() + timeout
     offset = 0
     buffered = ""
@@ -581,15 +583,12 @@ def follow_events(
                 offset = handle.tell()
         except OSError:
             chunk = ""
-        buffered += chunk
-        while "\n" in buffered:
-            line, buffered = buffered.split("\n", 1)
-            if not line.strip():
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                continue
+        # Complete lines are parsed now (each newline-terminated, so none
+        # counts as a cut tail); the remainder waits for the next poll.
+        complete, _, buffered = (buffered + chunk).rpartition("\n")
+        for record in _parse_stream(complete + "\n", run_id, path):
+            if record.get("type") == "event":
+                yield record
         manifest = load_manifest(root, run_id)
         status, stale = effective_status(manifest)
         if stale:

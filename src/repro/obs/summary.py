@@ -10,10 +10,11 @@ summed per-span counters, and — when the trace was recorded with
 memory spans on — the maximum per-span memory peak.
 
 Traces from killed or still-running processes are first-class inputs:
-a truncated JSONL tail line is skipped rather than fatal, and *orphan*
-spans (``parent_id`` pointing at a span that never made it into the
-file, e.g. a parent still open when the process died) are aggregated
-as roots instead of raising.
+a JSONL tail line a kill cut short is skipped rather than fatal, and
+*orphan* spans (``parent_id`` pointing at a span that never made it
+into the file, e.g. a parent still open when the process died) are
+aggregated as roots instead of raising.  :func:`parse_jsonl` is the
+one JSONL reader: the run registry reads its streams through it too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["SpanRecord", "load_trace", "trace_summary", "summarize_trace"]
+__all__ = ["SpanRecord", "parse_jsonl", "load_trace", "trace_summary", "summarize_trace"]
 
 
 @dataclass(frozen=True)
@@ -53,23 +54,28 @@ class SpanRecord:
         )
 
 
-def _from_jsonl(lines: List[str]) -> List[SpanRecord]:
-    records: List[SpanRecord] = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
+def parse_jsonl(text: str) -> List[Dict[str, Any]]:
+    """The records of a JSONL stream, in order.
+
+    A writer killed mid-line leaves one line without its newline, the
+    last: every complete line before it is still a valid record, so
+    that cut line is skipped — reading the partial stream is exactly
+    what a post-mortem needs.  A complete line that is not JSON makes
+    the stream corrupt: ``json.JSONDecodeError`` at its stream position.
+    """
+    lines = text.split("\n")
+    records: List[Dict[str, Any]] = []
+    offset = 0
+    for number, line in enumerate(lines, 1):
+        start, offset = offset, offset + len(line) + 1
+        if not line.strip():
             continue
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            # A killed run leaves a half-written final line; every
-            # complete line is still a valid record, so summarising the
-            # partial trace is exactly what a post-mortem needs.
-            if index == len(lines) - 1:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as error:
+            if number == len(lines):
                 continue
-            raise
-        if payload.get("type") == "span":
-            records.append(SpanRecord.from_dict(payload))
+            raise json.JSONDecodeError(error.msg, text, start + error.pos) from None
     return records
 
 
@@ -111,7 +117,11 @@ def load_trace(path: str) -> List[SpanRecord]:
         document = None  # not one JSON document: treat as JSONL
     if isinstance(document, dict) and "traceEvents" in document:
         return _from_chrome(document)
-    return _from_jsonl(text.splitlines())
+    return [
+        SpanRecord.from_dict(record)
+        for record in parse_jsonl(text)
+        if record.get("type") == "span"
+    ]
 
 
 _SORT_KEYS = {

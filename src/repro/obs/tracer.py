@@ -289,9 +289,14 @@ class Tracer:
 
     def event(self, name: str, **attributes: Any) -> None:
         """Record an instant event (used by progress heartbeats)."""
-        timestamp = self._now_us()
+        self.adopt_event(name, timestamp_us=self._now_us(), attributes=attributes)
+
+    def adopt_event(
+        self, name: str, *, timestamp_us: float, attributes: Dict[str, Any]
+    ) -> None:
+        """Export an instant event recorded elsewhere (a worker's shard)."""
         for exporter in self._exporters:
-            exporter.export_event(name, timestamp, attributes)
+            exporter.export_event(name, timestamp_us, attributes)
 
     def close(self) -> None:
         """Close any spans left open (crash tolerance), then exporters."""

@@ -8,8 +8,9 @@ arbitrary picklable ``payload``; a randomised sweep puts its seeds in
 the payload, so they never depend on the worker.  A
 :class:`ResultEnvelope` carries the task's return value back together
 with the observability sidecar: the worker-local metrics registry
-delta and the spans the task recorded, so the parent can merge them
-and keep ``--trace`` / ``--json`` artifacts coherent across workers.
+delta and the spans and events the task recorded, so the parent can
+merge them and keep ``--trace`` / ``--json`` artifacts and the run's
+``trace.jsonl`` coherent across workers.
 
 ``worker_pid`` and ``elapsed_us`` are *display-only* — they describe
 where and how long the task ran, vary from run to run, and must never
@@ -43,8 +44,8 @@ class ResultEnvelope:
     the recorded span dicts in the :class:`repro.obs.SpanRecord` JSONL
     shape, with ids local to the worker's recording tracer.  ``events``
     is the task's instant-event shard (progress heartbeats recorded
-    inside the worker); the run registry merges shards into the run's
-    ``events.jsonl`` in task order so the merged stream is deterministic.
+    inside the worker); the parent re-emits each shard through its own
+    tracer, in task order, so every sink gets the same merged stream.
     """
 
     index: int

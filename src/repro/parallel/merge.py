@@ -1,9 +1,10 @@
 """Merging worker observability back into the parent process.
 
 Parallel execution must not degrade observability: the parent's
-metrics registry still holds every worker's span totals, and a
-``--trace`` file still describes the whole run.  Two merge operations
-make that true:
+metrics registry still holds every worker's span totals, and every
+sink of the parent's tracer (a ``--trace`` file, a recorded run's
+``trace.jsonl``) still describes the whole run.  Three merge
+operations make that true:
 
 * :func:`merge_registry_delta` — fold a worker's metrics-registry
   delta (shipped in the result envelope as plain dicts) into the
@@ -17,6 +18,9 @@ make that true:
   preserved.  Because ``repro trace summarize`` computes *self* time
   from parent links (not time containment), per-worker spans merge
   without overlapping self-time even though workers run concurrently.
+* :func:`adopt_recorded_events` — re-emit a worker's instant events
+  (progress heartbeats) through the parent's tracer, re-based the same
+  way and tagged with the task index and worker PID.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 from ..obs import InstrumentationSnapshot, get_metrics
 from ..obs.metrics import HistogramSnapshot
 
-__all__ = ["merge_registry_delta", "adopt_recorded_spans"]
+__all__ = ["merge_registry_delta", "adopt_recorded_spans", "adopt_recorded_events"]
 
 
 def _snapshot_from_dict(payload: Mapping[str, Mapping[str, Any]]) -> InstrumentationSnapshot:
@@ -89,3 +93,27 @@ def adopt_recorded_spans(
             counters=record.get("counters"),
         )
     return len(records)
+
+
+def adopt_recorded_events(
+    tracer: Any,
+    events: Sequence[Dict[str, Any]],
+    *,
+    base_us: float,
+    task: int,
+    worker_pid: Optional[int],
+) -> None:
+    """Re-emit one task's event shard through ``tracer``.
+
+    Called once per task in task order, so every sink receives the
+    shards in the same order whichever worker finished first.
+    """
+    for record in events:
+        attributes = dict(record.get("attrs", {}))
+        attributes.setdefault("task", task)
+        attributes.setdefault("worker_pid", worker_pid)
+        tracer.adopt_event(
+            record["name"],
+            timestamp_us=base_us + float(record.get("ts_us", 0.0)),
+            attributes=attributes,
+        )

@@ -12,10 +12,12 @@ sub-checks, ensemble trial chunks, report sections).  The contract:
   (``tests/test_parallel.py``) is the enforcement of this contract; no
   speedup claim stands without it.
 * **Serial is the reference.**  ``jobs=1`` runs the same task functions
-  inline: metrics flow into the live registry and spans into the live
-  tracer exactly as a hand-written loop would.  The parallel path must
-  reproduce that observable behaviour by shipping worker deltas home
-  (:mod:`repro.parallel.merge`).
+  inline: metrics flow into the live registry, and spans and events
+  (progress heartbeats) into the live tracer, exactly as a hand-written
+  loop would.  The parallel path must reproduce that observable
+  behaviour by shipping worker deltas home (:mod:`repro.parallel.merge`):
+  each task's spans and events reach every sink of the parent's tracer,
+  task by task in task order.
 * **Workers are hygienic.**  A task starts from a clean tracer (never
   the parent's — a forked file-handle exporter must not be written to)
   and a cleared metrics registry, so the envelope's sidecar is exactly
@@ -42,9 +44,8 @@ from ..obs import (
     registry_snapshot,
     set_tracer,
 )
-from ..obs.runs import current_run
 from .envelopes import ResultEnvelope, TaskEnvelope
-from .merge import adopt_recorded_spans, merge_registry_delta
+from .merge import adopt_recorded_events, adopt_recorded_spans, merge_registry_delta
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -149,9 +150,9 @@ def run_tasks(
     ``jobs=1`` executes inline (the reference semantics); ``jobs>1``
     fans out over a process pool, then merges each worker's metrics
     registry delta into this process's registry and adopts its recorded
-    spans into the live trace.  An ``executor`` from :func:`worker_pool`
-    is reused (and left open); otherwise a pool is created and torn
-    down for this call.
+    spans and events into the live trace.  An ``executor`` from
+    :func:`worker_pool` is reused (and left open); otherwise a pool is
+    created and torn down for this call.
     """
     jobs = resolve_jobs(jobs)
     capture = bool(get_tracer().enabled) and jobs > 1 and len(payloads) > 1
@@ -193,18 +194,10 @@ def run_tasks(
         meter.finish()
         ordered = [results[index] for index in range(len(tasks))]
         adopted = 0
-        run = current_run()
+        base_us = getattr(pool_span, "start_us", 0.0)
         for envelope in ordered:
             merge_registry_delta(envelope.metrics)
-            if run is not None and envelope.events:
-                # Shards land in task order (this loop walks `ordered`),
-                # so the merged events.jsonl is deterministic regardless
-                # of which worker finished first.
-                run.append_worker_events(
-                    envelope.index, envelope.worker_pid, envelope.events
-                )
             if envelope.spans and tracer.enabled:
-                base_us = getattr(pool_span, "start_us", 0.0)
                 container_id = tracer.adopt_span(
                     "parallel.task",
                     start_us=base_us,
@@ -219,6 +212,14 @@ def run_tasks(
                     base_us=base_us,
                     container_id=container_id,
                     container_depth=getattr(pool_span, "depth", 0) + 1,
+                )
+            if envelope.events and tracer.enabled:
+                adopt_recorded_events(
+                    tracer,
+                    envelope.events,
+                    base_us=base_us,
+                    task=envelope.index,
+                    worker_pid=envelope.worker_pid,
                 )
         pool_span.set(adopted_spans=adopted)
     return ordered

@@ -459,7 +459,7 @@ class TestKillThenResume:
         assert not result.stats.resumed
 
     def test_recorder_sees_checkpoints_and_resume(self, cache_store, tmp_path):
-        from repro.obs.runs import RunRecorder, set_current_run
+        from repro.obs.runs import RunRecorder, read_stream, set_current_run
 
         protocol = self.PROTOCOL()
         root = omega_root(protocol)
@@ -477,11 +477,12 @@ class TestKillThenResume:
             ).run()
         finally:
             set_current_run(None)
+            recorder.finalize("ok", exit_code=0)
         assert resumed.stats.resumed
         entry = recorder.manifest["checkpoints"][CHECKPOINT_ANALYSIS]
         assert entry["key"] and entry["wall_unix"] > 0
-        with open(os.path.join(recorder.directory, "events.jsonl")) as handle:
-            names = [json.loads(line)["name"] for line in handle if line.strip()]
+        events, _ = read_stream(str(tmp_path / "runs"), recorder.run_id)
+        names = [event["name"] for event in events]
         assert "km-checkpoint" in names
         assert "km-resume" in names
 

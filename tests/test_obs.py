@@ -872,13 +872,21 @@ class TestExporterCrashSafety:
         assert "orphan span" in rendered  # parent missing, reported not fatal
         assert len(spans) == 2
 
-    def test_run_events_tolerate_truncated_tail(self, tmp_path):
-        from repro.obs.runs import iter_events
+    def test_run_events_tolerate_truncated_tail(self):
+        from repro.obs.summary import parse_jsonl
 
-        path = str(tmp_path / "events.jsonl")
-        with open(path, "w") as handle:
-            handle.write(json.dumps({"type": "event", "name": "run-start"}) + "\n")
-            handle.write(json.dumps({"type": "event", "name": "heartbeat:x"}) + "\n")
-            handle.write('{"type": "event", "name": "half')
-        events = iter_events(path)
-        assert [event["name"] for event in events] == ["run-start", "heartbeat:x"]
+        complete = (
+            json.dumps({"type": "event", "name": "run-start"}) + "\n"
+            + json.dumps({"type": "event", "name": "heartbeat:x"}) + "\n"
+        )
+        records = parse_jsonl(complete + '{"type": "event", "name": "half')
+        assert [record["name"] for record in records] == ["run-start", "heartbeat:x"]
+
+    def test_only_the_cut_tail_is_forgiven(self):
+        from repro.obs.summary import parse_jsonl
+
+        # A malformed line that ends in a newline was not cut by a kill:
+        # mid-stream or last, the stream is corrupt.
+        for text in ('{"a": 1}\n{"b\n{"c": 3}\n', '{"a": 1}\n{"b\n'):
+            with pytest.raises(ValueError, match="line 2 column"):
+                parse_jsonl(text)

@@ -10,7 +10,8 @@ Layout:
 
 * chunking and merging — unit cases plus property tests over
   arbitrary partitions (``repro.testing.partitions``);
-* ``run_tasks`` — ordering, metrics-delta merging;
+* ``run_tasks`` — ordering, metrics-delta merging, worker event shards
+  re-emitted through the parent's tracer in task order;
 * the three wired sweeps (busy-beaver enumeration, conformance,
   simulation batches) — serial vs parallel at several worker counts,
   and the one seeding rule of the simulation sweeps (trial ``t`` runs
@@ -44,6 +45,7 @@ from repro.obs import (
     RecordingExporter,
     Tracer,
     get_metrics,
+    get_tracer,
     load_trace,
     registry_snapshot,
     set_tracer,
@@ -116,6 +118,13 @@ def _echo_task(task: TaskEnvelope):
     return (task.index, task.payload)
 
 
+def _probe_task(task: TaskEnvelope):
+    """Module-level task emitting ``payload`` deterministic instant events."""
+    for i in range(task.payload):
+        get_tracer().event("probe", i=i)
+    return task.index
+
+
 class TestRunTasks:
     def test_inline_matches_pool(self):
         payloads = [f"item-{i}" for i in range(7)]
@@ -133,6 +142,24 @@ class TestRunTasks:
         run_tasks(_echo_task, list(range(6)), jobs=2)
         assert registry_snapshot()["parallel.test"].counter("tasks.run") == 6
         get_metrics("parallel.test").clear()
+
+    def test_worker_events_adopted_in_task_order(self):
+        exporter = RecordingExporter()
+        tracer = Tracer([exporter])
+        previous = set_tracer(tracer)
+        try:
+            envelopes = run_tasks(_probe_task, [3, 1, 4, 2], jobs=2)
+        finally:
+            set_tracer(previous)
+            tracer.close()
+        probes = [event for event in exporter.events if event["name"] == "probe"]
+        # Every task's events, task by task, whichever worker finished first.
+        assert [(e["attrs"]["task"], e["attrs"]["i"]) for e in probes] == [
+            (task, i) for task, count in enumerate([3, 1, 4, 2]) for i in range(count)
+        ]
+        pids = {envelope.index: envelope.worker_pid for envelope in envelopes}
+        assert all(e["attrs"]["worker_pid"] == pids[e["attrs"]["task"]] for e in probes)
+        assert all(pid != os.getpid() for pid in pids.values())
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.obs import (
     trace_workload,
 )
 from repro.obs.bench import Workload, get_workload
+from repro.simulation import CountScheduler
 from repro.obs.summary import SpanRecord, load_trace, trace_summary
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -340,15 +341,22 @@ def _work_findings(base, new):
 
 def _perturbed_seed(monkeypatch):
     """The seed baseline with ``simulate.count`` re-recorded by the
-    ledger under a 1600-step budget (the profile-smoke CI scenario)."""
-    monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "1600")
+    ledger with ``CountScheduler.run`` capped at 1600 steps, under the
+    workload's pinned-seed convergence point of 3200 interactions (the
+    profile-smoke CI scenario)."""
+    run = CountScheduler.run
+    monkeypatch.setattr(
+        CountScheduler,
+        "run",
+        lambda self, inputs, max_steps: run(self, inputs, min(max_steps, 1600)),
+    )
     fresh = run_suite(
         "micro",
         repeats=1,
         memory=False,
         workload_filter=lambda w: w.name == "simulate.count",
     )
-    monkeypatch.delenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS")
+    monkeypatch.setattr(CountScheduler, "run", run)
     seed = load_artifact(SEED_BASELINE)
     perturbed = json.loads(json.dumps(seed))
     perturbed["workloads"]["simulate.count"] = fresh["workloads"]["simulate.count"]
@@ -430,14 +438,6 @@ class TestAttribution:
             "[REGRESSION] obs.profile_aggregate: "
             "work drift at ghost (counter: 7 -> absent)"
         )
-
-    def test_malformed_perturb_override_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "soon")
-        with pytest.raises(ValueError, match="REPRO_BENCH_PERTURB_COUNT_MAX_STEPS"):
-            get_workload("simulate.count").fn()
-        monkeypatch.setenv("REPRO_BENCH_PERTURB_COUNT_MAX_STEPS", "-5")
-        with pytest.raises(ValueError, match="must be positive"):
-            get_workload("simulate.count").fn()
 
 
 class TestCli:
@@ -526,7 +526,7 @@ class TestCli:
 
     def test_bench_compare_attribute_end_to_end(self, tmp_path, monkeypatch, capsys):
         """The profile-smoke scenario: a perturbed artifact names its
-        path, though no workload can run and the override is unset."""
+        path, though no workload can run and the scheduler is restored."""
         seed, perturbed = _perturbed_seed(monkeypatch)
         base_path = str(tmp_path / "base.json")
         new_path = str(tmp_path / "new.json")
@@ -534,7 +534,7 @@ class TestCli:
             with open(path, "w") as handle:
                 json.dump(artifact, handle)
         _forbid_workload_runs(monkeypatch)
-        assert "REPRO_BENCH_PERTURB_COUNT_MAX_STEPS" not in os.environ
+        assert CountScheduler.run.__qualname__ == "CountScheduler.run"
         code = main(["bench", "compare", base_path, new_path, "--fail-on", "work"])
         assert code == 1
         out = capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Tests for the flight recorder (``repro.obs.runs`` / ``repro runs``).
 
 Covers the manifest lifecycle (open → running → ok/failed/killed),
-crash capture (SIGTERM handler, SIGKILL post-mortem via the stale-PID
-check), live tailing from a second process, retention GC, worker event
-shards, the ``repro runs`` CLI surface, the HTML report, and the
-fail-fast validation of artifact output paths.
+the run's one stream (spans, heartbeats, worker shards and lifecycle
+events in ``trace.jsonl``), crash capture (SIGTERM handler, SIGKILL
+post-mortem via the stale-PID check), live tailing from a second
+process, retention GC, the ``repro runs`` CLI surface and its handling
+of a corrupt stream, the HTML report, and the fail-fast validation of
+artifact output paths.
 """
 
 from __future__ import annotations
@@ -46,6 +48,21 @@ def _open(root, **kwargs):
     kwargs.setdefault("argv", ["test"])
     kwargs.setdefault("install_handlers", False)
     return runlog.RunRecorder.open(root, **kwargs)
+
+
+def _kill(recorder):
+    """Leave what a SIGKILL leaves: the stream as flushed, and a manifest
+    whose PID cannot be alive (a just-reaped child's)."""
+    recorder._handle.close()
+    recorder._finalized = True  # nothing in the dead process seals it
+    probe = subprocess.Popen([sys.executable, "-c", "pass"])
+    probe.wait()
+    manifest = runlog.load_manifest(os.path.dirname(recorder.directory), recorder.run_id)
+    manifest["pid"] = probe.pid
+    runlog._atomic_write_json(
+        os.path.join(recorder.directory, runlog.MANIFEST_NAME), manifest
+    )
+    return manifest
 
 
 class TestRecorderLifecycle:
@@ -99,33 +116,35 @@ class TestRecorderLifecycle:
     def test_events_stream_lifecycle(self, runs_dir):
         recorder = _open(runs_dir)
         recorder.event("heartbeat:test", iterations=10)
-        recorder.tracer_event("heartbeat:loop", 123.0, {"frontier": 5})
+        recorder.export_event("heartbeat:loop", 123.0, {"frontier": 5})
         recorder.finalize("ok", exit_code=0)
-        events = runlog.iter_events(
-            os.path.join(recorder.directory, runlog.EVENTS_NAME)
-        )
+        events, spans = runlog.read_stream(runs_dir, recorder.run_id)
         names = [event["name"] for event in events]
         assert names == ["run-start", "heartbeat:test", "heartbeat:loop", "run-finish"]
         assert events[2]["ts_us"] == 123.0
         assert events[2]["attrs"]["frontier"] == 5
+        assert all(isinstance(event["wall_unix"], float) for event in events)
+        assert spans == []
+        assert sorted(os.listdir(recorder.directory)) == [
+            runlog.MANIFEST_NAME, runlog.TRACE_NAME,
+        ]
 
-    def test_worker_shards_annotated_and_counted(self, runs_dir):
+    def test_spans_share_the_stream_with_events(self, runs_dir):
+        from repro.obs import Tracer
+
         recorder = _open(runs_dir)
-        shard = (
-            {"type": "event", "name": "heartbeat:bb", "ts_us": 1.0, "attrs": {"n": 1}},
-            {"type": "event", "name": "heartbeat:bb", "ts_us": 2.0, "attrs": {"n": 2}},
-        )
-        recorder.append_worker_events(3, 4242, shard)
+        tracer = Tracer([recorder])
+        with tracer.span("phase", k=3) as span:
+            span.add("steps", 2)
+            tracer.event("heartbeat:loop", iterations=1)
+        tracer.close()  # the tracer detaching does not end the stream
         recorder.finalize("ok", exit_code=0)
-        events = runlog.iter_events(
-            os.path.join(recorder.directory, runlog.EVENTS_NAME)
-        )
-        worker = [e for e in events if e["name"] == "heartbeat:bb"]
-        assert len(worker) == 2
-        assert all(e["attrs"]["task"] == 3 for e in worker)
-        assert all(e["attrs"]["worker_pid"] == 4242 for e in worker)
-        manifest = runlog.load_manifest(runs_dir, recorder.run_id)
-        assert manifest["worker_events"] == 2
+        events, spans = runlog.read_stream(runs_dir, recorder.run_id)
+        assert [event["name"] for event in events] == [
+            "run-start", "heartbeat:loop", "run-finish",
+        ]
+        (span,) = spans
+        assert (span.name, span.attributes, span.counters) == ("phase", {"k": 3}, {"steps": 2})
 
     def test_link_artifact_records_absolute_path(self, runs_dir, tmp_path):
         recorder = _open(runs_dir)
@@ -170,14 +189,7 @@ class TestRegistryReading:
 
     def test_stale_running_manifest_reports_killed(self, runs_dir):
         recorder = _open(runs_dir)
-        # Swap in a PID that cannot be alive: a just-reaped child's.
-        probe = subprocess.Popen([sys.executable, "-c", "pass"])
-        probe.wait()
-        manifest = runlog.load_manifest(runs_dir, recorder.run_id)
-        manifest["pid"] = probe.pid
-        runlog._atomic_write_json(
-            os.path.join(recorder.directory, runlog.MANIFEST_NAME), manifest
-        )
+        manifest = _kill(recorder)
         status, stale = runlog.effective_status(manifest)
         assert (status, stale) == ("killed", True)
         persisted = runlog.mark_stale_killed(runs_dir, manifest)
@@ -185,11 +197,23 @@ class TestRegistryReading:
         assert persisted["signal"] == "stale-pid"
         reloaded = runlog.load_manifest(runs_dir, recorder.run_id)
         assert reloaded["status"] == "killed"
-        events = runlog.iter_events(
-            os.path.join(recorder.directory, runlog.EVENTS_NAME)
-        )
+        events, _ = runlog.read_stream(runs_dir, recorder.run_id)
         assert events[-1]["name"] == "run-killed-detected"
-        recorder._finalized = True  # the post-mortem sealed it for us
+
+    def test_post_mortem_drops_a_line_the_kill_cut_short(self, runs_dir, capsys):
+        recorder = _open(runs_dir)
+        recorder.event("heartbeat:x", n=1)
+        # Half-written tail line, as a SIGKILL mid-write would leave it.
+        with open(os.path.join(recorder.directory, runlog.TRACE_NAME), "a") as handle:
+            handle.write('{"type": "span", "name": "cu')
+        _kill(recorder)
+        assert main(["runs", "show", "latest"]) == 0
+        assert "status: killed" in capsys.readouterr().out
+        with open(os.path.join(recorder.directory, runlog.TRACE_NAME)) as handle:
+            lines = handle.read().splitlines()
+        # Every line is JSON again: the cut line went, the verdict landed.
+        names = [json.loads(line).get("name") for line in lines]
+        assert names[1:] == ["run-start", "heartbeat:x", "run-killed-detected"]
 
     def test_live_running_manifest_stays_running(self, runs_dir):
         recorder = _open(runs_dir)
@@ -345,19 +369,12 @@ class TestTailing:
 
     def test_follow_marks_stale_run_killed(self, runs_dir):
         recorder = _open(runs_dir)
-        probe = subprocess.Popen([sys.executable, "-c", "pass"])
-        probe.wait()
-        manifest = runlog.load_manifest(runs_dir, recorder.run_id)
-        manifest["pid"] = probe.pid
-        runlog._atomic_write_json(
-            os.path.join(recorder.directory, runlog.MANIFEST_NAME), manifest
-        )
+        _kill(recorder)
         events = list(
             runlog.follow_events(runs_dir, recorder.run_id, interval=0.01, timeout=5.0)
         )
         assert events[-1]["name"] == "run-killed-detected"
         assert runlog.load_manifest(runs_dir, recorder.run_id)["status"] == "killed"
-        recorder._finalized = True
 
 
 class TestCliRecording:
@@ -470,6 +487,32 @@ class TestCliRecording:
         assert "Metrics" in document and "p99" in document
         assert "Worker timelines" in document
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_heartbeat_lands_once_in_the_one_stream(self, runs_dir, tmp_path, jobs, capsys):
+        user = str(tmp_path / "u.jsonl")
+        assert main(["bb", "3", "--budget", "40000", "--progress-interval", "0.001",
+                     "--jobs", jobs, "--trace", user]) == 0
+        (manifest,) = runlog.list_runs(runs_dir)
+        directory = runlog.run_directory(runs_dir, manifest["run_id"])
+        assert sorted(os.listdir(directory)) == [runlog.MANIFEST_NAME, runlog.TRACE_NAME]
+        assert sorted(manifest["artifacts"]) == ["trace", "user_trace"]
+
+        def heartbeats(path):
+            with open(path) as handle:
+                records = [json.loads(line) for line in handle]
+            return [
+                (record["ts_us"], record["attrs"].get("task"), record["attrs"].get("worker_pid"))
+                for record in records
+                if record.get("name", "").startswith("heartbeat:")
+            ]
+
+        stream = heartbeats(os.path.join(directory, runlog.TRACE_NAME))
+        assert stream and len(set(stream)) == len(stream)
+        assert stream == heartbeats(user)
+        workers = [pid for _, _, pid in stream if pid is not None]
+        # Worker shards reach every sink; a serial run has none.
+        assert bool(workers) == (jobs == "2")
+
     def test_runs_dir_flag_overrides_env(self, runs_dir, tmp_path, capsys):
         other = str(tmp_path / "other-registry")
         recorder = _open(other)
@@ -558,12 +601,11 @@ class TestKillCapture:
         assert final["status"] == "killed"
         assert final["signal"] == "SIGTERM"
         assert final["exit_code"] == 128 + signal.SIGTERM
-        events = runlog.iter_events(
-            os.path.join(runlog.run_directory(root, manifest["run_id"]),
-                         runlog.EVENTS_NAME)
-        )
+        events, spans = runlog.read_stream(root, manifest["run_id"])
         names = [event["name"] for event in events]
         assert "run-start" in names and "run-finish" in names
+        # The spans the tracer closed on the way out still landed.
+        assert "bounds.busy_beaver" in {span.name for span in spans}
 
     def test_sigkill_detected_post_mortem(self, tmp_path, capsys, monkeypatch):
         root = str(tmp_path / "runs")
@@ -588,12 +630,45 @@ class TestKillCapture:
         persisted = runlog.load_manifest(root, manifest["run_id"])
         assert persisted["status"] == "killed"
         assert persisted["signal"] == "stale-pid"
-        # The partial event stream survived the kill.
-        events = runlog.iter_events(
-            os.path.join(runlog.run_directory(root, manifest["run_id"]),
-                         runlog.EVENTS_NAME)
-        )
+        # The partial stream survived the kill.
+        events, _ = runlog.read_stream(root, manifest["run_id"])
         assert events and events[0]["name"] == "run-start"
+        assert events[-1]["name"] == "run-killed-detected"
+
+
+class TestCorruptStream:
+    """A complete line that is not JSON ends in one ``error:`` line."""
+
+    @pytest.fixture
+    def corrupt_run(self, runs_dir, capsys):
+        assert main(["bb", "2", "--max-input", "6"]) == 0
+        (manifest,) = runlog.list_runs(runs_dir)
+        path = os.path.join(runlog.run_directory(runs_dir, manifest["run_id"]), runlog.TRACE_NAME)
+        with open(path) as handle:
+            lines = handle.readlines()
+        lines.insert(1, '{"type": "span", "name": "cut\n')
+        with open(path, "w") as handle:
+            handle.writelines(lines)
+        capsys.readouterr()
+        return manifest["run_id"]
+
+    @pytest.mark.parametrize("argv", [
+        ["runs", "show", "latest"],
+        ["runs", "report", "latest"],
+        ["runs", "diff", "latest", "latest"],
+        ["runs", "tail", "latest", "--no-follow"],
+    ])
+    def test_runs_command_fails_cleanly(self, corrupt_run, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ")
+        assert corrupt_run in message and "line 2 column" in message
+
+    def test_manifest_json_still_reads(self, corrupt_run, capsys):
+        assert main(["runs", "show", "latest", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["run_id"] == corrupt_run
 
 
 class TestReportRendering:
@@ -601,17 +676,9 @@ class TestReportRendering:
         recorder = _open(runs_dir)
         recorder.event("heartbeat:x", n=1)
         # Half-written tail line, as a kill would leave it.
-        with open(os.path.join(recorder.directory, runlog.EVENTS_NAME), "a") as handle:
+        with open(os.path.join(recorder.directory, runlog.TRACE_NAME), "a") as handle:
             handle.write('{"type": "event", "name": "trun')
-        recorder._events.close()
-        recorder._finalized = True
-        probe = subprocess.Popen([sys.executable, "-c", "pass"])
-        probe.wait()
-        manifest = runlog.load_manifest(runs_dir, recorder.run_id)
-        manifest["pid"] = probe.pid
-        runlog._atomic_write_json(
-            os.path.join(recorder.directory, runlog.MANIFEST_NAME), manifest
-        )
+        _kill(recorder)
         document = render_report_for_run(runs_dir, recorder.run_id)
         assert "killed" in document
         assert "heartbeat:x" in document
