@@ -59,6 +59,7 @@ from .obs import (
     enable_progress,
     exporter_for_path,
     load_trace,
+    render_profile,
     set_progress_interval,
     set_tracer,
     summarize_trace,
@@ -852,33 +853,6 @@ def _fmt_started(manifest) -> str:
     return _time.strftime("%Y-%m-%d %H:%M:%S", _time.gmtime(started))
 
 
-def _manifest_quantiles(manifest) -> tuple:
-    """``(p50, p99)`` strings from the busiest persisted histogram.
-
-    Manifests snapshot every metrics registry at finalisation; the
-    histogram with the most observations (usually ``spans`` latency)
-    is the one worth a column in ``runs list``.
-    """
-    best = None
-    for payload in (manifest.get("metrics") or {}).values():
-        if not isinstance(payload, dict):
-            continue
-        for hist in (payload.get("histograms") or {}).values():
-            if not isinstance(hist, dict) or not hist.get("count"):
-                continue
-            if best is None or hist["count"] > best["count"]:
-                best = hist
-
-    def _fmt(value) -> str:
-        if not isinstance(value, (int, float)):
-            return "-"
-        return f"{value / 1e3:.1f}ms"
-
-    if best is None:
-        return "-", "-"
-    return _fmt(best.get("p50")), _fmt(best.get("p99"))
-
-
 def _cmd_runs_list(args) -> int:
     from .fmt import render_table
 
@@ -901,7 +875,6 @@ def _cmd_runs_list(args) -> int:
     for manifest in manifests:
         status, stale = runlog.effective_status(manifest)
         duration = manifest.get("duration_s")
-        p50, p99 = _manifest_quantiles(manifest)
         rows.append(
             [
                 manifest["run_id"],
@@ -909,15 +882,10 @@ def _cmd_runs_list(args) -> int:
                 manifest.get("command", "?"),
                 _fmt_started(manifest),
                 f"{duration:.1f}s" if isinstance(duration, (int, float)) else "-",
-                p50,
-                p99,
                 manifest.get("jobs") or "-",
             ]
         )
-    print(render_table(
-        ["run", "status", "command", "started (UTC)", "duration", "p50", "p99", "jobs"],
-        rows,
-    ))
+    print(render_table(["run", "status", "command", "started (UTC)", "duration", "jobs"], rows))
     if any(row[1].endswith("*") for row in rows):
         print("\n* inferred killed: recorded PID is gone but the run was never finalized")
     return 0
@@ -939,7 +907,6 @@ def _cmd_runs_show(args) -> int:
         events, spans = runlog.read_stream(root, run_id)
     except runlog.RunsError as error:
         raise SystemExit(f"error: {error}")
-    orphans = build_profile(spans).orphan_count
     print(f"run: {run_id}")
     print(f"status: {status}" + (" (inferred: PID gone, never finalized)" if stale else ""))
     print(f"command: repro {' '.join(manifest.get('argv', []))}")
@@ -954,24 +921,16 @@ def _cmd_runs_show(args) -> int:
         print(f"exit code: {manifest['exit_code']}")
     if manifest.get("signal"):
         print(f"signal: {manifest['signal']}")
-    print(f"events: {len(events)}  spans: {len(spans)}"
-          + (f"  orphan spans: {orphans} (truncated trace)" if orphans else ""))
+    print(f"events: {len(events)}  spans: {len(spans)}")
     cache = manifest.get("cache") or {}
     if cache:
         rendered = ", ".join(f"{k}={v}" for k, v in sorted(cache.items()))
         print(f"cache: {rendered}")
-    metrics = manifest.get("metrics") or {}
-    for registry, payload in sorted(metrics.items()):
-        for name, hist in sorted((payload.get("histograms") or {}).items()):
-            print(
-                f"  {registry}.{name}: n={hist.get('count')} "
-                f"p50={hist.get('p50', 0) / 1e3:.2f}ms "
-                f"p90={hist.get('p90', 0) / 1e3:.2f}ms "
-                f"p99={hist.get('p99', 0) / 1e3:.2f}ms"
-            )
     for kind, path in sorted((manifest.get("artifacts") or {}).items()):
         resolved = path if os.path.isabs(path) else os.path.join(directory, path)
         print(f"artifact [{kind}]: {resolved}")
+    print()
+    print(render_profile(build_profile(spans), sort="total"))
     if manifest.get("error"):
         print(f"\nerror:\n{manifest['error']}")
     return 0
@@ -1536,7 +1495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runs_dir_flag(pr)
     pr.set_defaults(handler=_cmd_runs_list)
 
-    pr = runs_sub.add_parser("show", help="one run's manifest, metrics, artifacts")
+    pr = runs_sub.add_parser("show", help="one run's manifest, artifacts and work profile")
     pr.add_argument("run", nargs="?", default="latest",
                     help="run id, unique prefix, or 'latest' (default)")
     pr.add_argument("--json", action="store_true", help="emit the raw manifest")

@@ -12,8 +12,8 @@ This package makes them observable from three angles:
   JSON (Perfetto / ``chrome://tracing``);
 * :mod:`repro.obs.progress` — rate-limited heartbeats (frontier size,
   basis size, iterations/sec) for the iterative loops;
-* :mod:`repro.obs.metrics` — the process-wide registry of counters,
-  timers and histograms that finished spans and the cache fold into;
+* :mod:`repro.obs.metrics` — the process-wide registry of named
+  counters that finished spans' counters and the cache fold into;
 * :mod:`repro.obs.summary` — reading traces back, and the per-span-name
   table behind ``repro trace summarize`` (a view of the profile fold);
 * :mod:`repro.obs.profile` — the one fold of recorded spans:
@@ -29,7 +29,8 @@ This package makes them observable from three angles:
 * :mod:`repro.obs.runs` / :mod:`repro.obs.report` — the flight
   recorder: a persistent run registry every CLI invocation records
   into (a manifest and one stream of spans and events; crash/kill
-  capture) and the static HTML report renderer behind ``repro runs``.
+  capture) and the static HTML report renderer behind ``repro runs``;
+  ``runs show|report|diff`` fold the run's own stream into a profile.
 """
 
 from .bench import (
@@ -58,10 +59,7 @@ from .ledger import (
     write_artifact,
 )
 from .metrics import (
-    Histogram,
-    HistogramSnapshot,
     Instrumentation,
-    InstrumentationSnapshot,
     clear_registry,
     get_metrics,
     registry_snapshot,
@@ -130,9 +128,6 @@ __all__ = [
     "progress_enabled",
     "set_progress_interval",
     "Instrumentation",
-    "InstrumentationSnapshot",
-    "Histogram",
-    "HistogramSnapshot",
     "RunRecorder",
     "RunsError",
     "RunsSchemaError",

@@ -135,9 +135,9 @@ def trace_workload(
     Returns the workload's own work counts (its return dict) and the
     run's :class:`~repro.obs.profile.Profile`, whose
     :meth:`~repro.obs.profile.Profile.work_counts` hold every span
-    counter by path.  The live tracer also folds its spans into the
-    ``spans`` metrics registry; that entry is put back as it was, so
-    the pass leaves the process's registries as it found them.
+    counter by path.  The live tracer also folds its span counters into
+    the ``spans`` metrics registry; that entry is put back as it was,
+    so the pass leaves the process's registries as it found them.
     """
     recorder = RecordingExporter()
     tracer = Tracer([recorder])

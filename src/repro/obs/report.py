@@ -7,10 +7,11 @@ artifact, mailed, or opened from a ``file://`` URL years later and
 still work.  The span tree uses native ``<details>``/``<summary>``
 nesting (collapsible without scripts) with inline flame bars
 positioned on the run's time axis; per-worker timelines are rebuilt
-from the ``parallel.task`` container spans the pool merge emits;
-metrics, latency histograms (p50/p90/p99 from the bounded buckets),
-cache counters and heartbeat events come straight from the manifest
-and the run's ``trace.jsonl``.
+from the ``parallel.task`` container spans the pool merge emits; the
+work profile is :func:`repro.obs.profile.build_profile` of the run's
+``trace.jsonl`` (exact per-path calls, total, self and median times);
+the run's cache counts come from the manifest and its heartbeat events
+from the stream.
 
 Everything here is pure formatting over already-recorded data — a
 report renders identically for a live, finished, crashed, or killed
@@ -177,48 +178,8 @@ def _worker_timelines_html(spans: List[SpanRecord]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Metrics, histograms, cache
+# Work profile and events
 # ----------------------------------------------------------------------
-
-
-def _metrics_html(metrics: Optional[Dict[str, Any]]) -> str:
-    if not metrics:
-        return "<p class=muted>No metrics captured (run not finalized?).</p>"
-    parts = []
-    for registry, payload in sorted(metrics.items()):
-        counters = payload.get("counters", {})
-        timers = payload.get("timers", {})
-        histograms = payload.get("histograms", {})
-        section = [f"<h3><code>{_esc(registry)}</code></h3>"]
-        if counters:
-            rows = [(name, f"{value:,}") for name, value in sorted(counters.items())]
-            section.append(_table(["counter", "value"], rows, numeric=(1,)))
-        if timers:
-            rows = [(name, f"{value:.4f}s") for name, value in sorted(timers.items())]
-            section.append(_table(["timer", "total"], rows, numeric=(1,)))
-        if histograms:
-            rows = []
-            for name, hist in sorted(histograms.items()):
-                rows.append(
-                    (
-                        name,
-                        f"{hist.get('count', 0):,}",
-                        _fmt_us(float(hist.get("p50", 0.0))),
-                        _fmt_us(float(hist.get("p90", 0.0))),
-                        _fmt_us(float(hist.get("p99", 0.0))),
-                        _fmt_us(float(hist.get("max", 0.0))),
-                    )
-                )
-            section.append(
-                _table(
-                    ["latency histogram", "count", "p50", "p90", "p99", "max"],
-                    rows,
-                    numeric=(1, 2, 3, 4, 5),
-                )
-            )
-        if len(section) > 1:
-            parts.append("".join(section))
-    return "".join(parts) or "<p class=muted>All registries empty.</p>"
 
 
 def _profile_html(spans: List[SpanRecord], limit: int = 25) -> str:
@@ -350,8 +311,6 @@ def render_run_report(
 {_worker_timelines_html(spans)}
 <h2>Work profile</h2>
 {_profile_html(spans)}
-<h2>Metrics</h2>
-{_metrics_html(manifest.get("metrics"))}
 <h2>Cache</h2>
 {cache_html}
 <h2>Events</h2>

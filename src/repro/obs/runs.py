@@ -10,9 +10,11 @@ record under ``~/.local/state/repro/runs/<run_id>/``:
     Atomically-rewritten summary: command, argv, seed, ``--jobs``, the
     environment fingerprint, start/end timestamps, status
     (``running`` / ``ok`` / ``failed`` / ``killed``), exit code, linked
-    artifacts, and — at finalize — the full metrics-registry snapshot
-    (counters, timers, bounded-bucket latency histograms) and the
-    cache hit/miss counters.  On a crash the traceback is recorded.
+    artifacts, and — at finalize — the run's own cache counts (the
+    ``cache`` registry's change since open).  On a crash the traceback
+    is recorded.  Where the time went is not copied here: it is in the
+    stream, and the readers fold it with
+    :func:`repro.obs.profile.build_profile`.
 
 ``trace.jsonl``
     The run's one stream, line-flushed so a *second process* can follow
@@ -24,7 +26,8 @@ record under ``~/.local/state/repro/runs/<run_id>/``:
     ``run-finish``, ``km-checkpoint``/``km-resume``,
     ``run-killed-detected``).  Every event carries ``wall_unix``.
     ``repro runs show|tail|report|diff`` all read it through
-    :func:`repro.obs.summary.parse_jsonl`.
+    :func:`repro.obs.summary.parse_jsonl`; ``show``, ``report`` and
+    ``diff`` fold its spans into the run's work profile.
 
 Crash tolerance is layered: a normal exit finalizes through the CLI, a
 ``sys.exit`` deep in a handler finalizes through ``atexit``, SIGTERM /
@@ -37,11 +40,18 @@ line already flushed to ``trace.jsonl`` survives, so a killed run
 still has its partial stream; the post-mortem drops a line the kill
 cut short before it appends ``run-killed-detected``.
 
+Only the process whose PID the manifest records may finalize it: a
+``--jobs`` worker forked mid-run inherits the recorder and its signal
+handlers, and a Ctrl-C to the process group reaches the workers too.
+
 Recording is opt-out (``REPRO_NO_RUNS=1``; the test suite sets it) and
 redirectable (``REPRO_RUNS_DIR``).  Opening and finalizing a manifest
 is a few JSON writes with no fsync — the ``runs.manifest_overhead``
 ledger workload pins the cost.  Manifest schema 2 is this layout;
 schema 1 kept a second stream, ``events.jsonl``, which nothing reads.
+Manifests written before the registry kept counters only also hold a
+``metrics`` snapshot; ``runs show --json`` prints it as stored, and
+the other readers pass it over.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ import uuid
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .exporters import JsonlExporter, _clean
+from .metrics import get_metrics
 from .summary import SpanRecord, parse_jsonl
 
 __all__ = [
@@ -209,6 +220,7 @@ class RunRecorder(JsonlExporter):
         self.run_id: str = manifest["run_id"]
         self._finalized = False
         self._previous_handlers: Dict[int, Any] = {}
+        self._cache_at_open = get_metrics("cache").snapshot()
         super().__init__(os.path.join(directory, TRACE_NAME))
 
     # -- lifecycle -----------------------------------------------------
@@ -248,7 +260,6 @@ class RunRecorder(JsonlExporter):
             "error": None,
             "artifacts": {"trace": TRACE_NAME},
             "checkpoints": {},
-            "metrics": None,
             "cache": None,
         }
         recorder = cls(directory, manifest)
@@ -312,12 +323,14 @@ class RunRecorder(JsonlExporter):
         error: Optional[str] = None,
         signal_name: Optional[str] = None,
     ) -> None:
-        """Seal the manifest (idempotent: the first finalize wins)."""
-        if self._finalized:
+        """Seal the manifest (idempotent: the first finalize wins).
+
+        A no-op outside the process the manifest records: a forked
+        worker's copy of the recorder never seals the run.
+        """
+        if self._finalized or os.getpid() != self.manifest["pid"]:
             return
         self._finalized = True
-        from .metrics import registry_snapshot
-
         ended = time.time()
         self.manifest["ended_unix"] = round(ended, 3)
         self.manifest["duration_s"] = round(
@@ -327,16 +340,12 @@ class RunRecorder(JsonlExporter):
         self.manifest["exit_code"] = exit_code
         self.manifest["signal"] = signal_name
         self.manifest["error"] = error
-        try:
-            self.manifest["metrics"] = {
-                name: snapshot.as_dict()
-                for name, snapshot in registry_snapshot().items()
-                if snapshot.counters or snapshot.timers or snapshot.histograms
-            }
-            cache = self.manifest["metrics"].get("cache", {})
-            self.manifest["cache"] = dict(cache.get("counters", {}))
-        except Exception:  # pragma: no cover - snapshot must never block sealing
-            pass
+        before = self._cache_at_open
+        self.manifest["cache"] = {
+            name: value - before.get(name, 0)
+            for name, value in get_metrics("cache").counters.items()
+            if value != before.get(name, 0)
+        }
         self.event("run-finish", status=status, exit_code=exit_code)
         super().close()
         self._write_manifest()

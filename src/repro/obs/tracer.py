@@ -220,23 +220,15 @@ class Tracer:
         self.finished_spans += 1
         for exporter in self._exporters:
             exporter.export(span)
-        # Fold the finished span into the shared metrics registry so
-        # untraced consumers (benchmarks, run manifests) see the same
-        # totals.  Only top-level time per name is accumulated: a span
-        # re-entered inside one of its own name adds no time twice.
-        from .metrics import get_metrics
+        # Fold the span's counters into the ``spans`` registry as
+        # ``<span>.<counter>``: the e2e harness's traced child reads its
+        # work counts there.  Times stay in the exported spans.
+        if span.counters:
+            from .metrics import get_metrics
 
-        metrics = get_metrics("spans")
-        if not any(s.name == span.name for s in self._stack):
-            metrics.timers[span.name] = (
-                metrics.timers.get(span.name, 0.0) + span.duration_us / 1e6
-            )
-        # Every occurrence (including re-entrant inner ones) feeds the
-        # per-name latency histogram: run manifests and the service
-        # layer report p50/p90/p99 from these bounded buckets.
-        metrics.observe(span.name, span.duration_us)
-        for name, value in span.counters.items():
-            metrics.add(f"{span.name}.{name}", value)
+            metrics = get_metrics("spans")
+            for name, value in span.counters.items():
+                metrics.add(f"{span.name}.{name}", value)
 
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""

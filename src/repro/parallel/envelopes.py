@@ -8,9 +8,9 @@ arbitrary picklable ``payload``; a randomised sweep puts its seeds in
 the payload, so they never depend on the worker.  A
 :class:`ResultEnvelope` carries the task's return value back together
 with the observability sidecar: the worker-local metrics registry
-delta and the spans and events the task recorded, so the parent can
-merge them and keep ``--trace`` / ``--json`` artifacts and the run's
-``trace.jsonl`` coherent across workers.
+delta (plain counter maps) and the spans and events the task recorded,
+so the parent can merge them and keep ``--trace`` / ``--json``
+artifacts and the run's ``trace.jsonl`` coherent across workers.
 
 ``worker_pid`` and ``elapsed_us`` are *display-only* — they describe
 where and how long the task ran, vary from run to run, and must never
@@ -39,8 +39,8 @@ class TaskEnvelope:
 class ResultEnvelope:
     """One task's outcome plus its observability sidecar.
 
-    ``metrics`` maps registry names to ``InstrumentationSnapshot.as_dict``
-    payloads (the worker's registry delta for this task); ``spans`` holds
+    ``metrics`` maps registry names to counter maps (the worker's
+    registry delta for this task, non-empty registries only); ``spans`` holds
     the recorded span dicts in the :class:`repro.obs.SpanRecord` JSONL
     shape, with ids local to the worker's recording tracer.  ``events``
     is the task's instant-event shard (progress heartbeats recorded
@@ -50,7 +50,7 @@ class ResultEnvelope:
 
     index: int
     value: Any
-    metrics: Mapping[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
+    metrics: Mapping[str, Dict[str, int]] = field(default_factory=dict)
     spans: Tuple[Dict[str, Any], ...] = ()
     events: Tuple[Dict[str, Any], ...] = ()
     elapsed_us: float = 0.0

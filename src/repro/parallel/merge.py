@@ -1,17 +1,15 @@
 """Merging worker observability back into the parent process.
 
 Parallel execution must not degrade observability: the parent's
-metrics registry still holds every worker's span totals, and every
-sink of the parent's tracer (a ``--trace`` file, a recorded run's
+metrics registry still holds every worker's counts, and every sink of
+the parent's tracer (a ``--trace`` file, a recorded run's
 ``trace.jsonl``) still describes the whole run.  Three merge
 operations make that true:
 
 * :func:`merge_registry_delta` — fold a worker's metrics-registry
-  delta (shipped in the result envelope as plain dicts) into the
-  parent's process-wide registry.  Counters are sums (and therefore
-  identical between serial and parallel runs); timers are sums of
-  per-worker wall clock, i.e. *CPU-style* totals that may exceed the
-  parent's elapsed time under real parallelism.
+  delta (shipped in the result envelope as ``{registry: {counter:
+  value}}``) into the parent's process-wide registry.  Counters are
+  sums, and therefore identical between serial and parallel runs.
 * :func:`adopt_recorded_spans` — re-emit spans recorded by a worker
   into the parent's live tracer: ids remapped onto the parent's id
   space, timestamps re-based onto a container span, parent links
@@ -27,33 +25,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Sequence
 
-from ..obs import InstrumentationSnapshot, get_metrics
-from ..obs.metrics import HistogramSnapshot
+from ..obs import get_metrics
 
 __all__ = ["merge_registry_delta", "adopt_recorded_spans", "adopt_recorded_events"]
 
 
-def _snapshot_from_dict(payload: Mapping[str, Mapping[str, Any]]) -> InstrumentationSnapshot:
-    return InstrumentationSnapshot(
-        counters={str(k): int(v) for k, v in payload.get("counters", {}).items()},
-        timers={str(k): float(v) for k, v in payload.get("timers", {}).items()},
-        histograms={
-            str(k): HistogramSnapshot.from_dict(v)
-            for k, v in payload.get("histograms", {}).items()
-        },
-    )
-
-
-def merge_registry_delta(
-    delta: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> None:
+def merge_registry_delta(delta: Mapping[str, Mapping[str, int]]) -> None:
     """Fold one worker's registry delta into the parent registry.
 
     ``delta`` is the envelope's ``metrics`` field: registry name ->
-    ``InstrumentationSnapshot.as_dict()`` payload.
+    counter name -> count.
     """
-    for name, payload in delta.items():
-        get_metrics(name).merge(_snapshot_from_dict(payload))
+    for name, counters in delta.items():
+        get_metrics(name).merge(counters)
 
 
 def adopt_recorded_spans(

@@ -21,7 +21,8 @@ sub-checks, ensemble trial chunks, report sections).  The contract:
 * **Workers are hygienic.**  A task starts from a clean tracer (never
   the parent's — a forked file-handle exporter must not be written to)
   and a cleared metrics registry, so the envelope's sidecar is exactly
-  the task's own contribution, counted once.
+  the task's own contribution, counted once.  A worker dies of SIGINT
+  and SIGTERM instead of running the parent's handlers.
 
 Task functions must be module-level (picklable) callables taking one
 :class:`~repro.parallel.envelopes.TaskEnvelope`.
@@ -30,6 +31,7 @@ Task functions must be module-level (picklable) callables taking one
 from __future__ import annotations
 
 import os
+import signal
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -93,7 +95,8 @@ def worker_pool(jobs: Optional[int]) -> Iterator[Optional[ProcessPoolExecutor]]:
     single executor to thread through via the ``executor=`` parameter —
     or ``None`` at ``jobs<=1``, where :func:`run_tasks` runs inline
     anyway.  Determinism is unaffected: the executor only carries the
-    worker processes, never results or ordering.
+    worker processes, never results or ordering.  Leaving the block by
+    an exception (a Ctrl-C) cancels the tasks still queued.
     """
     jobs = resolve_jobs(jobs)
     if jobs <= 1:
@@ -101,11 +104,24 @@ def worker_pool(jobs: Optional[int]) -> Iterator[Optional[ProcessPoolExecutor]]:
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    executor = ProcessPoolExecutor(max_workers=jobs)
+    executor = ProcessPoolExecutor(max_workers=jobs, initializer=_default_signals)
     try:
         yield executor
     finally:
-        executor.shutdown()
+        executor.shutdown(cancel_futures=True)
+
+
+def _default_signals() -> None:
+    """Worker initializer: SIGINT and SIGTERM kill the worker outright.
+
+    A forked worker inherits the parent's handlers (a recorded run's
+    finalizer among them), and a Ctrl-C reaches the whole process
+    group.  A worker that turned the signal into an exception would go
+    on to run the tasks already queued to it; one that dies breaks the
+    pool, so the parent's shutdown returns at once.
+    """
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
 
 
 def _execute_task(fn: Callable[[TaskEnvelope], Any], task: TaskEnvelope) -> ResultEnvelope:
@@ -121,15 +137,10 @@ def _execute_task(fn: Callable[[TaskEnvelope], Any], task: TaskEnvelope) -> Resu
         worker_tracer.close()
         set_tracer(NULL_TRACER)
     elapsed_us = (time.perf_counter() - start) * 1e6
-    metrics: Dict[str, Dict[str, Dict[str, float]]] = {
-        name: snapshot.as_dict()
-        for name, snapshot in registry_snapshot().items()
-        if snapshot.counters or snapshot.timers or snapshot.histograms
-    }
     return ResultEnvelope(
         index=task.index,
         value=value,
-        metrics=metrics,
+        metrics={name: counters for name, counters in registry_snapshot().items() if counters},
         spans=tuple(recorder.records) if recorder is not None else (),
         events=tuple(recorder.events) if recorder is not None else (),
         elapsed_us=elapsed_us,
@@ -152,7 +163,8 @@ def run_tasks(
     registry delta into this process's registry and adopts its recorded
     spans and events into the live trace.  An ``executor`` from
     :func:`worker_pool` is reused (and left open); otherwise a pool is
-    created and torn down for this call.
+    created for this call and shut down when it ends, with the tasks
+    still queued cancelled if an exception (a Ctrl-C) ends it early.
     """
     jobs = resolve_jobs(jobs)
     capture = bool(get_tracer().enabled) and jobs > 1 and len(payloads) > 1
@@ -177,7 +189,7 @@ def run_tasks(
         results: Dict[int, ResultEnvelope] = {}
         owned = executor is None
         pool = executor if executor is not None else ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks))
+            max_workers=min(jobs, len(tasks)), initializer=_default_signals
         )
         try:
             pending = {pool.submit(_execute_task, fn, task) for task in tasks}
@@ -190,7 +202,7 @@ def run_tasks(
                     meter.tick()
         finally:
             if owned:
-                pool.shutdown()
+                pool.shutdown(cancel_futures=True)
         meter.finish()
         ordered = [results[index] for index in range(len(tasks))]
         adopted = 0

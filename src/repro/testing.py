@@ -180,23 +180,13 @@ def count_matrices(
 
 
 def instrumentation_snapshots(max_entries: int = 4):
-    """A strategy generating :class:`InstrumentationSnapshot` values.
+    """A strategy generating counter maps, as ``Instrumentation.snapshot``
+    returns them and worker envelopes ship them.
 
-    Counter and timer names come from a small shared alphabet so merges
-    actually collide; counts stay small non-negative integers, timers
-    small non-negative floats.
+    Counter names come from a small shared alphabet so merges actually
+    collide; counts stay small non-negative integers.
     """
     import hypothesis.strategies as st
 
-    from .obs.metrics import InstrumentationSnapshot
-
     names = st.sampled_from(["interactions", "silent_checks", "runs", "steps", "probes"])
-    return st.builds(
-        InstrumentationSnapshot,
-        counters=st.dictionaries(names, st.integers(0, 1000), max_size=max_entries),
-        timers=st.dictionaries(
-            names,
-            st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
-            max_size=max_entries,
-        ),
-    )
+    return st.dictionaries(names, st.integers(0, 1000), max_size=max_entries)

@@ -18,8 +18,6 @@ import pytest
 from repro.cli import main
 from repro.obs import (
     ChromeTraceExporter,
-    Histogram,
-    HistogramSnapshot,
     Instrumentation,
     JsonlExporter,
     NULL_TRACER,
@@ -105,21 +103,18 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("fold.me") as span:
             span.add("items", 5)
-        metrics = get_metrics("spans").snapshot()
-        assert metrics.counter("fold.me.items") == 5
-        assert "fold.me" in metrics.timers
-
-    def test_reentrant_name_counts_outer_only_in_registry(self):
-        tracer = Tracer()
-        with tracer.span("again"):
-            with tracer.span("again"):
-                pass
-        timers = get_metrics("spans").snapshot().timers
-        # one accumulation (the outer), not outer + inner
-        with tracer.span("again") as third:
+        with tracer.span("no.counters"):
             pass
-        total = get_metrics("spans").snapshot().timers["again"]
-        assert total >= timers["again"]
+        # Counters only: a span's time stays in the span.
+        assert get_metrics("spans").counters == {"fold.me.items": 5}
+
+    def test_reentrant_spans_fold_every_counter(self):
+        tracer = Tracer()
+        with tracer.span("again") as outer:
+            outer.add("steps", 2)
+            with tracer.span("again") as inner:
+                inner.add("steps", 3)
+        assert get_metrics("spans").counters == {"again.steps": 5}
 
     def test_null_tracer_is_default_and_reused(self):
         assert get_tracer() is NULL_TRACER
@@ -312,10 +307,20 @@ class TestMetricsRegistry:
     def test_registry_snapshot_and_clear(self):
         get_metrics("a").add("hits", 2)
         snapshot = registry_snapshot()
-        assert snapshot["a"].counter("hits") == 2
+        assert snapshot["a"] == {"hits": 2}
+        get_metrics("a").add("hits")
+        assert snapshot["a"] == {"hits": 2}  # a copy, not a view
         clear_registry()
         # identities survive (callers hold references); contents reset
-        assert registry_snapshot()["a"].counter("hits") == 0
+        assert registry_snapshot()["a"] == {}
+
+    def test_worker_delta_merges_counters(self):
+        from repro.parallel.merge import merge_registry_delta
+
+        get_metrics("sim").add("tasks")
+        merge_registry_delta({"sim": {"tasks": 2, "leaps": 7}, "other": {"hits": 1}})
+        assert get_metrics("sim").counters == {"tasks": 3, "leaps": 7}
+        assert get_metrics("other").counters == {"hits": 1}
 
 
 class TestMemorySpans:
@@ -683,99 +688,6 @@ class TestCliRoundTrip:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 3
-
-
-class TestHistograms:
-    """The bounded-bucket latency histograms (PR 7)."""
-
-    def test_quantiles_within_power_of_two(self):
-        histogram = Histogram()
-        for value in (1.0, 3.0, 9.0, 100.0):
-            histogram.observe(value)
-        snapshot = histogram.snapshot()
-        assert snapshot.count == 4
-        assert snapshot.min_value == 1.0
-        assert snapshot.max_value == 100.0
-        # Quantiles report the bucket's upper bound: within 2x of truth.
-        assert 3.0 <= snapshot.quantile(0.5) <= 6.0
-        assert 100.0 <= snapshot.quantile(0.99) <= 200.0
-
-    def test_bucket_boundaries_are_inclusive_upper(self):
-        histogram = Histogram()
-        histogram.observe(4.0)  # exactly 2^2: bucket 2, bound 4.0
-        snapshot = histogram.snapshot()
-        assert snapshot.quantile(0.5) == 4.0
-
-    def test_negative_and_nan_clamp_to_zero_bucket(self):
-        histogram = Histogram()
-        histogram.observe(-5.0)
-        histogram.observe(float("nan"))
-        snapshot = histogram.snapshot()
-        assert snapshot.count == 2
-        assert snapshot.quantile(0.99) == 1.0  # bucket 0 bound
-
-    def test_merge_adds_bucket_counts(self):
-        left, right = Histogram(), Histogram()
-        for _ in range(10):
-            left.observe(2.0)
-        for _ in range(30):
-            right.observe(1000.0)
-        left.merge(right.snapshot())
-        snapshot = left.snapshot()
-        assert snapshot.count == 40
-        assert snapshot.max_value == 1000.0
-        # 75% of mass sits in the large bucket: p90 lands there.
-        assert snapshot.quantile(0.9) >= 1000.0
-
-    def test_snapshot_dict_round_trip(self):
-        histogram = Histogram()
-        for value in (0.5, 7.0, 300.0):
-            histogram.observe(value)
-        payload = histogram.snapshot().as_dict()
-        assert payload["count"] == 3
-        assert "p50" in payload and "p90" in payload and "p99" in payload
-        restored = HistogramSnapshot.from_dict(payload)
-        assert restored.count == 3
-        assert restored.quantile(0.5) == histogram.snapshot().quantile(0.5)
-
-    def test_instrumentation_observe_and_snapshot(self):
-        metrics = Instrumentation()
-        metrics.observe("latency", 12.0)
-        metrics.observe("latency", 90.0)
-        snapshot = metrics.snapshot()
-        assert snapshot.histogram("latency").count == 2
-        assert "histograms" in snapshot.as_dict()
-
-    def test_as_dict_omits_histograms_when_empty(self):
-        # Back-compat: golden --json artifacts predate histograms and
-        # must stay byte-identical when no histogram was observed.
-        metrics = Instrumentation()
-        metrics.add("hits", 1)
-        assert "histograms" not in metrics.snapshot().as_dict()
-
-    def test_tracer_feeds_span_histograms_every_occurrence(self):
-        tracer = Tracer()
-        set_tracer(tracer)
-        with tracer.span("phase"):
-            with tracer.span("phase"):
-                pass
-        tracer.close()
-        spans = get_metrics("spans")
-        # Timer folds outer-only; the histogram counts both occurrences.
-        assert spans.snapshot().histogram("phase").count == 2
-
-    def test_worker_delta_merges_histograms(self):
-        from repro.parallel.merge import merge_registry_delta
-
-        worker = Instrumentation()
-        worker.observe("task_us", 500.0)
-        worker.observe("task_us", 700.0)
-        delta = {"sim": worker.snapshot().as_dict()}
-        get_metrics("sim").observe("task_us", 100.0)
-        merge_registry_delta(delta)
-        merged = get_metrics("sim").snapshot().histogram("task_us")
-        assert merged.count == 3
-        assert merged.max_value == 700.0
 
 
 class TestHeartbeatTraceMirroring:

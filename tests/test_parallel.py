@@ -25,6 +25,7 @@ import math
 import os
 import re
 import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,7 @@ from repro.parallel import (
     default_chunk_size,
     resolve_jobs,
     run_tasks,
+    worker_pool,
 )
 from repro.protocols import approximate_majority, binary_threshold
 from repro.simulation import CountScheduler
@@ -125,6 +127,16 @@ def _probe_task(task: TaskEnvelope):
     return task.index
 
 
+def _fail_first_task(task: TaskEnvelope):
+    """Module-level task: task 0 fails at once, the others take a while."""
+    directory, index = task.payload
+    if index == 0:
+        raise RuntimeError("task 0 failed")
+    time.sleep(0.2)
+    open(os.path.join(directory, str(index)), "w").close()
+    return index
+
+
 class TestRunTasks:
     def test_inline_matches_pool(self):
         payloads = [f"item-{i}" for i in range(7)]
@@ -140,8 +152,20 @@ class TestRunTasks:
     def test_worker_metrics_merge_into_parent(self):
         get_metrics("parallel.test").clear()
         run_tasks(_echo_task, list(range(6)), jobs=2)
-        assert registry_snapshot()["parallel.test"].counter("tasks.run") == 6
+        assert registry_snapshot()["parallel.test"] == {"tasks.run": 6}
         get_metrics("parallel.test").clear()
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_an_exception_cancels_the_queued_tasks(self, tmp_path, shared):
+        payloads = [(str(tmp_path), index) for index in range(40)]
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            if shared:
+                with worker_pool(2) as executor:
+                    run_tasks(_fail_first_task, payloads, jobs=2, executor=executor)
+            else:
+                run_tasks(_fail_first_task, payloads, jobs=2)
+        # Only the tasks already handed to a worker ran.
+        assert len(os.listdir(tmp_path)) < 20
 
     def test_worker_events_adopted_in_task_order(self):
         exporter = RecordingExporter()
@@ -207,9 +231,7 @@ class TestMergeProperties:
 
         parts = data.draw(partitions(len(snapshots))) if snapshots else []
         piecewise = fold(fold(snapshots[start:stop]) for start, stop in parts)
-        whole = fold(snapshots)
-        assert piecewise.counters == whole.counters
-        assert piecewise.timers == pytest.approx(whole.timers)
+        assert piecewise == fold(snapshots)
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Covers the manifest lifecycle (open → running → ok/failed/killed),
 the run's one stream (spans, heartbeats, worker shards and lifecycle
-events in ``trace.jsonl``), crash capture (SIGTERM handler, SIGKILL
-post-mortem via the stale-PID check), live tailing from a second
-process, retention GC, the ``repro runs`` CLI surface and its handling
-of a corrupt stream, the HTML report, and the fail-fast validation of
-artifact output paths.
+events in ``trace.jsonl``), crash capture (SIGTERM handler, Ctrl-C to
+a ``--jobs`` run's process group, SIGKILL post-mortem via the
+stale-PID check), live tailing from a second process, retention GC,
+the ``repro runs`` CLI surface (its profile view, its handling of a
+corrupt stream and of manifests an older build wrote), the HTML
+report, and the fail-fast validation of artifact output paths.
 """
 
 from __future__ import annotations
@@ -95,16 +96,34 @@ class TestRecorderLifecycle:
         from repro.obs import clear_registry, get_metrics
 
         clear_registry()
-        get_metrics("cache").add("hits", 3)
-        get_metrics("spans").observe("phase", 123.0)
+        cache = get_metrics("cache")
+        cache.add("hits", 5)  # an earlier run's, in the same process
+        cache.add("misses", 2)
         recorder = _open(runs_dir)
+        cache.add("hits", 3)
+        get_metrics("spans").add("phase.steps", 4)
         recorder.finalize("ok", exit_code=0)
         manifest = runlog.load_manifest(runs_dir, recorder.run_id)
+        # The run's own cache counts; its time and span counters are in
+        # the stream, not copied into the manifest.
         assert manifest["cache"] == {"hits": 3}
-        histogram = manifest["metrics"]["spans"]["histograms"]["phase"]
-        assert histogram["count"] == 1
-        assert "p50" in histogram and "p99" in histogram
+        assert "metrics" not in manifest
         clear_registry()
+
+    def test_a_forked_copy_never_finalizes(self, runs_dir):
+        recorder = _open(runs_dir)
+        pid = os.fork()
+        if pid == 0:  # a pool worker's copy of the recorder, as a signal finds it
+            try:
+                recorder.finalize("killed", exit_code=130, signal_name="SIGINT")
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        assert runlog.load_manifest(runs_dir, recorder.run_id)["status"] == "running"
+        recorder.finalize("ok", exit_code=0)
+        events, _ = runlog.read_stream(runs_dir, recorder.run_id)
+        assert [event["name"] for event in events] == ["run-start", "run-finish"]
+        assert runlog.load_manifest(runs_dir, recorder.run_id)["status"] == "ok"
 
     def test_atexit_path_marks_failed(self, runs_dir):
         recorder = _open(runs_dir)
@@ -240,22 +259,6 @@ class TestRegistryReading:
         assert [m["run_id"] for m in manifests] == [recorder.run_id]
         assert "skipping run" in capsys.readouterr().err
 
-    def test_list_cli_shows_latency_quantiles(self, runs_dir, capsys):
-        from repro.obs import clear_registry, get_metrics
-
-        clear_registry()
-        metrics = get_metrics("spans")
-        for duration in (1000.0, 2000.0, 3000.0):
-            metrics.observe("work", duration)
-        recorder = _open(runs_dir)
-        recorder.finalize("ok", exit_code=0)
-        clear_registry()
-        assert main(["runs", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "p50" in out and "p99" in out
-        # The busiest histogram's quantiles land in the row (µs → ms).
-        assert "2.0ms" in out
-
     def test_list_cli_dashes_without_histograms(self, runs_dir, capsys):
         recorder = _open(runs_dir)
         recorder.finalize("ok", exit_code=0)
@@ -266,6 +269,62 @@ class TestRegistryReading:
             if recorder.run_id in line
         ][0]
         assert "| -" in row
+
+
+class TestParentManifests:
+    """A manifest from before the registry kept counters only carries a
+    ``metrics`` snapshot (counters, timers, latency histograms) under the
+    same schema 2; the readers still read it and pass it over."""
+
+    PARENT_METRICS = {
+        "cache": {"counters": {"hits": 16, "misses": 2}, "timers": {}},
+        "spans": {
+            "counters": {"coverability.karp_miller.nodes": 7},
+            "timers": {"analyze": 0.118},
+            "histograms": {
+                "analyze": {
+                    "buckets": {"17": 1}, "count": 1, "max": 118496.4, "min": 118496.4,
+                    "p50": 131072.0, "p90": 131072.0, "p99": 131072.0, "total": 118496.4,
+                },
+            },
+        },
+    }
+
+    @pytest.fixture
+    def parent_run(self, runs_dir):
+        from repro.obs import Tracer
+
+        recorder = _open(runs_dir, command="analyze", argv=["analyze", "binary:3"])
+        tracer = Tracer([recorder])
+        with tracer.span("analyze"):
+            pass
+        tracer.close()
+        recorder.finalize("ok", exit_code=0)
+        manifest = runlog.load_manifest(runs_dir, recorder.run_id)
+        assert manifest["schema"] == 2
+        manifest["metrics"] = self.PARENT_METRICS
+        manifest["cache"] = {"hits": 16, "misses": 2}
+        runlog._atomic_write_json(
+            os.path.join(recorder.directory, runlog.MANIFEST_NAME), manifest
+        )
+        return manifest
+
+    def test_list_and_show_read_it(self, parent_run, capsys):
+        assert main(["runs", "list"]) == 0
+        assert parent_run["run_id"] in capsys.readouterr().out
+        assert main(["runs", "list", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["metrics"] == self.PARENT_METRICS
+        assert main(["runs", "show", "latest"]) == 0
+        out = capsys.readouterr().out
+        assert "status: ok" in out and "cache: hits=16, misses=2" in out
+        assert "p50" not in out  # the stored histograms are passed over
+        assert main(["runs", "show", "latest", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == parent_run
+
+    def test_report_renders_without_a_metrics_section(self, parent_run, runs_dir):
+        document = render_report_for_run(runs_dir, parent_run["run_id"])
+        assert "<h2>Work profile</h2>" in document
+        assert "Metrics" not in document and "histogram" not in document
 
 
 class TestGc:
@@ -412,9 +471,18 @@ class TestCliRecording:
 
         spans = load_trace(os.path.join(directory, runlog.TRACE_NAME))
         assert any(span.name == "analyze" for span in spans)
-        histograms = manifest["metrics"]["spans"]["histograms"]
-        assert "analyze" in histograms
-        assert histograms["analyze"]["count"] >= 1
+        assert "metrics" not in manifest
+
+    def test_manifest_cache_counts_are_the_runs_own(self, runs_dir, tmp_path, capsys):
+        import re
+
+        cache_dir = str(tmp_path / "cache")
+        for _ in range(2):
+            assert main(["--cache-dir", cache_dir, "analyze", "binary:3", "--max-input", "4"]) == 0
+            line = re.search(r"^cache: (\d+) hits, (\d+) misses", capsys.readouterr().err, re.M)
+            assert line is not None
+            cache = runlog.list_runs(runs_dir)[0]["cache"]
+            assert (cache.get("hits", 0), cache.get("misses", 0)) == tuple(map(int, line.groups()))
 
     def test_inspection_commands_are_not_recorded(self, runs_dir, capsys):
         assert main(["describe", "binary:3"]) == 0
@@ -454,10 +522,28 @@ class TestCliRecording:
         assert main(["runs", "show", "latest"]) == 0
         out = capsys.readouterr().out
         assert "status: ok" in out
-        assert "p50=" in out  # histogram quantiles surfaced
+        assert "p50=" not in out
         assert main(["runs", "show", "latest", "--json"]) == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["kind"] == "repro-run"
+
+    def test_show_prints_the_runs_own_profile(self, runs_dir, capsys):
+        assert main(["analyze", "binary:3", "--max-input", "4"]) == 0
+        assert main(["analyze", "binary:3", "--max-input", "4"]) == 0
+        capsys.readouterr()
+        assert main(["runs", "show", "latest"]) == 0
+        out = capsys.readouterr().out
+        # One row per path, sorted by total: the root span leads, and the
+        # earlier run's `analyze` span is not counted into this one.
+        rows = [line for line in out.splitlines() if line.startswith("analyze ")]
+        assert len(rows) == 1, out
+        cells = [cell.strip() for cell in rows[0].split("|")]
+        assert cells[1] == "1"  # calls
+        total = cells[2]
+        scale = next(s for unit, s in (("ms", 1e-3), ("µs", 1e-6), ("s", 1.0)) if total.endswith(unit))
+        total_s = float(total.rstrip("mµs")) * scale
+        # duration_s is rounded to the millisecond.
+        assert 0 < total_s <= runlog.list_runs(runs_dir)[0]["duration_s"] + 1e-3
 
     def test_cli_tail_no_follow(self, runs_dir, capsys):
         assert main(["analyze", "binary:3", "--max-input", "4"]) == 0
@@ -484,8 +570,10 @@ class TestCliRecording:
         assert "<script" not in document  # self-contained, no JS
         assert "http://" not in document and "https://" not in document
         assert "Span tree" in document and "analyze" in document
-        assert "Metrics" in document and "p99" in document
-        assert "Worker timelines" in document
+        headings = [part.split("</h2>")[0] for part in document.split("<h2>")[1:]]
+        assert headings == [
+            "Span tree", "Worker timelines", "Work profile", "Cache", "Events", "Environment",
+        ]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_each_heartbeat_lands_once_in_the_one_stream(self, runs_dir, tmp_path, jobs, capsys):
@@ -543,7 +631,7 @@ class TestCliRecording:
         assert "--out" in str(excinfo.value)
 
 
-def _spawn_cli(args, env_extra, cwd):
+def _spawn_cli(args, env_extra, cwd, **popen):
     env = dict(os.environ)
     env.pop("REPRO_NO_RUNS", None)
     env["REPRO_NO_CACHE"] = "1"
@@ -556,6 +644,7 @@ def _spawn_cli(args, env_extra, cwd):
         stderr=subprocess.DEVNULL,
         cwd=cwd,
         text=True,
+        **popen,
     )
 
 
@@ -634,6 +723,42 @@ class TestKillCapture:
         events, _ = runlog.read_stream(root, manifest["run_id"])
         assert events and events[0]["name"] == "run-start"
         assert events[-1]["name"] == "run-killed-detected"
+
+
+class TestCtrlCOnParallelRun:
+    """Ctrl-C reaches the whole process group, forked workers included."""
+
+    def test_sigint_to_the_group_finalizes_once_and_exits(self, tmp_path):
+        root = str(tmp_path / "runs")
+        process = _spawn_cli(
+            ["bb", "3", "--budget", "5000000", "--jobs", "2", "--progress-interval", "0.1"],
+            {"REPRO_RUNS_DIR": root},
+            str(tmp_path),
+            start_new_session=True,
+        )
+        children = f"/proc/{process.pid}/task/{process.pid}/children"
+        try:
+            manifest = _wait_for_manifest(root)
+            # The run's stream gets no heartbeat before a task ends (about
+            # 20 s a chunk here), so wait for the pool's two workers.
+            deadline = time.monotonic() + 30.0
+            while len(open(children).read().split()) < 2:
+                assert time.monotonic() < deadline, "the worker pool never started"
+                time.sleep(0.05)
+            time.sleep(0.5)
+            os.killpg(process.pid, signal.SIGINT)
+            assert process.wait(timeout=10) == 130
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
+        final = runlog.load_manifest(root, manifest["run_id"])
+        assert (final["status"], final["signal"]) == ("killed", "SIGINT")
+        assert final["exit_code"] == 130
+        events, _ = runlog.read_stream(root, manifest["run_id"])
+        assert [event["name"] for event in events].count("run-finish") == 1
 
 
 class TestCorruptStream:
