@@ -634,7 +634,6 @@ def _cmd_analyze(args) -> int:
             max_input=args.max_input,
             node_budget=args.node_budget,
             jobs=args.jobs,
-            quotient=args.quotient,
             checkpoint_interval=args.checkpoint_interval,
         )
     )
@@ -1188,7 +1187,7 @@ def _run_scenario_instance(args, scenario, instance, *, conformance: bool) -> di
     outcomes = run_checks(
         protocol,
         instance.checks,
-        instance.options(jobs=args.jobs, quotient=args.quotient, seed=args.seed),
+        instance.options(jobs=args.jobs, seed=args.seed),
     )
     record["checks"] = [outcome.to_dict() for outcome in outcomes]
     record["ok"] = all(outcome.passed for outcome in outcomes) and record.get(
@@ -1355,12 +1354,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="Karp-Miller / verification node budget (default 500000)",
     )
+    # A no-op kept so recorded argv (``analyze --resume``) and scripts
+    # written for the old flag still parse.
     p.add_argument(
         "--quotient",
         action="store_true",
-        help="expand each configuration of the coverability section once, "
-        "up to protocol automorphisms (same limits and verdicts, fewer "
-        "expansions)",
+        help="accepted and ignored: every coverability tree already expands "
+        "each configuration once, up to protocol automorphisms",
     )
     p.add_argument(
         "--checkpoint-interval",
@@ -1664,12 +1664,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--smallest",
             action="store_true",
             help="only the smallest instance of each selected scenario",
-        )
-        sp.add_argument(
-            "--quotient",
-            action="store_true",
-            help="quotient symmetric configurations in the coverability checks "
-            "(verdicts are identical by contract)",
         )
         sp.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")

@@ -239,7 +239,7 @@ def _flat_omega_root(eta: int):
     return protocol, tuple(OMEGA if i == x_index else 0 for i in range(indexed.n))
 
 
-def _flat_tree(eta: int, node_budget: int, quotient: bool = False):
+def _flat_tree(eta: int, node_budget: int):
     """The omega-rooted tree of ``flat:eta``.  When it is built rather
     than served from the cache, its nodes and limits are
     ``coverability.karp_miller`` span counters, so a workload that only
@@ -247,7 +247,7 @@ def _flat_tree(eta: int, node_budget: int, quotient: bool = False):
     from ..reachability.coverability import karp_miller
 
     protocol, root = _flat_omega_root(eta)
-    return karp_miller(protocol, [root], node_budget=node_budget, quotient=quotient)
+    return karp_miller(protocol, [root], node_budget=node_budget)
 
 
 @register_workload(
@@ -485,10 +485,10 @@ def _cache_km_warm() -> Dict[str, int]:
 
 @register_workload(
     "coverability.sharded_cold",
-    description="quotient-dedup Karp–Miller at flat:8, the naive engine's size wall (E18)",
+    description="Karp–Miller at flat:8, 45 nodes for 45 expansions (E18)",
 )
 def _coverability_sharded_cold() -> Dict[str, int]:
-    _flat_tree(8, node_budget=200_000, quotient=True)
+    _flat_tree(8, node_budget=200_000)
     return {}
 
 
@@ -566,7 +566,7 @@ def _ensemble(jobs: int = 1) -> Dict[str, int]:
 def _synthetic_frontier_trace() -> List[Dict[str, object]]:
     """A deterministic sharded-frontier span forest (JSONL span shape).
 
-    Mimics what a quotiented Karp–Miller run at ``--jobs 8`` records:
+    Mimics what a Karp–Miller run at ``--jobs 8`` records:
     per-round ``parallel.pool``/``parallel.task`` plumbing wrapping
     counter-carrying work spans.  Pure arithmetic — no clock, no RNG —
     so the aggregated profile is an exact reproducibility anchor.

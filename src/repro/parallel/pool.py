@@ -182,7 +182,11 @@ def run_tasks(
 
     tracer = get_tracer()
     done = 0
-    meter = progress(label, lambda: {"tasks_done": done, "tasks": len(tasks)})
+    # One tick per finished task, each reading the clock: a pool of
+    # fewer tasks than the default stride would never emit a heartbeat.
+    meter = progress(
+        label, lambda: {"tasks_done": done, "tasks": len(tasks)}, stride=1
+    )
     with tracer.span(
         "parallel.pool", label=label, jobs=jobs, tasks=len(tasks)
     ) as pool_span:

@@ -24,11 +24,13 @@ constructive on concrete protocols; the astronomically larger Rackoff
 Omega entries are represented by ``math.inf``; extended configurations
 are tuples mixing ints and ``inf``.
 
-Both procedures run on the sharded frontier engine of
-:mod:`repro.reachability.frontier`: ``jobs`` fans expansion out across
-the process pool with task-order merging (bit-identical results at any
-width), ``quotient`` prunes automorphic duplicates while preserving the
-limit antichain exactly, and ``checkpoint_interval`` makes long runs
+The Karp–Miller tree runs on the frontier engine of
+:mod:`repro.reachability.frontier`, which expands each configuration
+once up to the root-fixing protocol automorphisms (so ``node_budget``
+bounds the work) while keeping the classic limit antichain exactly.
+Both procedures take ``jobs``, which fans expansion out across the
+process pool with task-order merging (bit-identical results at any
+width), and ``checkpoint_interval`` makes long Karp–Miller runs
 resumable through the content-addressed cache — see the engine module
 for the soundness arguments.
 """
@@ -80,18 +82,19 @@ class KarpMillerTree:
         downward closure equals the downward closure of the reachable
         set (restricted to the explored roots).  This is the unique
         minimal antichain of that closure, so it is identical whether
-        or not the construction ran quotiented or sharded.
+        or not the construction ran sharded.
     nodes:
-        Every extended configuration created during the construction.
-        Under ``quotient=True`` this is the pruned exploration, a
-        subset of the classic tree's node set.
+        Every extended configuration created during the construction:
+        the exploration that expands each canonical configuration once,
+        a subset of the classic tree's node set.
     accelerations:
         For each node that gained an ω-component, the branch ancestors
         whose strict domination introduced it — the acceleration
         ancestry, preserved through the cache round-trip.
     group:
         The root-fixing automorphism permutations the construction
-        quotiented by (just the identity when ``quotient=False``).
+        canonicalised by (just the identity for most protocols, and
+        for every net).
     """
 
     def __init__(
@@ -101,14 +104,12 @@ class KarpMillerTree:
         nodes: Set[ExtendedConfig],
         accelerations: Optional[Dict[ExtendedConfig, Tuple[ExtendedConfig, ...]]] = None,
         group: Optional[Tuple[Permutation, ...]] = None,
-        quotient: bool = False,
     ):
         self.indexed = indexed
         self.limits = limits
         self.nodes = nodes
         self.accelerations = {} if accelerations is None else accelerations
         self.group = (tuple(range(indexed.n)),) if group is None else group
-        self.quotient = quotient
 
     def covers(self, target: Sequence[int]) -> bool:
         """Is some reachable configuration >= ``target`` (coverability)?"""
@@ -130,7 +131,6 @@ def karp_miller(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     jobs: int = 1,
-    quotient: bool = False,
     checkpoint_interval: Optional[int] = None,
 ) -> KarpMillerTree:
     """Build a Karp–Miller tree from the given roots.
@@ -140,20 +140,24 @@ def karp_miller(
     protocol *for all inputs at once*, which is how the leaderless
     analyses in this package use it.
 
-    ``jobs`` shards frontier expansion across the process pool;
-    ``quotient`` dedups automorphic configurations; both leave the
-    ``limits`` antichain and every coverability verdict bit-identical
-    (the differential suite ``tests/test_coverability_sharded.py``
-    enforces this).  ``checkpoint_interval`` writes a resumable partial
-    tree into the active cache store every that-many expansions; a
-    later identical call (any budget, any jobs) resumes from it.
+    Each configuration is expanded once, up to the root-fixing
+    protocol automorphisms, and ``jobs`` shards frontier expansion
+    across the process pool; the ``limits`` antichain and every
+    coverability verdict are those of the classic tree walk at any
+    ``jobs`` (the differential suite
+    ``tests/test_coverability_sharded.py`` holds the engine to a
+    test-local classic walk).  ``checkpoint_interval`` writes a
+    resumable partial tree into the active cache store every
+    that-many expansions; a later identical call (any budget, any
+    jobs) resumes from it.
 
     Results are memoised through :mod:`repro.cache` (content-addressed
-    by protocol, roots, budget and quotient flag) when the active store
-    is enabled; pre-indexed first arguments bypass the cache.
+    by protocol, roots and budget) when the active store is enabled;
+    pre-indexed first arguments bypass the cache.
 
     Raises :class:`SearchBudgetExceeded` when more than ``node_budget``
-    tree nodes are created.
+    tree nodes are created; a run expands at most ``node_budget`` plus
+    the number of roots configurations, so the budget bounds the work.
     """
     # Materialise roots before the cached inner function keys on them
     # (callers may pass generators).
@@ -162,7 +166,6 @@ def karp_miller(
         [tuple(root) for root in roots],
         node_budget,
         jobs=jobs,
-        quotient=quotient,
         checkpoint_interval=checkpoint_interval,
     )
 
@@ -174,7 +177,6 @@ def _km_params(arguments):
     return {
         "roots": [_encode_config(root) for root in arguments["roots"]],
         "node_budget": int(arguments["node_budget"]),
-        "quotient": bool(arguments["quotient"]),
     }
 
 
@@ -187,7 +189,6 @@ def _km_encode(tree: KarpMillerTree, protocol: PopulationProtocol):
             for node, used in sorted(tree.accelerations.items())
         ],
         "group": [list(perm) for perm in tree.group],
-        "quotient": bool(tree.quotient),
     }
 
 
@@ -203,14 +204,7 @@ def _km_decode(payload, protocol: PopulationProtocol) -> KarpMillerTree:
     for config in limits | nodes:
         if len(config) != indexed.n:
             raise ValueError("configuration width does not match the protocol")
-    return KarpMillerTree(
-        indexed,
-        limits,
-        nodes,
-        accelerations=accelerations,
-        group=group,
-        quotient=bool(payload["quotient"]),
-    )
+    return KarpMillerTree(indexed, limits, nodes, accelerations=accelerations, group=group)
 
 
 @cached_analysis(
@@ -225,7 +219,6 @@ def _karp_miller(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     jobs: int = 1,
-    quotient: bool = False,
     checkpoint_interval: Optional[int] = None,
 ) -> KarpMillerTree:
     indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
@@ -235,14 +228,12 @@ def _karp_miller(
         transitions=len(indexed.deltas),
         node_budget=node_budget,
         jobs=jobs,
-        quotient=int(quotient),
     ) as span:
         engine = KarpMillerFrontier(
             indexed,
             roots,
             node_budget=node_budget,
             jobs=jobs,
-            quotient=quotient,
             checkpoint_interval=checkpoint_interval,
         )
         try:
@@ -268,7 +259,6 @@ def _karp_miller(
         result.nodes,
         accelerations=result.accelerations,
         group=result.group,
-        quotient=quotient,
     )
 
 
@@ -279,13 +269,9 @@ def is_coverable_from(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     jobs: int = 1,
-    quotient: bool = False,
 ) -> bool:
     """Coverability query: can ``root`` reach some ``C >= target``?"""
-    tree = karp_miller(
-        protocol, [root], node_budget=node_budget, jobs=jobs, quotient=quotient
-    )
-    return tree.covers(target)
+    return karp_miller(protocol, [root], node_budget=node_budget, jobs=jobs).covers(target)
 
 
 def _minimise(vectors: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:

@@ -1,37 +1,32 @@
-"""The sharded, canonicalised, resumable Karp–Miller frontier engine.
+"""The Karp–Miller engine: one expansion per canonical configuration.
 
 :mod:`repro.reachability.coverability` exposes the classic Karp–Miller
-API; this module is the machinery underneath it.  The classic
-construction is a depth-first walk whose cost is dominated not by the
-number of *distinct* extended configurations but by the number of
-*branches* re-deriving them: on ``flat:8`` the tree has 45 nodes yet the
-naive walk performs 464,821 expansions.  The engine here removes that
-wall with three independently switchable mechanisms:
+API; this module is the machinery underneath it.  The classic tree walk
+expands every branch, so its cost is the number of branches re-deriving
+a configuration, not the number of distinct configurations: on
+``flat:8`` the tree has 45 nodes, yet the level-synchronous walk
+performed 13,668 expansions.  This engine expands each configuration
+once, and shards and checkpoints its rounds:
 
-* **Level-synchronous frontier.**  The tree is grown breadth-first,
-  one level per round.  Without deduplication the set of nodes created
-  is *exactly* the classic tree's node set (the tree is a function of
-  the (config, ancestor-chain) pairs, not of visit order), so the
-  default engine is bit-compatible with the historical DFS — same
-  ``nodes``, same ``limits`` — while exposing round boundaries for
-  sharding and checkpointing.
-
-* **Quotient** (``quotient=True``).  A configuration is enqueued only
-  if its canonical form (minimum over the orbit of the root-fixing
-  protocol automorphisms, :func:`repro.symmetry.search`) has never been
-  enqueued before.  Most of the saving is the exact dedup of the
-  visited set: on ``flat:8`` the group is the identity, yet expansions
-  drop from 13,668 to 45.  Orbit canonicalisation adds to that only
-  when the group is non-trivial.  Branches still carry *genuine*
-  ancestor chains — acceleration never compares against a permuted
-  configuration, which keeps ω-introduction sound.  The exploration
-  becomes an exact-dedup subtree of the classic tree; completeness
-  holds by a jump argument: a pruned leaf equals an automorphic image
-  of an earlier-expanded node, and the remaining firing sequence can be
-  replayed through the automorphism from there.  At finalisation the
-  node set is closed under the group orbit before taking maximal
-  elements, so ``limits`` is the same minimal antichain (the clover)
-  the unquotiented run produces — bit-identical limits and verdicts.
+* **One expansion per canonical configuration.**  The tree is grown
+  breadth-first, one level per round, and a configuration is enqueued
+  only if its canonical form (the least element of its orbit under
+  the root-fixing protocol automorphisms,
+  :func:`configuration_symmetries`) has never been enqueued before.
+  On the shipped families the group is the identity and this is the
+  exact dedup of a visited set; a net's
+  :class:`~repro.vas.model.IndexedNet` carries no protocol, so it gets
+  the identity group too.  Branches still carry *genuine* ancestor
+  chains: acceleration never compares against a permuted
+  configuration, which keeps ω-introduction sound.  The exploration is
+  a subtree of the classic tree, and completeness holds by a jump
+  argument: a pruned leaf equals an automorphic image of an enqueued
+  node, and the remaining firing sequence can be replayed through the
+  automorphism from there.  At finalisation the node set is closed
+  under the group orbit before taking maximal elements, so ``limits``
+  is the classic tree's minimal antichain (the clover), bit for bit.
+  Since each enqueued configuration is a distinct node, a run performs
+  at most ``nodes + roots`` expansions: the node budget bounds the work.
 
 * **Sharding** (``jobs>1``).  Each round's frontier is split into
   contiguous chunks expanded by :func:`repro.parallel.run_tasks`
@@ -42,7 +37,7 @@ wall with three independently switchable mechanisms:
 * **Checkpointing** (``checkpoint_interval``).  At round boundaries the
   engine snapshots (frontier, nodes, visited, accelerations) into the
   content-addressed cache, keyed by (protocol fingerprint,
-  presentation, roots, quotient flag) — *not* by budget or jobs, so a
+  presentation, roots) — *not* by budget or jobs, so a
   budget-exceeded run leaves a checkpoint a larger-budget rerun picks
   up, and a SIGKILL'd ``repro analyze`` resumes via ``--resume``.
   Checkpoints register with the flight recorder (``km-checkpoint`` /
@@ -98,7 +93,7 @@ Permutation = Tuple[int, ...]
 """A state-index permutation ``p`` acting on configs by ``c[j] -> c[p[j]]``."""
 
 CHECKPOINT_ANALYSIS = "coverability.checkpoint"
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 def _leq(a: ExtendedConfig, b: ExtendedConfig) -> bool:
@@ -132,8 +127,8 @@ def configuration_symmetries(
     search the cache fingerprint uses.  Those that fix every root form
     a permutation group, returned in the ``c[j] -> c[perm[j]]`` action
     convention, identity first.  Above the search limit only the
-    identity is returned: a smaller group merely weakens the quotient,
-    never its soundness.
+    identity is returned: a smaller group merely prunes fewer branches,
+    never at the cost of soundness.
     """
     indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
     found = search(indexed.protocol)
@@ -194,7 +189,7 @@ class _FrontierState:
         self,
         frontier: List[FrontierEntry],
         nodes: Set[ExtendedConfig],
-        visited: Optional[Set[ExtendedConfig]],
+        visited: Set[ExtendedConfig],
         accelerations: Dict[ExtendedConfig, Set[ExtendedConfig]],
         expansions: int,
         rounds: int,
@@ -210,7 +205,7 @@ class _FrontierState:
         return _FrontierState(
             frontier=self.frontier,  # rebuilt (never mutated) between rounds
             nodes=set(self.nodes),
-            visited=None if self.visited is None else set(self.visited),
+            visited=set(self.visited),
             accelerations={node: set(used) for node, used in self.accelerations.items()},
             expansions=self.expansions,
             rounds=self.rounds,
@@ -231,11 +226,7 @@ class _FrontierState:
             for config, ancestors in self.frontier
         ]
         nodes = sorted(cid(config) for config in sorted(self.nodes))
-        visited = (
-            None
-            if self.visited is None
-            else sorted(cid(config) for config in sorted(self.visited))
-        )
+        visited = sorted(cid(config) for config in sorted(self.visited))
         accelerations = [
             [cid(node), sorted(cid(a) for a in sorted(used))]
             for node, used in sorted(self.accelerations.items())
@@ -264,11 +255,7 @@ class _FrontierState:
             for index, ancestors in payload["frontier"]
         ]
         nodes = {configs[index] for index in payload["nodes"]}
-        visited = (
-            None
-            if payload["visited"] is None
-            else {configs[index] for index in payload["visited"]}
-        )
+        visited = {configs[index] for index in payload["visited"]}
         accelerations = {
             configs[index]: {configs[a] for a in used}
             for index, used in payload["accelerations"]
@@ -287,7 +274,6 @@ def checkpoint_key(
     fingerprint: str,
     presentation: str,
     roots: Sequence[ExtendedConfig],
-    quotient: bool,
 ) -> str:
     """Content address of a resumable run.
 
@@ -302,7 +288,6 @@ def checkpoint_key(
             "fingerprint": fingerprint,
             "presentation": presentation,
             "roots": [_encode_config(root) for root in roots],
-            "quotient": bool(quotient),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -376,8 +361,9 @@ class KarpMillerFrontier:
 
     It reads the dense view's ``n``, ``pres``, ``deltas`` and
     ``non_silent`` (so a net's :class:`~repro.vas.model.IndexedNet` runs
-    on it too); only the quotient and checkpoint paths read
-    ``indexed.protocol``.
+    on it too); only the automorphism group and the checkpoint key read
+    ``indexed.protocol``.  A net has no protocol, so its group is the
+    identity and its visited set dedups exact repeats.
     """
 
     def __init__(
@@ -387,9 +373,7 @@ class KarpMillerFrontier:
         *,
         node_budget: int,
         jobs: int = 1,
-        quotient: bool = False,
         checkpoint_interval: Optional[int] = None,
-        expansion_budget: Optional[int] = None,
     ) -> None:
         self.indexed = (
             protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
@@ -400,18 +384,12 @@ class KarpMillerFrontier:
                 raise ValueError("root configuration width does not match the protocol")
         self.node_budget = node_budget
         self.jobs = resolve_jobs(jobs)
-        self.quotient = quotient
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
         self.checkpoint_interval = checkpoint_interval
-        # The node budget bounds *distinct* labels, not work: a tree of
-        # 45 nodes can cost 10^5+ branch expansions (flat:8).  Callers
-        # exploring adversarial protocols (property tests) can bound
-        # the work itself.
-        self.expansion_budget = expansion_budget
         self.group: Tuple[Permutation, ...] = (
             configuration_symmetries(self.indexed, self.roots)
-            if quotient
+            if isinstance(self.indexed, IndexedProtocol)
             else (tuple(range(self.indexed.n)),)
         )
         self.stats = FrontierStats()
@@ -438,7 +416,7 @@ class KarpMillerFrontier:
             except UncacheableProtocolError:
                 return None
             self._checkpoint_key = checkpoint_key(
-                self._fingerprint, presentation, self.roots, self.quotient
+                self._fingerprint, presentation, self.roots
             )
         return store
 
@@ -472,9 +450,6 @@ class KarpMillerFrontier:
         except (KeyError, ValueError, TypeError, IndexError):
             store.invalidate(CHECKPOINT_ANALYSIS, self._checkpoint_key)
             return None
-        if self.quotient and state.visited is None:
-            store.invalidate(CHECKPOINT_ANALYSIS, self._checkpoint_key)
-            return None
         run = current_run()
         if run is not None:
             run.event(
@@ -492,12 +467,11 @@ class KarpMillerFrontier:
     def _initial_state(self) -> _FrontierState:
         nodes: Set[ExtendedConfig] = set()
         frontier: List[FrontierEntry] = []
-        visited: Optional[Set[ExtendedConfig]] = set() if self.quotient else None
+        visited: Set[ExtendedConfig] = set()
         for root in self.roots:
             nodes.add(root)
             frontier.append((root, ()))
-            if visited is not None:
-                visited.add(canonical_config(root, self.group))
+            visited.add(canonical_config(root, self.group))
         return _FrontierState(
             frontier=frontier,
             nodes=nodes,
@@ -565,13 +539,6 @@ class KarpMillerFrontier:
 
     def _expand_round(self, state: _FrontierState, meter: Any, pool: Any = None) -> None:
         frontier = state.frontier
-        if (
-            self.expansion_budget is not None
-            and state.expansions + len(frontier) > self.expansion_budget
-        ):
-            raise SearchBudgetExceeded(
-                f"Karp-Miller construction exceeded {self.expansion_budget} expansions"
-            )
         chunk = default_chunk_size(len(frontier), self.jobs)
         ranges = chunk_ranges(len(frontier), chunk)
         payloads = [(self.indexed, frontier[start:stop]) for start, stop in ranges]
@@ -595,12 +562,11 @@ class KarpMillerFrontier:
                         state.accelerations.setdefault(successor, set()).update(used)
                     if terminated:
                         continue
-                    if visited is not None:
-                        canon = canonical_config(successor, self.group)
-                        if canon in visited:
-                            self.stats.dedup_hits += 1
-                            continue
-                        visited.add(canon)
+                    canon = canonical_config(successor, self.group)
+                    if canon in visited:
+                        self.stats.dedup_hits += 1
+                        continue
+                    visited.add(canon)
                     next_frontier.append((successor, chain))
                 meter.tick()
         state.expansions += len(frontier)
@@ -611,9 +577,9 @@ class KarpMillerFrontier:
         """Maximal elements of the orbit closure of the node set.
 
         With the trivial group this is the classic "maximal nodes"
-        computation.  Under a quotient the closure restores the pruned
-        automorphic images first, so the resulting antichain is the
-        same clover — bit-identical limits — the unquotiented tree
+        computation.  Otherwise the closure first restores the
+        automorphic images the canonical dedup pruned, so the antichain
+        is the same clover — bit-identical limits — the classic tree
         yields.
         """
         if len(self.group) > 1:

@@ -8,7 +8,7 @@ Each :class:`~repro.scenarios.dsl.Property` maps to existing engines:
   on every input;
 * ``never reaches`` — :func:`repro.reachability.karp_miller` with
   omega on the input states (all inputs at once), honouring ``jobs``
-  and ``quotient`` so the differential contracts extend to scenarios;
+  so the serial ≡ sharded contract extends to scenarios;
 * ``stable consensus`` — :func:`repro.analysis.stable_slice`;
 * ``usually consensus`` — the seeded vector ensemble engine
   (:func:`repro.simulation.run_ensemble`);
@@ -67,15 +67,14 @@ _WITNESS_KINDS = ("always-of", "always-value")
 class CheckOptions:
     """Sweep bounds and engine knobs shared by every check of a scenario.
 
-    ``jobs`` and ``quotient`` thread through to the coverability and
-    ensemble engines; by the repo's determinism contracts they must not
-    change any verdict (the differential suite pins this per family).
+    ``jobs`` threads through to the coverability and ensemble engines;
+    by the repo's determinism contracts it must not change any verdict
+    (the differential suite pins this per family).
     """
 
     max_input_size: int
     min_input_size: int = 2
     jobs: int = 1
-    quotient: bool = False
     seed: int = 0
     trials: int = 120
     node_budget: int = 2_000_000
@@ -228,7 +227,6 @@ def _eval_never_reaches(
         [tuple(counts)],
         node_budget=options.coverability_budget,
         jobs=options.jobs,
-        quotient=options.quotient,
     )
     target = [0] * indexed.n
     target[indexed.index[prop.state]] = 1

@@ -23,8 +23,8 @@ interchangeable states reach the limit.
 
 The result is memoised on the protocol instance.  Its consumers are
 the cache fingerprint (:func:`repro.cache.fingerprint.canonical_form`),
-the Karp–Miller quotient
-(:func:`repro.reachability.frontier.configuration_symmetries`) and the
+the Karp–Miller engine's canonical dedup, which runs on every tree
+(:func:`repro.reachability.frontier.configuration_symmetries`), and the
 public :func:`canonical_key`, :func:`are_isomorphic` and
 :func:`automorphisms`, which :mod:`repro.analysis` re-exports.
 """

@@ -61,11 +61,13 @@ def karp_miller(
     initial: Multiset,
     node_budget: int = 200_000,
 ) -> KarpMillerTree:
-    """Karp–Miller with omega-acceleration (classic tree semantics).
+    """Karp–Miller with omega-acceleration (the classic tree's limits).
 
-    Branches stop on exact repetition of an ancestor; acceleration
-    compares against ancestors only (the sound variant — see the note
-    in :mod:`repro.reachability.frontier`).  Raises
+    Each marking is expanded once: a branch stops on exact repetition
+    of an ancestor or of a marking already queued for expansion (a net
+    has no automorphism group, so there is no orbit to canonicalise).
+    Acceleration compares against ancestors only (the sound variant —
+    see the note in :mod:`repro.reachability.frontier`).  Raises
     :class:`~repro.core.errors.SearchBudgetExceeded` when more than
     ``node_budget`` tree nodes are created.
 

@@ -1,14 +1,19 @@
-"""Differential harness for the sharded/quotiented/resumable Karp–Miller.
+"""Differential harness for the sharded, canonicalising, resumable Karp–Miller.
 
 The engine in :mod:`repro.reachability.frontier` promises a strong
 contract: *execution strategy never changes the answer*.  Serial,
-``jobs=2``, ``jobs=4``, symmetry-quotiented and killed-then-resumed
-runs must all produce bit-identical limit sets and coverability
-verdicts.  This module enforces that contract over a corpus of the
-paper's protocol constructions, plus:
+``jobs=2``, ``jobs=4`` and killed-then-resumed runs must all produce
+bit-identical trees, and the engine, which expands each configuration
+once up to the root-fixing automorphisms, must give the limit set and
+every coverability verdict of the classic tree walk.  That walk is
+:func:`classic_tree` below, a test-local oracle with its own expansion
+cap.  This module enforces the contract over a corpus of the paper's
+protocol constructions, plus:
 
-* renaming-invariance of the quotient engine (Hypothesis, via
-  :func:`repro.testing.renamings`);
+* agreement with the oracle under random state renamings (Hypothesis,
+  via :func:`repro.testing.renamings`);
+* the node budget bounds the work: at most ``nodes + roots``
+  expansions;
 * kill-then-resume equality through the content-addressed cache and
   the flight recorder (checkpoint events + manifest entries);
 * a round-trip regression for the cache codec — ``_km_encode`` used
@@ -51,6 +56,7 @@ from hypothesis import strategies as st
 from repro import (
     binary_threshold,
     flat_threshold,
+    leader_binary_threshold,
     leader_unary_threshold,
     majority_protocol,
     modulo_protocol,
@@ -86,6 +92,53 @@ from repro.testing import renamings
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "coverability_trees.json")
 KM_GOLDEN_VERSION = 1
 NONTRIVIAL_ENUMERATED = 6  # root-fixing groups beyond the identity, n = 2 and 3
+ORACLE_EXPANSIONS = 200_000
+
+
+# --------------------------------------------------------------------- oracle
+
+
+def classic_tree(protocol, roots, expansion_cap=ORACLE_EXPANSIONS):
+    """The classic Karp–Miller tree walk: the engine's test oracle.
+
+    Every branch is expanded until it repeats an ancestor exactly, with
+    no visited set and no symmetry, so a configuration is re-expanded
+    once per branch that derives it.  A successor gets ω wherever it
+    strictly exceeds a branch ancestor it dominates.  The walk is
+    exponential in the worst case, so it raises
+    :class:`SearchBudgetExceeded` after ``expansion_cap`` expansions.
+    """
+    indexed = protocol.indexed()
+    stack = [(tuple(root), ()) for root in roots]
+    nodes = {config for config, _ in stack}
+    expansions = 0
+    while stack:
+        config, ancestors = stack.pop()
+        expansions += 1
+        if expansions > expansion_cap:
+            raise SearchBudgetExceeded(f"classic walk exceeded {expansion_cap} expansions")
+        chain = ancestors + (config,)
+        for k in indexed.non_silent:
+            if any(p > c for p, c in zip(indexed.pres[k], config)):
+                continue
+            fired = tuple(c + d for c, d in zip(config, indexed.deltas[k]))
+            grown = {
+                i
+                for ancestor in chain
+                if ancestor != fired and all(a <= f for a, f in zip(ancestor, fired))
+                for i, (a, f) in enumerate(zip(ancestor, fired))
+                if a < f
+            }
+            successor = tuple(OMEGA if i in grown else f for i, f in enumerate(fired))
+            nodes.add(successor)
+            if successor not in chain:
+                stack.append((successor, chain))
+    limits = {
+        c
+        for c in nodes
+        if not any(c != d and all(x <= y for x, y in zip(c, d)) for d in nodes)
+    }
+    return KarpMillerTree(indexed, limits, nodes)
 
 
 # --------------------------------------------------------------------- corpus
@@ -213,12 +266,14 @@ class TestShardedDifferential:
 
 
 class TestQuotientDifferential:
+    """The engine (canonical dedup) against the plain classic walk."""
+
     @pytest.mark.parametrize("name,protocol,roots", CORPUS, ids=CORPUS_IDS)
     def test_quotient_matches_plain(self, name, protocol, roots):
-        plain = karp_miller(protocol, roots, node_budget=200_000)
-        quotiented = karp_miller(protocol, roots, node_budget=200_000, quotient=True)
-        # The quotient prunes *exploration*, never the clover: limit
-        # sets are bit-identical and every verdict agrees.
+        plain = classic_tree(protocol, roots)
+        quotiented = karp_miller(protocol, roots, node_budget=200_000)
+        # The dedup prunes *exploration*, never the clover: limit sets
+        # are bit-identical and every verdict agrees.
         assert frozenset(quotiented.limits) == frozenset(plain.limits), name
         assert set(quotiented.nodes) <= set(plain.nodes), name
         assert _verdicts(protocol, quotiented) == _verdicts(protocol, plain)
@@ -226,10 +281,8 @@ class TestQuotientDifferential:
     def test_quotient_and_jobs_compose(self):
         protocol = flat_threshold(7)
         root = omega_root(protocol)
-        serial = karp_miller(protocol, [root], node_budget=200_000, quotient=True)
-        sharded = karp_miller(
-            protocol, [root], node_budget=200_000, quotient=True, jobs=4
-        )
+        serial = karp_miller(protocol, [root], node_budget=200_000)
+        sharded = karp_miller(protocol, [root], node_budget=200_000, jobs=4)
         assert _tree_signature(sharded) == _tree_signature(serial)
 
     def test_twin_group_is_nontrivial(self):
@@ -244,12 +297,12 @@ class TestQuotientDifferential:
 
     def test_twin_quotient_prunes_symmetric_branch(self):
         protocol = twin()
-        root = omega_root(protocol)
-        plain = KarpMillerFrontier(protocol, [root], node_budget=10_000).run()
-        quot = KarpMillerFrontier(
-            protocol, [root], node_budget=10_000, quotient=True
-        ).run()
+        plain = classic_tree(protocol, [(4, 0, 0)])
+        quot = KarpMillerFrontier(protocol, [(4, 0, 0)], node_budget=10_000).run()
+        assert len(quot.group) == 2
+        # (2, 2, 0) and (2, 0, 2) are one orbit: only one is expanded.
         assert quot.stats.dedup_hits > 0
+        assert len(quot.nodes) < len(plain.nodes)
         assert frozenset(quot.limits) == frozenset(plain.limits)
 
     @settings(max_examples=25, deadline=None)
@@ -260,20 +313,43 @@ class TestQuotientDifferential:
         renamed = protocol.renamed(mapping, name="renamed")
         root = omega_root(renamed)
         try:
-            plain = KarpMillerFrontier(
-                renamed, [root], node_budget=5_000, expansion_budget=20_000
-            ).run()
-            quot = KarpMillerFrontier(
-                renamed,
-                [root],
-                node_budget=5_000,
-                expansion_budget=20_000,
-                quotient=True,
-            ).run()
+            plain = classic_tree(renamed, [root], expansion_cap=20_000)
         except SearchBudgetExceeded:
             assume(False)
+        quot = KarpMillerFrontier(renamed, [root], node_budget=5_000).run()
         assert frozenset(quot.limits) == frozenset(plain.limits)
         assert set(quot.nodes) <= set(plain.nodes)
+
+
+class TestNodeBudgetBoundsWork:
+    """Each canonical configuration is expanded at most once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_expansions_at_most_nodes_plus_roots(self, data):
+        protocol = data.draw(random_protocols(max_states=4))
+        roots = [omega_root(protocol)]
+        result = KarpMillerFrontier(protocol, roots, node_budget=200_000).run()
+        assert result.stats.expansions <= len(result.nodes) + len(roots)
+
+    def test_flat6_expands_each_node_once(self):
+        # The classic walk expanded 184 branches for these 14 nodes.
+        protocol = flat_threshold(6)
+        result = KarpMillerFrontier(
+            protocol, [omega_root(protocol)], node_budget=100_000
+        ).run()
+        assert len(result.nodes) == 14
+        assert result.stats.expansions <= len(result.nodes) + 1
+
+    def test_leader_binary6_within_budget(self):
+        # The classic walk ran for minutes past 1 GB here without ever
+        # reaching the budget.
+        protocol = leader_binary_threshold(6)
+        result = KarpMillerFrontier(
+            protocol, [omega_root(protocol)], node_budget=50_000
+        ).run()
+        assert (len(result.nodes), len(result.limits)) == (45, 8)
+        assert result.stats.expansions <= len(result.nodes) + 1
 
 
 # ------------------------------------------------------- quotient group pin
@@ -358,8 +434,8 @@ class TestQuotientGroupPinned:
         protocol = twin()
         root = (2, 1, 0)  # one agent already in A: the A <-> B swap moves it
         assert self._nontrivial([(protocol, [root])]) == 0
-        plain = karp_miller(protocol, [root], node_budget=1_000)
-        quotiented = karp_miller(protocol, [root], node_budget=1_000, quotient=True)
+        plain = classic_tree(protocol, [root])
+        quotiented = karp_miller(protocol, [root], node_budget=1_000)
         assert frozenset(quotiented.limits) == frozenset(plain.limits)
 
     @settings(max_examples=100, deadline=None)
@@ -444,20 +520,6 @@ class TestKillThenResume:
         baseline = KarpMillerFrontier(protocol, [root], node_budget=10_000).run()
         assert frozenset(result.limits) == frozenset(baseline.limits)
 
-    def test_quotient_mismatch_is_not_resumed(self, cache_store):
-        protocol = self.PROTOCOL()
-        root = omega_root(protocol)
-        self._kill(protocol, root, cache_store)  # plain checkpoint
-        result = KarpMillerFrontier(
-            protocol,
-            [root],
-            node_budget=10_000,
-            quotient=True,
-            checkpoint_interval=1_000,
-        ).run()
-        # different quotient flag -> different content address -> fresh run
-        assert not result.stats.resumed
-
     def test_recorder_sees_checkpoints_and_resume(self, cache_store, tmp_path):
         from repro.obs.runs import RunRecorder, read_stream, set_current_run
 
@@ -501,7 +563,7 @@ class TestCacheCodecRoundTrip:
         """
         protocol = flat_threshold(5)
         root = omega_root(protocol)
-        tree = karp_miller(protocol, [root], node_budget=10_000, quotient=True)
+        tree = karp_miller(protocol, [root], node_budget=10_000)
         assert tree.accelerations, "corpus choice must exercise acceleration"
 
         payload = json.loads(json.dumps(_km_encode(tree, protocol)))
@@ -511,7 +573,6 @@ class TestCacheCodecRoundTrip:
         assert set(restored.nodes) == set(tree.nodes)
         assert restored.accelerations == tree.accelerations
         assert restored.group == tree.group
-        assert restored.quotient == tree.quotient
 
     def test_cache_hit_returns_full_tree(self, cache_store):
         protocol = flat_threshold(5)
@@ -619,7 +680,7 @@ class TestGoldenTrees:
 
     @pytest.mark.parametrize("name", sorted(_golden_protocols()))
     def test_golden_invariant_under_strategy(self, name, golden):
-        """Sharded and quotiented runs reproduce the committed clover."""
+        """A sharded run and the classic walk reproduce the committed clover."""
         protocol = _golden_protocols()[name]
         entry = golden["trees"][name]
         roots = {
@@ -627,6 +688,7 @@ class TestGoldenTrees:
             "concrete_limits": concrete_root(protocol),
         }
         for field, root in roots.items():
-            for kwargs in ({"jobs": 2}, {"quotient": True}):
-                tree = karp_miller(protocol, [root], node_budget=200_000, **kwargs)
-                assert _encode_limits(tree) == entry[field], (name, field, kwargs)
+            sharded = karp_miller(protocol, [root], node_budget=200_000, jobs=2)
+            plain = classic_tree(protocol, [root])
+            for strategy, tree in (("jobs=2", sharded), ("classic", plain)):
+                assert _encode_limits(tree) == entry[field], (name, field, strategy)

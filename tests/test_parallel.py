@@ -49,6 +49,7 @@ from repro.obs import (
     get_tracer,
     load_trace,
     registry_snapshot,
+    set_progress_interval,
     set_tracer,
     summarize_trace,
 )
@@ -127,6 +128,12 @@ def _probe_task(task: TaskEnvelope):
     return task.index
 
 
+def _nap_task(task: TaskEnvelope):
+    """Module-level task: sleep ``payload`` seconds."""
+    time.sleep(task.payload)
+    return task.index
+
+
 def _fail_first_task(task: TaskEnvelope):
     """Module-level task: task 0 fails at once, the others take a while."""
     directory, index = task.payload
@@ -166,6 +173,21 @@ class TestRunTasks:
                 run_tasks(_fail_first_task, payloads, jobs=2)
         # Only the tasks already handed to a worker ran.
         assert len(os.listdir(tmp_path)) < 20
+
+    def test_a_pool_of_few_tasks_emits_heartbeats(self):
+        # Four tasks, far fewer than the meter's default clock stride.
+        exporter = RecordingExporter()
+        tracer = Tracer([exporter])
+        previous = set_tracer(tracer)
+        set_progress_interval(0.05)
+        try:
+            run_tasks(_nap_task, [0.15] * 4, jobs=2, label="naps")
+        finally:
+            set_progress_interval(1.0)
+            set_tracer(previous)
+            tracer.close()
+        names = [event["name"] for event in exporter.events]
+        assert "heartbeat:naps" in names
 
     def test_worker_events_adopted_in_task_order(self):
         exporter = RecordingExporter()

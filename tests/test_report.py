@@ -41,9 +41,11 @@ from repro.protocols.leaders import leader_unary_threshold
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze_reports.json")
 REPORT_GOLDEN_VERSION = 1
 
-# name -> (protocol constructor, full_report keyword arguments)
+# name -> (protocol constructor, full_report keyword arguments).  The
+# flat:6 key keeps the command the end-to-end benchmark runs; its
+# ``--quotient`` is accepted and ignored.
 GOLDEN_REPORTS = {
-    "flat:6 --quotient": (lambda: flat_threshold(6), {"quotient": True}),
+    "flat:6 --quotient": (lambda: flat_threshold(6), {}),
     "binary:24": (lambda: binary_threshold(24), {}),
     "leroux-leader:2": (lambda: leroux_leader_threshold(2), {}),
 }

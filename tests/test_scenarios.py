@@ -4,8 +4,9 @@ What is pinned here, per ISSUE-10:
 
 * **differential contracts** — for every scenario family the full
   check-block outcome is bit-identical serial vs ``jobs=2/4``, cached
-  vs fresh (cold write and warm read), and quotiented vs plain
-  coverability;
+  vs fresh (cold write and warm read), and with every Karp–Miller tree
+  built by the engine (canonical dedup) vs by the plain classic walk
+  of ``tests/test_coverability_sharded.py``;
 * **renaming invariance** — hypothesis-driven: renaming the states of
   any new builder (via :func:`repro.testing.renamings`) changes no
   verdict, no work counter, and no protocol fingerprint;
@@ -112,11 +113,22 @@ class TestDifferentialContracts:
         assert cold == warm
 
     @pytest.mark.parametrize("name,label", _SMALLEST)
-    def test_quotiented_matches_plain(self, name, label):
+    def test_quotiented_matches_plain(self, name, label, monkeypatch):
+        from repro.reachability import coverability
+        from repro.scenarios import checks
+        from tests.test_coverability_sharded import classic_tree
+
         instance = get_scenario(name).instance(label)
         protocol = instance.build()
+        quotiented = _outcomes(protocol, instance)
+
+        def plain_tree(protocol, roots, *args, **kwargs):
+            return classic_tree(protocol, list(roots))
+
+        # The never-reaches check and the certificates' basis proofs.
+        monkeypatch.setattr(checks, "karp_miller", plain_tree)
+        monkeypatch.setattr(coverability, "karp_miller", plain_tree)
         plain = _outcomes(protocol, instance)
-        quotiented = _outcomes(protocol, instance, quotient=True)
         assert plain == quotiented
 
 

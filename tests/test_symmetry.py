@@ -241,7 +241,10 @@ class TestAutomorphisms:
 
 class TestOneRefinementPerProtocol:
     def test_quotiented_analyze_refines_once(self, tmp_path, monkeypatch, capsys):
-        """The fingerprint and the Karp–Miller quotient share one search."""
+        """The fingerprint and the Karp–Miller engine share one search.
+
+        ``--quotient`` is accepted and ignored: every tree canonicalises.
+        """
         from repro import symmetry
         from repro.cli import main
 
